@@ -17,9 +17,12 @@ Evaluation strategy per element:
   catastrophic for x >> k (at x = 50 the recurrence loses the value
   entirely by k = 25).
 
-Partial sums seed the recurrence with continued-fraction values for
-every order up to ceil(x) and recur only through the non-amplifying
-tail, which keeps the summed relative error below 1e-10 out to 1e4
+A partial sum over orders 1..n evaluates a single seed, eps_{k0}(x) at
+k0 = min(n, ceil(x)) (k0 = 1 for x < 1), by the series or the continued
+fraction.  Two recurrences run out from it, each in its stable
+direction: downward, eps_k = (1 - k*eps_{k+1})/x for k < k0, where the
+amplification is k/x <= 1; and forward, as above, for k > k0, where it
+is x/k <= 1.  The summed relative error stays below 1e-10 out to 1e4
 terms.
 """
 
@@ -29,7 +32,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 LOG2E = math.log2(math.e)
 EULER_GAMMA = float(np.euler_gamma)
@@ -170,11 +172,7 @@ def expint_scaled(k: int, x: float) -> ScaledExpIntResult:
     """
     k = _check_order(k)
     x = _check_argument(x)
-    if x >= 1.0:
-        value = _eps_scalar_cf(k, x)
-    else:
-        value = float(_eps_elementwise(np.array([k]), np.array([x]))[0])
-    return ScaledExpIntResult(order=k, argument=x, scaled_value=value)
+    return ScaledExpIntResult(order=k, argument=x, scaled_value=_eps_scalar(k, x))
 
 
 def expint_e1(x: float) -> float:
@@ -187,29 +185,62 @@ def expint_e1(x: float) -> float:
     return math.exp(-x) * expint_scaled(1, x).scaled_value
 
 
+def _eps_scalar(k: int, x: float) -> float:
+    """eps_k(x) for validated arguments: the continued fraction for
+    x >= 1, the series with forward recurrence below."""
+    if x >= 1.0:
+        return _eps_scalar_cf(k, x)
+    return float(_eps_elementwise(np.array([k]), np.array([x]))[0])
+
+
+def _seed_order(n: int, x: float) -> int:
+    return min(n, math.ceil(x)) if x >= 1.0 else 1
+
+
 def expint_scaled_sum(n: int, x: float) -> float:
     """Partial sum sum_{k=1}^{n} eps_k(x) in a single stable pass.
 
-    Continued-fraction seeds cover orders up to ceil(x); the forward
-    recurrence finishes the tail where its per-step amplification
-    x/k <= 1.  Relative error <= 1e-10 for n <= 1e4.
+    One seed eps_{k0}(x), k0 = min(n, ceil(x)), feeds the downward
+    recurrence for the orders below k0 (amplification k/x <= 1) and the
+    forward recurrence for those above (amplification x/k <= 1).
+    Relative error <= 1e-10 for n <= 1e4.
     """
     n = _check_order(n)
     x = _check_argument(x)
-    if x >= 1.0:
-        k0 = min(n, int(math.ceil(x)))
-        val = _eps_scalar_cf(1, x)
-        total = val
-        for kk in range(2, k0 + 1):
-            val = _eps_scalar_cf(kk, x)
-            total += val
-    else:
-        k0 = 1
-        val = float(_eps_elementwise(np.array([1.0]), np.array([x]))[0])
-        total = val
+    k0 = _seed_order(n, x)
+    seed = _eps_scalar(k0, x)
+    total = val = seed
+    for k in range(k0 - 1, 0, -1):
+        val = (1.0 - k * val) / x
+        total += val
+    val = seed
     for j in range(k0, n):
         val = (1.0 - x * val) / j
         total += val
+    return total
+
+
+def _scaled_sums(n: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """expint_scaled_sum over 1-D arrays of validated n and x.
+
+    Each lane takes its seed from the same scalar call and runs the same
+    two recurrences in the same order, masked to its own range of
+    orders, so every lane is bit-equal to expint_scaled_sum(n, x).
+    """
+    n = np.asarray(n, dtype=np.int64)
+    x = np.asarray(x, dtype=float)
+    k0 = np.array([_seed_order(ni, xi) for ni, xi in zip(n.tolist(), x.tolist())])
+    seed = np.array([_eps_scalar(ki, xi) for ki, xi in zip(k0.tolist(), x.tolist())])
+    total = val = seed
+    for k in range(int(k0.max()) - 1, 0, -1):
+        live = k < k0
+        val = np.where(live, (1.0 - k * val) / x, val)
+        total = np.where(live, total + val, total)
+    val = seed
+    for j in range(int(k0.min()), int(n.max())):
+        live = (k0 <= j) & (j < n)
+        val = np.where(live, (1.0 - x * val) / j, val)
+        total = np.where(live, total + val, total)
     return total
 
 
@@ -227,6 +258,8 @@ def expint_quadrature_oracle(k: int, x: float) -> float:
             f"oracle supports 0 < x <= {_ORACLE_X_MAX}; got {x} "
             "(use the bracketing bound to test larger arguments)"
         )
+    from scipy import integrate  # deferred: only this oracle needs scipy
+
     value, abserr = integrate.quad(
         lambda u: math.exp(-x * u) * (1.0 + u) ** (-k),
         0.0,

@@ -91,6 +91,8 @@ def _mean_estimate(
     workers: int = 1,
 ) -> Estimate:
     """Reduce per-block partial sums of draw(rng, count) in block order."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     n = cfg.samples
     n_blocks = (n + _BLOCK - 1) // _BLOCK
 
@@ -99,7 +101,7 @@ def _mean_estimate(
         values = np.asarray(draw(_block_rng(cfg, b), count), dtype=float)
         return float(values.sum()), float((values * values).sum())
 
-    if workers <= 1:
+    if workers == 1:
         parts = [one_block(b) for b in range(n_blocks)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:

@@ -25,7 +25,11 @@ class SnrValue:
 
     @classmethod
     def from_db(cls, db: float) -> "SnrValue":
-        return cls(10.0 ** (float(db) / 10.0))
+        try:
+            linear = 10.0 ** (float(db) / 10.0)
+        except OverflowError:
+            raise ValueError(f"snr of {db!r} dB overflows a float") from None
+        return cls(linear)
 
     @property
     def db(self) -> float:

@@ -23,9 +23,8 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
-from .expint import EULER_GAMMA, LOG2E, eps1_array, expint_scaled, expint_scaled_sum
+from .expint import EULER_GAMMA, LOG2E, _scaled_sums, eps1_array, expint_scaled, expint_scaled_sum
 from .params import DB_PER_UNIT, PowerOffset, SisoParams, SnrValue, linear_snr
 
 _OFFSET_BRACKET_DB = 60.0
@@ -112,7 +111,7 @@ def joint_bound_j2(p: SisoParams) -> float:
     return (1.0 - p.tau / p.T) * c - math.log2((1.0 + s * p.T) / (1.0 + s * p.tau)) / p.T
 
 
-_JOINT_BOUNDS = {"j1": joint_bound_j1, "j2": joint_bound_j2}
+_JOINT_KINDS = ("j1", "j2")
 
 
 def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
@@ -123,18 +122,26 @@ def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
     reference only (it lies in [0, 1], up to float cancellation at
     extreme SNR) and never decides the integer answer.
     """
-    if which not in _JOINT_BOUNDS:
-        raise ValueError(f"which must be one of {sorted(_JOINT_BOUNDS)}, got {which!r}")
-    bound = _JOINT_BOUNDS[which]
+    if which not in _JOINT_KINDS:
+        raise ValueError(f"which must be one of {_JOINT_KINDS}, got {which!r}")
+    _check_blocklength(T)
     s = linear_snr(snr)
-    best_tau = 0
-    best_val = -math.inf
-    for tau in range(T):
-        v = bound(SisoParams(T=T, tau=tau, snr=SnrValue(s)))
-        if v > best_val:
-            best_tau, best_val = tau, v
-    continuous = LOG2E / capacity_csi(s) - 1.0 / s
-    return PilotSearch(tau_star=best_tau, value=best_val, tau_star_continuous=continuous)
+    c = capacity_csi(s)
+    # every lane repeats the arithmetic of the public bound at its tau,
+    # so the search value equals joint_bound_*(tau*) bit for bit
+    if which == "j1":
+        taus = np.arange(T)
+        values = (1.0 - taus / T) * c - LOG2E * _scaled_sums(T - taus, taus + 1.0 / s) / T
+    else:
+        # math.log2, not np.log2: the two differ in the last bit for
+        # some arguments, which would move tau* at ties
+        values = np.array([
+            (1.0 - tau / T) * c - math.log2((1.0 + s * T) / (1.0 + s * tau)) / T
+            for tau in range(T)
+        ])
+    best = int(np.argmax(values))
+    continuous = LOG2E / c - 1.0 / s
+    return PilotSearch(tau_star=best, value=float(values[best]), tau_star_continuous=continuous)
 
 
 def asymptote_j1(T: int) -> float:
@@ -187,13 +194,46 @@ def power_advantage_at_snr(T: int, snr) -> PowerOffset:
         return separate_bound(T, s * 10.0 ** (delta_db / 10.0)).value - target
 
     lo, hi = -_OFFSET_BRACKET_DB, _OFFSET_BRACKET_DB
-    if gap(lo) * gap(hi) > 0.0:
+    g_lo, g_hi = gap(lo), gap(hi)
+    if g_lo * g_hi > 0.0:
         raise RuntimeError(
             f"offset saturated: no crossing within +/-{_OFFSET_BRACKET_DB} dB "
             f"for T={T}, snr={s!r}"
         )
-    root_db = optimize.bisect(gap, lo, hi, xtol=1e-6)
+    root_db = _bisect(gap, lo, hi, g_lo, g_hi, xtol=1e-6)
     return PowerOffset(root_db / DB_PER_UNIT)
+
+
+# the step sequence, stopping rule and NaN check of scipy.optimize.bisect
+# at its default rtol and maxiter, so roots match it bit for bit
+_BISECT_RTOL = 4.0 * float(np.finfo(float).eps)
+_BISECT_MAXITER = 100
+
+
+def _bisect(f, xa: float, xb: float, fa: float, fb: float, xtol: float) -> float:
+    """Root of f in [xa, xb], given fa = f(xa) and fb = f(xb) of opposite sign."""
+    _check_not_nan(xa, fa)
+    _check_not_nan(xb, fb)
+    if fa == 0.0:
+        return xa
+    if fb == 0.0:
+        return xb
+    dm = xb - xa
+    for _ in range(_BISECT_MAXITER):
+        dm *= 0.5
+        xm = xa + dm
+        fm = f(xm)
+        _check_not_nan(xm, fm)
+        if fm * fa >= 0.0:
+            xa = xm
+        if fm == 0.0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
+            return xm
+    raise RuntimeError(f"Failed to converge after {_BISECT_MAXITER} iterations, value is {xa}")
+
+
+def _check_not_nan(x: float, fx: float) -> None:
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
 
 
 def single_pilot_advantage(T: int) -> PowerOffset:

@@ -152,6 +152,14 @@ def test_bad_arguments_exit_code(capsys):
     rc, _, err = run_cli(capsys, "bound", "--kind", "c", "--snr-db", "0", "--nt", "2")
     assert rc == 2 and "--nt and --nr" in err
     assert run_cli(capsys, "offset", "--kind", "advantage-at-snr", "--T", "10")[0] == 2
+    rc, _, err = run_cli(capsys, "bound", "--kind", "c", "--snr-db", "1e5")
+    assert rc == 2 and "overflows" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_worker_count_exit_code(capsys, workers):
+    rc, _, err = run_cli(capsys, "validate", "--samples", "2000", "--workers", workers)
+    assert rc == 2 and "workers must be >= 1" in err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -173,3 +181,10 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "0.2507 dB\n"
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, pilotbounds.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

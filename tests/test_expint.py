@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotbounds.expint import (
+    _scaled_sums,
     eps1_array,
     expint_e1,
     expint_quadrature_oracle,
@@ -33,6 +34,13 @@ SUM_REF = {
     (10000, 0.5): 9.9034875554529614,
     (10000, 2.0): 8.5173431905815708,
     (10000, 50.0): 5.3032554035497272,
+    # mpmath.quad of integral_0^inf e^{-xu} (1 - (1+u)^{-n}) / u du at 40 digits
+    (10, 1e3): 0.009945435757455516,
+    (1000, 1e3): 0.6930222170104607,
+    (10, 1e6): 9.999945000439995e-06,
+    (1000, 1e6): 0.000999499834082699,
+    (10, 1e10): 9.9999999945e-10,
+    (1000, 1e10): 9.999999499500034e-08,
 }
 
 
@@ -65,6 +73,18 @@ def test_sum_reference_values(n, x):
 def test_sum_matches_termwise(n, x):
     total = sum(expint_scaled(k, x).scaled_value for k in range(1, n + 1))
     assert expint_scaled_sum(n, x) == pytest.approx(total, rel=1e-12)
+
+
+def test_batched_sums_match_scalar_bitwise():
+    # every lane seeds and recurs exactly like the scalar call
+    rng = np.random.default_rng(20090905)
+    n = rng.integers(1, 2001, size=300)
+    x = 10.0 ** rng.uniform(-6.0, 11.0, size=300)
+    x[:40] = rng.uniform(0.5, 1.5, size=40)
+    assert (x < 1.0).any() and (x >= 1.0).any()
+    batch = _scaled_sums(n, x)
+    solo = np.array([expint_scaled_sum(int(ni), float(xi)) for ni, xi in zip(n, x)])
+    assert np.array_equal(batch, solo)
 
 
 def test_sum_single_term_is_first_order():

@@ -89,6 +89,12 @@ def test_worker_count_does_not_change_results():
         assert one == two == eight
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_worker_count_validation(workers):
+    with pytest.raises(ValueError):
+        sample_capacity_siso(SnrValue(1.0), McConfig(samples=1000, seed=9), workers)
+
+
 def test_same_config_reproduces_different_seed_does_not():
     a = sample_capacity_siso(SnrValue(1.0), McConfig(samples=20_000, seed=5))
     b = sample_capacity_siso(SnrValue(1.0), McConfig(samples=20_000, seed=5))

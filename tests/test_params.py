@@ -30,6 +30,12 @@ def test_snr_validation(bad):
         SnrValue(bad)
 
 
+@pytest.mark.parametrize("db", [1e5, 3100.0])
+def test_snr_from_db_overflow(db):
+    with pytest.raises(ValueError):
+        SnrValue.from_db(db)
+
+
 def test_linear_snr_coercion():
     assert linear_snr(SnrValue(2.0)) == 2.0
     assert linear_snr(3.5) == 3.5

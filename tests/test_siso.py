@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from pilotbounds.expint import LOG2E
 from pilotbounds.params import DB_PER_UNIT, SisoParams, SnrValue
 from pilotbounds.siso import (
+    _bisect,
     advantage_units,
     asymptote_j1,
     asymptote_j2,
@@ -100,6 +101,27 @@ def test_optimizer_j2_variant():
         optimize_pilots_joint(10, SnrValue(10.0), which="zz")
 
 
+@pytest.mark.parametrize("which,bound", [("j1", joint_bound_j1), ("j2", joint_bound_j2)])
+@pytest.mark.parametrize("T", [2, 3, 10, 100, 1000])
+def test_optimizer_matches_first_max_scan(T, which, bound):
+    # reference: the per-tau scan of the public bound, first strict max
+    for db in range(-100, 41, 10):
+        snr = SnrValue.from_db(float(db))
+        best_tau, best_val = 0, -math.inf
+        for tau in range(T):
+            v = bound(SisoParams(T=T, tau=tau, snr=snr))
+            if v > best_val:
+                best_tau, best_val = tau, v
+        res = optimize_pilots_joint(T, snr, which=which)
+        assert (res.tau_star, res.value) == (best_tau, best_val), db
+
+
+@pytest.mark.parametrize("bad_T", [0, 1, True, 10.0])
+def test_optimizer_blocklength_validation(bad_T):
+    with pytest.raises(ValueError):
+        optimize_pilots_joint(bad_T, SnrValue(10.0))
+
+
 @settings(max_examples=100, deadline=None)
 @given(log_snr=st.floats(min_value=-6.0, max_value=6.0))
 def test_continuous_pilot_fraction_in_unit_interval(log_snr):
@@ -133,6 +155,49 @@ def test_power_advantage_finite_snr():
     assert abs(high.value_db - asym.value_db) < 1e-3
     # short blocks at moderate SNR: training is too costly, offset negative
     assert power_advantage_at_snr(2, SnrValue.from_db(10.0)).value_db < 0.0
+
+
+def _scipy_offset(T, snr):
+    # reference: the same offset through scipy.optimize.bisect
+    from scipy import optimize
+
+    target = joint_bound_j2(SisoParams(T=T, tau=1, snr=snr))
+
+    def gap(delta_db):
+        return separate_bound(T, snr.linear * 10.0 ** (delta_db / 10.0)).value - target
+
+    return optimize.bisect(gap, -60.0, 60.0, xtol=1e-6) / DB_PER_UNIT
+
+
+@pytest.mark.parametrize("T", [2, 10, 100])
+def test_power_advantage_matches_scipy_bisect(T):
+    for db in (-40.0, -20.0, 0.0, 20.0, 40.0):
+        snr = SnrValue.from_db(db)
+        assert power_advantage_at_snr(T, snr).value_3db_units == _scipy_offset(T, snr)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x: x - 0.3,
+        lambda x: x,  # exact zero at the first midpoint
+        lambda x: x + 60.0,  # exact zero at the lower end
+        lambda x: math.nan if x > 10.0 else x - 20.0,
+        lambda x: math.nan if 0.0 < x < 60.0 else x - 20.0,  # NaN at a midpoint
+    ],
+)
+def test_bisect_matches_scipy(f):
+    from scipy import optimize
+
+    def run(solver):
+        try:
+            return solver()
+        except ValueError as exc:
+            return str(exc)
+
+    ours = run(lambda: _bisect(f, -60.0, 60.0, f(-60.0), f(60.0), xtol=1e-6))
+    ref = run(lambda: optimize.bisect(f, -60.0, 60.0, xtol=1e-6))
+    assert ours == ref
 
 
 def test_single_pilot_advantage():
