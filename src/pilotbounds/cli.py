@@ -5,7 +5,8 @@ formats are text (default for scalars), csv (default for sweeps), and
 json; json embeds a meta block echoing the fully resolved arguments so
 a saved file identifies its own run.  dB-valued columns are rounded to
 4 decimals at serialization only.  Exit codes: 0 success, 2 bad
-arguments, 3 validation failure.
+arguments, a failed computation or an unwritable --out, 3 validation
+failure.
 """
 
 from __future__ import annotations
@@ -359,9 +360,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1

@@ -29,9 +29,10 @@ terms.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
+
+from .params import _check_int
 
 LOG2E = math.log2(math.e)
 EULER_GAMMA = float(np.euler_gamma)
@@ -45,24 +46,6 @@ _CF_TOL = 5e-16
 _CF_MAX_ITER = 400
 _TINY = 1e-300
 
-_ORACLE_X_MAX = 50.0
-
-
-class ScaledExpIntResult(NamedTuple):
-    """One evaluation of eps_k(x) = e^x * E_k(x)."""
-
-    order: int
-    argument: float
-    scaled_value: float
-
-
-def _check_order(k) -> int:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"order must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
-    return int(k)
-
 
 def _check_argument(x) -> float:
     try:
@@ -74,14 +57,13 @@ def _check_argument(x) -> float:
     return x
 
 
-def _eps_elementwise(k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """eps_k(x) for broadcastable float arrays; k >= 1 integral, x > 0.
+def _eps1_lanes(x: np.ndarray) -> np.ndarray:
+    """eps_1(x) over a float array of arguments x > 0.
 
     Lanes are evaluated independently and freeze individually, so a
     batched call returns bit-identical values to one-element calls.
     """
-    k, x = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(x, dtype=float))
-    out = np.empty(k.shape, dtype=float)
+    out = np.empty(x.shape, dtype=float)
 
     lo = x < 1.0
     if lo.any():
@@ -91,25 +73,17 @@ def _eps_elementwise(k: np.ndarray, x: np.ndarray) -> np.ndarray:
         for n in range(1, _SERIES_TERMS + 1):
             acc = acc + term
             term = term * (-xs) * n / (n + 1.0) ** 2
-        val = np.exp(xs) * acc
-        ks = k[lo]
-        res = np.where(ks == 1.0, val, 0.0)
-        for j in range(1, int(ks.max())):
-            val = (1.0 - xs * val) / j
-            res = np.where(ks == j + 1.0, val, res)
-        out[lo] = res
+        out[lo] = np.exp(xs) * acc
 
     hi = ~lo
     if hi.any():
-        kh = k[hi]
-        xh = x[hi]
-        b = xh + kh
+        b = x[hi] + 1.0
         c = np.full(b.shape, 1.0 / _TINY)
         d = 1.0 / b
         h = d.copy()
         active = np.ones(b.shape, dtype=bool)
         for i in range(1, _CF_MAX_ITER + 1):
-            a = -i * (kh - 1.0 + i)
+            a = -float(i * i)
             b = np.where(active, b + 2.0, b)
             dn = 1.0 / (a * d + b)
             cn = b + a / c
@@ -130,9 +104,9 @@ def _eps_elementwise(k: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _eps_scalar_cf(k: int, x: float) -> float:
-    # same operation sequence as the x >= 1 branch of _eps_elementwise,
-    # in plain floats: bit-identical results (the loop is arithmetic
-    # only) without per-iteration array overhead
+    # at k = 1 the same operation sequence as the x >= 1 branch of
+    # _eps1_lanes, in plain floats: bit-identical results (the loop is
+    # arithmetic only) without per-iteration array overhead
     b = x + k
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -156,10 +130,10 @@ def eps1_array(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.size and (not np.isfinite(x).all() or (x <= 0.0).any()):
         raise ValueError("arguments must be finite and > 0")
-    return _eps_elementwise(np.ones_like(x), x)
+    return _eps1_lanes(x)
 
 
-def expint_scaled(k: int, x: float) -> ScaledExpIntResult:
+def expint_scaled(k: int, x: float) -> float:
     """Compute eps_k(x) = e^x * E_k(x) without forming either factor.
 
     Args:
@@ -168,11 +142,11 @@ def expint_scaled(k: int, x: float) -> ScaledExpIntResult:
            are routine, far beyond where e^x alone overflows.
 
     Returns:
-        ScaledExpIntResult with the scaled value; relative error <= 1e-12.
+        The scaled value eps_k(x); relative error <= 1e-12.
     """
-    k = _check_order(k)
+    k = _check_int("k", k, 1)
     x = _check_argument(x)
-    return ScaledExpIntResult(order=k, argument=x, scaled_value=_eps_scalar(k, x))
+    return _eps_scalar(k, x)
 
 
 def expint_e1(x: float) -> float:
@@ -182,15 +156,19 @@ def expint_e1(x: float) -> float:
     smaller than the tiniest subnormal.
     """
     x = _check_argument(x)
-    return math.exp(-x) * expint_scaled(1, x).scaled_value
+    return math.exp(-x) * _eps_scalar(1, x)
 
 
 def _eps_scalar(k: int, x: float) -> float:
     """eps_k(x) for validated arguments: the continued fraction for
-    x >= 1, the series with forward recurrence below."""
+    x >= 1; below, the eps_1 series lane and k - 1 forward recurrence
+    steps."""
     if x >= 1.0:
         return _eps_scalar_cf(k, x)
-    return float(_eps_elementwise(np.array([k]), np.array([x]))[0])
+    val = float(_eps1_lanes(np.array([x]))[0])
+    for j in range(1, k):
+        val = (1.0 - x * val) / j
+    return val
 
 
 def _seed_order(n: int, x: float) -> int:
@@ -205,7 +183,7 @@ def expint_scaled_sum(n: int, x: float) -> float:
     forward recurrence for those above (amplification x/k <= 1).
     Relative error <= 1e-10 for n <= 1e4.
     """
-    n = _check_order(n)
+    n = _check_int("n", n, 1)
     x = _check_argument(x)
     k0 = _seed_order(n, x)
     seed = _eps_scalar(k0, x)
@@ -242,32 +220,3 @@ def _scaled_sums(n: np.ndarray, x: np.ndarray) -> np.ndarray:
         val = np.where(live, (1.0 - x * val) / j, val)
         total = np.where(live, total + val, total)
     return total
-
-
-def expint_quadrature_oracle(k: int, x: float) -> float:
-    """Reference eps_k(x) by adaptive quadrature; slow, for tests.
-
-    Integrates integral_0^inf e^{-x u} (1+u)^{-k} du, which equals
-    e^x E_k(x) after the substitution t = 1 + u.  Absolute error
-    <= 1e-12 on the supported range 0 < x <= 50.
-    """
-    k = _check_order(k)
-    x = _check_argument(x)
-    if x > _ORACLE_X_MAX:
-        raise ValueError(
-            f"oracle supports 0 < x <= {_ORACLE_X_MAX}; got {x} "
-            "(use the bracketing bound to test larger arguments)"
-        )
-    from scipy import integrate  # deferred: only this oracle needs scipy
-
-    value, abserr = integrate.quad(
-        lambda u: math.exp(-x * u) * (1.0 + u) ** (-k),
-        0.0,
-        np.inf,
-        epsabs=1e-14,
-        epsrel=1e-13,
-        limit=200,
-    )
-    if abserr > 1e-12:
-        raise RuntimeError(f"quadrature error estimate {abserr:.2e} above 1e-12")
-    return value

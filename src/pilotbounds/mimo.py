@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 from . import montecarlo as mc
 from .expint import LOG2E, expint_scaled_sum
 from .montecarlo import Estimate, McConfig
-from .params import MimoParams, PowerOffset, linear_snr
+from .params import MimoParams, PowerOffset, _check_int, linear_snr
 from .siso import advantage_units
 
 _TIE_MARGIN_SE = 4.0
@@ -85,9 +85,8 @@ def capacity_ctr(t: int, r: int, rho, cfg: McConfig, workers: int = 1) -> Estima
     Exact (std_error 0, samples_used 0) when min(t, r) = 1; sampled via
     sample_ctr otherwise.
     """
-    for name, v in (("t", t), ("r", r)):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+    t = _check_int("t", t, 1)
+    r = _check_int("r", r, 1)
     return _ctr_value(t, r, linear_snr(rho), cfg, workers)
 
 
@@ -133,10 +132,7 @@ def mimo_joint_j2(p: MimoParams, cfg: McConfig, workers: int = 1) -> Estimate:
     )
 
 
-def _scan_candidates(
-    taus: Sequence[int],
-    estimates: Sequence[Estimate],
-) -> tuple[int, bool]:
+def _scan_candidates(estimates: Sequence[Estimate]) -> tuple[int, bool]:
     """Argmax over estimates with the smaller-tau-on-tie policy."""
     best = 0
     for i in range(1, len(estimates)):
@@ -172,10 +168,10 @@ def mimo_separate(
     (common random draws), so comparisons are far tighter than the
     reported per-point standard errors suggest.
     """
-    if isinstance(T, bool) or not isinstance(T, int) or T < 2:
-        raise ValueError(f"T must be an integer >= 2, got {T!r}")
-    if T <= n_t:
-        raise ValueError(f"need T > n_t for at least one data symbol, got T={T}, n_t={n_t}")
+    n_t = _check_int("n_t", n_t, 1)
+    n_r = _check_int("n_r", n_r, 1)
+    # at least one data symbol after the n_t pilots
+    T = _check_int("T", T, n_t + 1)
     s = linear_snr(snr)
     taus = list(range(n_t, T))
     estimates = []
@@ -195,7 +191,7 @@ def mimo_separate(
                     samples_used=c.samples_used,
                 )
             )
-    idx, tie = _scan_candidates(taus, estimates)
+    idx, tie = _scan_candidates(estimates)
     return MimoSeparateResult(value=estimates[idx], tau_star=taus[idx], tie_within_margin=tie)
 
 
@@ -213,12 +209,13 @@ def mimo_optimize_pilots(
     terms share cfg.substream(1).  The continuous relaxation
     n * (log2(e)/(C_{n,n}/n) - 1/snr) is reported for reference.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if isinstance(T, bool) or not isinstance(T, int) or T < 2:
-        raise ValueError(f"T must be an integer >= 2, got {T!r}")
+    n = _check_int("n", n, 1)
+    T = _check_int("T", T, 2)
     s = linear_snr(snr)
     c1 = _ctr_value(n, n, s, cfg, workers)
+    if c1.mean == 0.0:
+        # every sampled log2 det rounded to 0: the relaxation divides by it
+        raise ValueError(f"sampled capacity is 0 at snr={s!r}, below what the sampler resolves")
     pen_cfg = cfg.substream(1)
     taus = [0] + [tau for tau in range(n, T)]
     estimates = []
@@ -234,7 +231,7 @@ def mimo_optimize_pilots(
                 samples_used=c1.samples_used + c2.samples_used,
             )
         )
-    idx, tie = _scan_candidates(taus, estimates)
+    idx, tie = _scan_candidates(estimates)
     continuous = n * (LOG2E / (c1.mean / n) - 1.0 / s)
     return MimoPilotSearch(
         tau_star=taus[idx],
@@ -246,10 +243,8 @@ def mimo_optimize_pilots(
 
 def mimo_power_advantage_asymptotic(n: int, T: int) -> PowerOffset:
     """High-SNR joint-over-separate advantage at effective blocklength T/n."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if isinstance(T, bool) or not isinstance(T, int) or T <= n:
-        raise ValueError(f"need T > n, got T={T!r}, n={n}")
+    n = _check_int("n", n, 1)
+    T = _check_int("T", T, n + 1)
     return PowerOffset(advantage_units(T / n))
 
 

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .params import MimoParams, linear_snr
+from .params import MimoParams, _check_int, linear_snr
 
 _BLOCK = 16384
 _SQRT_HALF = math.sqrt(0.5)
@@ -49,23 +49,16 @@ class McConfig:
     stream_id: int = 0
 
     def __post_init__(self):
-        if isinstance(self.samples, bool) or not isinstance(self.samples, int):
-            raise ValueError(f"samples must be an integer, got {self.samples!r}")
-        if self.samples < 100:
-            raise ValueError(f"samples must be >= 100, got {self.samples}")
+        object.__setattr__(self, "samples", _check_int("samples", self.samples, 100))
         for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            if not 0 <= v <= _MASK64:
+            v = _check_int(name, getattr(self, name), 0)
+            if v > _MASK64:
                 raise ValueError(f"{name} must fit in 64 unsigned bits, got {v}")
+            object.__setattr__(self, name, v)
 
     def substream(self, index: int) -> "McConfig":
         """Derive an independent child configuration for a sub-operation."""
         return replace(self, stream_id=derive_stream(self.stream_id, index))
-
-    def with_samples(self, samples: int) -> "McConfig":
-        return replace(self, samples=samples)
 
 
 class Estimate(NamedTuple):
@@ -145,10 +138,8 @@ def sample_penalty_term(T: int, tau: int, snr, cfg: McConfig, workers: int = 1) 
     This is the expectation whose closed form is
     log2(e) * sum_{k=1}^{T-tau} eps_k(tau + 1/snr).
     """
-    if isinstance(T, bool) or not isinstance(T, int) or isinstance(tau, bool) or not isinstance(tau, int):
-        raise ValueError(f"T and tau must be integers, got {T!r}, {tau!r}")
-    if not 0 <= tau < T:
-        raise ValueError(f"need 0 <= tau < T, got tau={tau}, T={T}")
+    tau = _check_int("tau", tau, 0)
+    T = _check_int("T", T, tau + 1)
     s = linear_snr(snr)
     m = T - tau
     scale = s / (1.0 + s * tau)
@@ -167,9 +158,8 @@ def sample_ctr(t: int, r: int, rho, cfg: McConfig, workers: int = 1) -> Estimate
     The determinant is computed on the smaller-side Gram matrix (the
     two sides agree exactly) via Cholesky factorization.
     """
-    for name, v in (("t", t), ("r", r)):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+    t = _check_int("t", t, 1)
+    r = _check_int("r", r, 1)
     s = linear_snr(rho)
     side = min(t, r)
     eye = np.eye(side)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # One 3-dB unit is the horizontal spacing of log2-scale spectral
 # efficiency intercepts: 10*log10(2) dB.
 DB_PER_UNIT = 10.0 * math.log10(2.0)
@@ -44,11 +46,13 @@ def linear_snr(snr) -> float:
 
 
 def _check_int(name: str, value, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    """A Python or numpy integer >= minimum, returned as int; bool,
+    floats and None raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,8 @@ class SisoParams:
     snr: SnrValue
 
     def __post_init__(self):
-        _check_int("T", self.T, 2)
-        _check_int("tau", self.tau, 0)
+        for name, minimum in (("T", 2), ("tau", 0)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), minimum))
         if self.tau >= self.T:
             raise ValueError(f"tau must satisfy 0 <= tau < T, got tau={self.tau}, T={self.T}")
         if not isinstance(self.snr, SnrValue):
@@ -83,10 +87,8 @@ class MimoParams:
     snr: SnrValue
 
     def __post_init__(self):
-        _check_int("n_t", self.n_t, 1)
-        _check_int("n_r", self.n_r, 1)
-        _check_int("T", self.T, 2)
-        _check_int("tau", self.tau, 0)
+        for name, minimum in (("n_t", 1), ("n_r", 1), ("T", 2), ("tau", 0)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), minimum))
         if self.tau >= self.T:
             raise ValueError(f"tau must satisfy tau < T, got tau={self.tau}, T={self.T}")
         if self.tau != 0 and self.tau < self.n_t:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .expint import EULER_GAMMA, LOG2E, _scaled_sums, eps1_array, expint_scaled, expint_scaled_sum
-from .params import DB_PER_UNIT, PowerOffset, SisoParams, SnrValue, linear_snr
+from .params import DB_PER_UNIT, PowerOffset, SisoParams, SnrValue, _check_int, linear_snr
 
 _OFFSET_BRACKET_DB = 60.0
 
@@ -51,16 +51,13 @@ class TrueCapacityGap(NamedTuple):
 def capacity_csi(snr) -> float:
     """Perfect-CSI ergodic capacity log2(e) * eps_1(1/snr) in bits/s/Hz."""
     s = linear_snr(snr)
-    return LOG2E * expint_scaled(1, 1.0 / s).scaled_value
+    return LOG2E * expint_scaled(1, 1.0 / s)
 
 
 def mmse_estimate_variance(tau: int, snr) -> float:
     """Estimation-error variance 1/(1 + snr*tau) of the pilot-based
     MMSE channel estimate; requires at least one pilot."""
-    if isinstance(tau, bool) or not isinstance(tau, int):
-        raise ValueError(f"tau must be an integer, got {tau!r}")
-    if tau < 1:
-        raise ValueError(f"channel estimation needs tau >= 1, got {tau}")
+    tau = _check_int("tau", tau, 1)
     s = linear_snr(snr)
     return 1.0 / (1.0 + s * tau)
 
@@ -78,8 +75,7 @@ def separate_bound(T: int, snr) -> SeparateBound:
     The maximization over integer tau in [1, T-1] is exhaustive; ties
     resolve to the smallest tau.
     """
-    if isinstance(T, bool) or not isinstance(T, int) or T < 2:
-        raise ValueError(f"T must be an integer >= 2, got {T!r}")
+    T = _check_int("T", T, 2)
     s = linear_snr(snr)
     taus = np.arange(1, T, dtype=float)
     mmse = 1.0 / (1.0 + s * taus)
@@ -124,7 +120,7 @@ def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
     """
     if which not in _JOINT_KINDS:
         raise ValueError(f"which must be one of {_JOINT_KINDS}, got {which!r}")
-    _check_blocklength(T)
+    T = _check_int("T", T, 2)
     s = linear_snr(snr)
     c = capacity_csi(s)
     # every lane repeats the arithmetic of the public bound at its tau,
@@ -147,19 +143,14 @@ def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
 def asymptote_j1(T: int) -> float:
     """High-SNR penalty of the joint bound at tau = 1, in 3-dB units:
     log2(e) * sum_{k=1}^{T-1} eps_k(1) / (T - 1)."""
-    _check_blocklength(T)
+    T = _check_int("T", T, 2)
     return LOG2E * expint_scaled_sum(T - 1, 1.0) / (T - 1)
 
 
 def asymptote_j2(T: int) -> float:
     """High-SNR penalty of the Jensen-relaxed bound: log2(T)/(T-1)."""
-    _check_blocklength(T)
+    T = _check_int("T", T, 2)
     return math.log2(T) / (T - 1)
-
-
-def _check_blocklength(T) -> None:
-    if isinstance(T, bool) or not isinstance(T, int) or T < 2:
-        raise ValueError(f"T must be an integer >= 2, got {T!r}")
 
 
 def advantage_units(effective_T: float) -> float:
@@ -173,7 +164,7 @@ def advantage_units(effective_T: float) -> float:
 
 def power_advantage_asymptotic(T: int) -> PowerOffset:
     """High-SNR power advantage of joint over separate processing."""
-    _check_blocklength(T)
+    T = _check_int("T", T, 2)
     return PowerOffset(advantage_units(T))
 
 
@@ -238,7 +229,7 @@ def _check_not_nan(x: float, fx: float) -> None:
 
 def single_pilot_advantage(T: int) -> PowerOffset:
     """High-SNR gain of one pilot over none: gamma*log2(e)/T units."""
-    _check_blocklength(T)
+    T = _check_int("T", T, 2)
     return PowerOffset(EULER_GAMMA * LOG2E / T)
 
 
@@ -253,7 +244,7 @@ def true_capacity_gap(T: int) -> TrueCapacityGap:
     subtract each penalty from the joint-bound penalty log2(T)/(T-1);
     with Stirling the gap equals the penalty exactly.
     """
-    _check_blocklength(T)
+    T = _check_int("T", T, 2)
     log2_ratio = LOG2E * ((T - 1) + math.lgamma(T) - (T - 1) * math.log(T))
     pen_exact = log2_ratio / (T - 1)
     pen_stirling = 0.5 * math.log2(T) / (T - 1)

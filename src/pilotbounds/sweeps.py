@@ -8,14 +8,14 @@ identical bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import mimo, montecarlo as mc, siso
 from .montecarlo import Estimate, McConfig
-from .params import MimoParams, SisoParams, SnrValue
+from .params import MimoParams, SisoParams, SnrValue, _check_int
 
 FIG1_DEFAULT_T_GRID = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128)
 FIG1_DEFAULT_SNR_DB = (0.0, 10.0)
@@ -28,25 +28,6 @@ CONVERGENCE_DEFAULT_T_GRID = tuple(
 )
 
 _Z_LIMIT = 4.0
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Validated description of one sweep: what varies, over which grid."""
-
-    variable: str
-    grid: tuple
-    fixed: dict
-    curves: tuple[str, ...]
-    mc_config: Optional[McConfig] = None
-
-    def __post_init__(self):
-        if self.variable not in ("blocklength", "snr_db"):
-            raise ValueError(f"variable must be 'blocklength' or 'snr_db', got {self.variable!r}")
-        if len(self.grid) < 2:
-            raise ValueError(f"grid needs at least 2 points, got {len(self.grid)}")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("grid must be strictly increasing")
 
 
 class SweepTable(NamedTuple):
@@ -87,10 +68,11 @@ class ValidationReport(NamedTuple):
 
 
 def _check_t_grid(T_grid: Sequence[int]) -> tuple[int, ...]:
-    grid = tuple(T_grid)
-    for T in grid:
-        if isinstance(T, bool) or not isinstance(T, int) or T < 2:
-            raise ValueError(f"every blocklength must be an integer >= 2, got {T!r}")
+    grid = tuple(_check_int("T", T, 2) for T in T_grid)
+    if len(grid) < 2:
+        raise ValueError(f"grid needs at least 2 points, got {len(grid)}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be strictly increasing")
     return grid
 
 
@@ -101,12 +83,6 @@ def sweep_fig1(
     """Spectral efficiency vs blocklength: capacity, best separate bound
     (with its pilot count), and the joint bound at one pilot."""
     grid = _check_t_grid(T_grid)
-    SweepSpec(
-        variable="blocklength",
-        grid=grid,
-        fixed={"snr_db_list": tuple(snr_db_list)},
-        curves=("C", "I_S", "I_J1"),
-    )
     rows = []
     for db in snr_db_list:
         snr = SnrValue.from_db(db)
@@ -129,12 +105,6 @@ def sweep_fig2(
     the high-SNR asymptote plus the bisected value at each finite SNR."""
     grid = _check_t_grid(T_grid)
     snr_db_list = tuple(float(db) for db in snr_db_list)
-    SweepSpec(
-        variable="blocklength",
-        grid=grid,
-        fixed={"snr_db_list": snr_db_list},
-        curves=("asymptote",) + tuple(f"advantage_{db:g}dB" for db in snr_db_list),
-    )
     rows = []
     for T in grid:
         row = [T, siso.power_advantage_asymptotic(T).value_db]
@@ -161,12 +131,6 @@ def convergence_table(
         raise ValueError(
             f"grid must span >= 2 decades, got [{grid[0]}, {grid[-1]}]"
         )
-    SweepSpec(
-        variable="blocklength",
-        grid=grid,
-        fixed={"snr": snr},
-        curves=("C-I_S", "(C-I_S)*sqrt(T)", "C-I_J2", "(C-I_J2)*T/log2(T)"),
-    )
     c = siso.capacity_csi(snr)
     rows = []
     for T in grid:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilotbounds import cli, sweeps
 
@@ -154,6 +158,8 @@ def test_bad_arguments_exit_code(capsys):
     assert run_cli(capsys, "offset", "--kind", "advantage-at-snr", "--T", "10")[0] == 2
     rc, _, err = run_cli(capsys, "bound", "--kind", "c", "--snr-db", "1e5")
     assert rc == 2 and "overflows" in err
+    rc, _, err = run_cli(capsys, "sweep", "--kind", "fig1", "--T-grid", "4,2")
+    assert rc == 2 and "strictly increasing" in err
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -188,3 +194,113 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_failed_computation_exit_code(capsys):
+    # the separate bound crosses the joint bound nowhere within +/-60 dB
+    rc, out, err = run_cli(
+        capsys, "offset", "--kind", "advantage-at-snr", "--T", "2", "--snr-db", "-97.5"
+    )
+    assert rc == 2 and out == ""
+    assert err.startswith("error: offset saturated") and err.count("\n") == 1
+
+
+def test_unwritable_out_exit_code(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    rc, out, err = run_cli(capsys, "sweep", "--kind", "fig1", "--T-grid", "2,4", "--out", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+
+def _csv(values):
+    return st.lists(values, max_size=5).map(lambda vs: ",".join(map(str, vs)))
+
+
+# Values small enough that one call takes well under a second and a few
+# MB: T <= 64, at most 4096 samples, at most 2 antennas, 2 workers.
+_VALUES = {
+    "--T": st.integers(min_value=2, max_value=64),
+    "--tau": st.integers(min_value=0, max_value=63),
+    "--snr-db": st.floats(min_value=-150.0, max_value=150.0),
+    "--nt": st.integers(min_value=1, max_value=2),
+    "--nr": st.integers(min_value=1, max_value=2),
+    "--which": st.sampled_from(["j1", "j2"]),
+    "--T-grid": _csv(st.integers(min_value=2, max_value=64)),
+    "--snr-db-list": _csv(st.floats(min_value=-150.0, max_value=150.0)),
+    "--samples": st.sampled_from([100, 1000, 4096]),
+    "--seed": st.integers(min_value=0, max_value=2**64 - 1),
+    "--workers": st.sampled_from([1, 2]),
+    "--format": st.sampled_from(["text", "csv", "json"]),
+    "--out": st.sampled_from(["report.out"]),
+}
+# out-of-range or malformed values, at most one per call
+_HOSTILE = {
+    "--T": [-1, 0, 1],
+    "--tau": [-1, 64],
+    "--snr-db": ["nan", "inf", "-inf", "1e5", "-400", "3080", "x"],
+    "--nt": [-1, 0],
+    "--nr": [-1, 0],
+    "--which": ["zz"],
+    "--T-grid": ["-2,4", "0", "8,4", "4,4", "2.5"],
+    "--snr-db-list": ["nan", "1e5", "x"],
+    "--samples": [-1, 99],
+    "--seed": [-1, 2**64],
+    "--workers": [-1, 0],
+    "--format": ["xml"],
+    "--out": ["missing/report.out"],
+    "--kind": ["zz"],
+}
+_KINDS = {
+    "bound": ["c", "is", "j1", "j2"],
+    "offset": ["advantage-asymptotic", "advantage-at-snr", "single-pilot", "true-capacity-gap"],
+    "sweep": ["fig1", "fig2", "convergence"],
+}
+# (flags every call carries, groups of flags drawn in or out together);
+# --samples is always given where it exists, because the defaults take
+# seconds per call
+_COMMAND_FLAGS = {
+    "bound": (
+        ("--kind", "--snr-db", "--samples"),
+        (("--T",), ("--tau",), ("--nt", "--nr"), ("--seed",), ("--workers",)),
+    ),
+    "optimize-pilots": (
+        ("--T", "--snr-db", "--samples"),
+        (("--which",), ("--nt",), ("--seed",), ("--workers",)),
+    ),
+    "offset": (("--kind", "--T"), (("--snr-db",), ("--nt",))),
+    "sweep": (("--kind",), (("--T-grid",), ("--snr-db-list",), ("--snr-db",))),
+    "validate": (("--samples",), (("--seed",), ("--workers",))),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    required, optional = _COMMAND_FLAGS[command]
+    flags = list(required)
+    for group in optional + (("--format",), ("--out",)):
+        if draw(st.booleans()):
+            flags.extend(group)
+    if draw(st.integers(0, 9)) == 0:  # now and then any flag, known to the command or not
+        flags.append(draw(st.sampled_from(sorted(_VALUES))))
+    values = {
+        flag: draw(st.sampled_from(_KINDS[command]) if flag == "--kind" else _VALUES[flag])
+        for flag in flags
+    }
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(flags))
+        values[flag] = draw(st.sampled_from(_HOSTILE[flag]))
+    return [command] + [f"{flag}={value}" for flag, value in values.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_argv())
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, argv):
+    # every outcome is an exit code the README lists, never a traceback
+    out_dir = tmp_path_factory.mktemp("fuzz")
+    argv = [a.replace("--out=", f"--out={out_dir}/") for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in (0, 2, 3), (rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -117,6 +117,12 @@ def test_optimizer_square_two_by_two():
     assert 0.0 < res.tau_star_continuous < 2.0
 
 
+def test_optimizer_rejects_snr_below_sampler_resolution():
+    # every sampled log2 det rounds to 0 at -400 dB
+    with pytest.raises(ValueError, match="sampled capacity is 0"):
+        mimo_optimize_pilots(2, 4, SnrValue(1e-40), McConfig(samples=100))
+
+
 def test_effective_blocklength_identity():
     # n antennas over T symbols behave like one antenna over T/n blocks
     assert (
@@ -157,3 +163,10 @@ def test_capacity_ctr_validation():
 def test_mimo_separate_needs_room_for_pilots():
     with pytest.raises(ValueError):
         mimo_separate(2, 2, 2, SnrValue(1.0), CFG)
+
+
+@pytest.mark.parametrize("n_t,n_r", [(0, 1), (-1, 1), (1, 0), (1.0, 1)])
+def test_mimo_separate_validates_antenna_counts(n_t, n_r):
+    # n_t = 0 would divide by zero, n_t = -1 would search negative pilot counts
+    with pytest.raises(ValueError):
+        mimo_separate(n_t, n_r, 4, SnrValue(1.0), CFG)

@@ -30,8 +30,12 @@ def test_config_validation():
         McConfig(samples=1000, seed=-1)
     with pytest.raises(ValueError):
         McConfig(samples=1000, seed=2**64)
-    cfg = McConfig(samples=1000, seed=7).with_samples(5000)
-    assert cfg.samples == 5000 and cfg.seed == 7
+    with pytest.raises(ValueError):
+        McConfig(samples=1000.0)
+    # numpy integers are accepted and stored as int
+    cfg = McConfig(samples=np.int64(5000), seed=np.uint64(2**64 - 1))
+    assert (cfg.samples, cfg.seed) == (5000, 2**64 - 1)
+    assert type(cfg.samples) is int and type(cfg.seed) is int
 
 
 def test_substreams_are_distinct():

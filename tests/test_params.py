@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from pilotbounds.params import (
@@ -8,6 +9,7 @@ from pilotbounds.params import (
     PowerOffset,
     SisoParams,
     SnrValue,
+    _check_int,
     linear_snr,
 )
 
@@ -56,6 +58,20 @@ def test_siso_params():
         SisoParams(T=10, tau=10, snr=1.0)
     with pytest.raises(ValueError):
         SisoParams(T=True, tau=0, snr=1.0)
+
+
+@pytest.mark.parametrize("good", [3, np.int64(3), np.uint8(3)])
+def test_integer_check_accepts_numpy_integers(good):
+    value = _check_int("n", good, 1)
+    assert value == 3 and type(value) is int
+    p = MimoParams(n_t=good, n_r=good, T=good + 5, tau=good, snr=1.0)
+    assert all(type(v) is int for v in (p.n_t, p.n_r, p.T, p.tau))
+
+
+@pytest.mark.parametrize("bad", [True, 3.0, None, "3", 0])
+def test_integer_check_rejects(bad):
+    with pytest.raises(ValueError):
+        _check_int("n", bad, 1)
 
 
 def test_mimo_params():

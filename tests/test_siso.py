@@ -101,11 +101,18 @@ def test_optimizer_j2_variant():
         optimize_pilots_joint(10, SnrValue(10.0), which="zz")
 
 
+# Points where a slip in the search shows: at T=2, -145 dB j1 ties
+# exactly at tau = 0 and 1, so a last-maximum argmax returns 1; at
+# T=100, -37 dB j2 is the only point of a 0.5 dB grid over the T below
+# and -100..40 dB where np.log2 in place of math.log2 changes tau*'s value.
+_SCAN_EXTRA_DB = {(2, "j1"): (-145.0,), (100, "j2"): (-37.0,)}
+
+
 @pytest.mark.parametrize("which,bound", [("j1", joint_bound_j1), ("j2", joint_bound_j2)])
 @pytest.mark.parametrize("T", [2, 3, 10, 100, 1000])
 def test_optimizer_matches_first_max_scan(T, which, bound):
     # reference: the per-tau scan of the public bound, first strict max
-    for db in range(-100, 41, 10):
+    for db in [*range(-100, 41, 10), *_SCAN_EXTRA_DB.get((T, which), ())]:
         snr = SnrValue.from_db(float(db))
         best_tau, best_val = 0, -math.inf
         for tau in range(T):

@@ -9,7 +9,6 @@ from pilotbounds.sweeps import (
     FIG1_DEFAULT_SNR_DB,
     FIG1_DEFAULT_T_GRID,
     FIG2_DEFAULT_T_GRID,
-    SweepSpec,
     convergence_table,
     sweep_fig1,
     sweep_fig2,
@@ -20,14 +19,11 @@ from pilotbounds import siso
 SMALL_CFG = McConfig(samples=20_000, seed=42)
 
 
-def test_sweep_spec_validation():
-    SweepSpec(variable="blocklength", grid=(2, 4, 8), fixed={}, curves=("a",))
-    with pytest.raises(ValueError):
-        SweepSpec(variable="bogus", grid=(2, 4), fixed={}, curves=())
-    with pytest.raises(ValueError):
-        SweepSpec(variable="blocklength", grid=(2,), fixed={}, curves=())
-    with pytest.raises(ValueError):
-        SweepSpec(variable="blocklength", grid=(2, 2, 4), fixed={}, curves=())
+@pytest.mark.parametrize("sweep", [sweep_fig1, sweep_fig2, convergence_table])
+def test_sweeps_reject_short_or_unsorted_grids(sweep):
+    for grid in ((), (200,), (2, 2, 400), (400, 2), (2, 400.0)):
+        with pytest.raises(ValueError):
+            sweep(grid)
 
 
 def test_fig1_shape_and_values():
