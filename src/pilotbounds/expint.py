@@ -28,6 +28,7 @@ terms.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -196,6 +197,26 @@ def expint_scaled_sum(n: int, x: float) -> float:
         val = (1.0 - x * val) / j
         total += val
     return total
+
+
+def _scaled_partial_sums(n: int, x: float) -> list[float]:
+    """[S_1, ..., S_n] with S_k = sum_{i=1}^{k} eps_i(x), for validated n, x.
+
+    The orders come from the one seed and the two recurrences of
+    expint_scaled_sum; the running sums then add them from order 1 up,
+    so S_n may differ from expint_scaled_sum(n, x) in the last bits.
+    """
+    k0 = _seed_order(n, x)
+    eps = [0.0] * n
+    eps[k0 - 1] = val = _eps_scalar(k0, x)
+    for k in range(k0 - 1, 0, -1):
+        val = (1.0 - k * val) / x
+        eps[k - 1] = val
+    val = eps[k0 - 1]
+    for j in range(k0, n):
+        val = (1.0 - x * val) / j
+        eps[j] = val
+    return list(itertools.accumulate(eps))
 
 
 def _scaled_sums(n: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1,35 +1,58 @@
 """MIMO generalizations of the joint and separate bounds.
 
 The capacity functional C_{t,r}(rho) = E[log2 det(I + (rho/t) Z Z†)]
-is sampled by Monte Carlo except when min(t, r) = 1, where it reduces
-to the same scaled-exponential-integral sums as the scalar channel:
+is exact wherever it can be evaluated to full accuracy.  With
+m = min(t, r), d = |t - r| and x = t/rho, Telatar's Laguerre form of
+the eigenvalue density turns it into a weighted sum of the scalar
+channel's partial sums S_n(x) = sum_{k=1}^{n} eps_k(x):
 
-    C_{t,r}(rho) = log2(e) * sum_{k=1}^{max(t,r)} eps_k(t/rho).
+    C_{t,r}(rho) = log2(e) * sum_{j=d}^{d+2m-2} w_j S_{j+1}(x),
+
+    sum_j (w_j/j!) lam^j = lam^d sum_{k<m} k!/(k+d)! [L_k^(d)(lam)]^2.
+
+At m = 1 the only weight is w_{n-1} = 1, and the rank-1 form
+log2(e) * S_{max(t,r)}(x) is evaluated directly.  For m >= 2 the
+weights alternate in sign, and the sum cancels more as m and d grow.
+A guard measures that cancellation on every call,
+
+    kappa = sum_j |w_j S_{j+1}| / |sum_j w_j S_{j+1}|,
+
+and falls back to Monte Carlo (sample_ctr) when kappa > 1e5.  The
+relative error of the exact sum stayed below 3e-16 * kappa against
+mpmath quadrature for t, r <= 12 and 8 x 32 over -30...60 dB, so an
+exact result is good to about 3e-11.  Scanned over -400...300 dB, the
+guard admits every size with m <= 4 and max(t, r) <= 20 (kappa <= 2e4
+over -30...60 dB) and the square sizes up to 7 x 7; it sends 8 x 8 and
+larger square sizes to the sampler at every SNR.
 
 All bound formulas mirror the scalar module with T, tau, and C(.)
 replaced by their per-antenna counterparts; at n_t = n_r = 1 every
-operation here reproduces its scalar counterpart bit for bit on the
-closed-form paths (the expressions are evaluated in the same order
-with the same arguments).
+operation here reproduces its scalar counterpart bit for bit (the
+expressions are evaluated in the same order with the same arguments).
 
-Sampled pilot searches reuse one capacity estimate and common random
-draws across tau candidates so Monte Carlo noise cannot flip the
+Pilot searches reuse one capacity value and, where they sample, common
+random draws across tau candidates so Monte Carlo noise cannot flip the
 discrete argmax silently; a runner-up within 4 combined standard
-errors resolves toward the smaller tau and sets a tie flag.
+errors resolves toward the smaller tau and sets a tie flag.  On exact
+candidates the margin is 0 and tau* is the first argmax.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Sequence
 
 from . import montecarlo as mc
-from .expint import LOG2E, expint_scaled_sum
+from .expint import LOG2E, _check_argument, _scaled_partial_sums, expint_scaled_sum
 from .montecarlo import Estimate, McConfig
-from .params import MimoParams, PowerOffset, _check_int, linear_snr
+from .params import MimoParams, PowerOffset, _check_int, _check_snr_blocklength, linear_snr
 from .siso import advantage_units
 
 _TIE_MARGIN_SE = 4.0
+# Largest cancellation ratio kappa of the Laguerre sum that is trusted
+# (see the module docstring for the measured error per unit of kappa).
+_KAPPA_MAX = 1e5
 
 
 class MimoSeparateResult(NamedTuple):
@@ -60,30 +83,61 @@ class GramOptimalityReport(NamedTuple):
     uniform_is_minimal: bool
 
 
+@functools.lru_cache(maxsize=None)
+def _laguerre_weights(m: int, d: int) -> tuple[float, ...]:
+    """w_{d+i}, i = 0..2m-2, of the Laguerre sum in the module docstring,
+    built exactly in rationals and rounded once."""
+    from fractions import Fraction  # first use only: off the import path
+
+    c = [Fraction(0)] * (2 * m - 1)
+    for k in range(m):
+        # L_k^(d)(lam) = sum_i (-1)^i C(k+d, k-i) lam^i / i!
+        lag = [
+            Fraction((-1) ** i * math.comb(k + d, k - i), math.factorial(i))
+            for i in range(k + 1)
+        ]
+        scale = Fraction(math.factorial(k), math.factorial(k + d))
+        for a, la in enumerate(lag):
+            for b, lb in enumerate(lag):
+                c[a + b] += scale * la * lb
+    return tuple(float(ci * math.factorial(d + i)) for i, ci in enumerate(c))
+
+
 def _ctr_value(
     t: int,
     r: int,
     rho_linear: float,
     cfg: McConfig,
     workers: int = 1,
-    rank1_x: float | None = None,
+    x: float | None = None,
 ) -> Estimate:
-    """Closed form when one side is a single antenna, else Monte Carlo.
+    """C_{t,r}(rho): the rank-1 sum, the Laguerre sum where the
+    cancellation guard admits it, else sample_ctr with cfg.
 
-    rank1_x optionally supplies the sum argument t/rho directly, for
-    callers that can form it with fewer roundings than the reciprocal.
+    x optionally supplies the sum argument t/rho directly, for callers
+    that can form it with fewer roundings than the quotient.
     """
-    if min(t, r) == 1:
-        x = rank1_x if rank1_x is not None else t / rho_linear
-        return Estimate(mean=LOG2E * expint_scaled_sum(max(t, r), x), std_error=0.0, samples_used=0)
+    if x is None:
+        x = t / rho_linear
+    m, n = min(t, r), max(t, r)
+    if m == 1:
+        return Estimate(mean=LOG2E * expint_scaled_sum(n, x), std_error=0.0, samples_used=0)
+    sums = _scaled_partial_sums(t + r - 1, _check_argument(x))
+    terms = [w * s for w, s in zip(_laguerre_weights(m, n - m), sums[n - m:])]
+    total = sum(terms)
+    if total > 0.0 and sum(map(abs, terms)) <= _KAPPA_MAX * total:
+        return Estimate(mean=LOG2E * total, std_error=0.0, samples_used=0)
     return mc.sample_ctr(t, r, rho_linear, cfg, workers)
 
 
 def capacity_ctr(t: int, r: int, rho, cfg: McConfig, workers: int = 1) -> Estimate:
     """Ergodic capacity functional C_{t,r}(rho) in bits/s/Hz.
 
-    Exact (std_error 0, samples_used 0) when min(t, r) = 1; sampled via
-    sample_ctr otherwise.
+    Exact (std_error 0, samples_used 0) when min(t, r) = 1, and from
+    Telatar's Laguerre sum when its cancellation ratio kappa is at most
+    1e5 (relative error about 3e-16 * kappa); sampled via sample_ctr
+    with cfg otherwise.  Every size with min(t, r) <= 4 and
+    max(t, r) <= 20 is exact; 8 x 8 and larger square sizes are sampled.
     """
     t = _check_int("t", t, 1)
     r = _check_int("r", r, 1)
@@ -107,9 +161,11 @@ def mimo_joint_j1(p: MimoParams, cfg: McConfig, workers: int = 1) -> Estimate:
         rho_eff,
         cfg.substream(1),
         workers,
-        rank1_x=p.tau + p.n_t / s,
+        x=p.tau + p.n_t / s,
     )
-    value = (1.0 - p.tau / p.T) * c1.mean - p.n_r * c2.mean / p.T
+    # dividing by the effective blocklength T/n_r keeps n_r = 1 bit-equal
+    # to the scalar bound, and at n_r = T, tau = 0 gives exactly C - C
+    value = (1.0 - p.tau / p.T) * c1.mean - c2.mean / (p.T / p.n_r)
     err = math.hypot((1.0 - p.tau / p.T) * c1.std_error, (p.n_r / p.T) * c2.std_error)
     return Estimate(mean=value, std_error=err, samples_used=c1.samples_used + c2.samples_used)
 
@@ -164,7 +220,8 @@ def mimo_separate(
     per antenna: tau_bar = tau/n_t pilot uses, effective SNR from the
     per-antenna MMSE, capacity through C_{n_t,n_r}.
 
-    Searches integer tau in [n_t, T-1].  Sampled candidates share cfg
+    Searches integer tau in [n_t, T-1].  Every candidate goes through
+    the same C_{t,r} path as capacity_ctr.  Sampled candidates share cfg
     (common random draws), so comparisons are far tighter than the
     reported per-point standard errors suggest.
     """
@@ -173,24 +230,21 @@ def mimo_separate(
     # at least one data symbol after the n_t pilots
     T = _check_int("T", T, n_t + 1)
     s = linear_snr(snr)
+    _check_snr_blocklength(s, T)
     taus = list(range(n_t, T))
     estimates = []
     for tau in taus:
         tau_bar = tau / n_t
         mmse = 1.0 / (1.0 + s * tau_bar)
         eff = s * (1.0 - mmse) / (1.0 + s * mmse)
-        if min(n_t, n_r) == 1:
-            value = (1.0 - tau / T) * (LOG2E * expint_scaled_sum(max(n_t, n_r), n_t / eff))
-            estimates.append(Estimate(mean=value, std_error=0.0, samples_used=0))
-        else:
-            c = mc.sample_ctr(n_t, n_r, eff, cfg, workers)
-            estimates.append(
-                Estimate(
-                    mean=(1.0 - tau / T) * c.mean,
-                    std_error=(1.0 - tau / T) * c.std_error,
-                    samples_used=c.samples_used,
-                )
+        c = _ctr_value(n_t, n_r, eff, cfg, workers)
+        estimates.append(
+            Estimate(
+                mean=(1.0 - tau / T) * c.mean,
+                std_error=(1.0 - tau / T) * c.std_error,
+                samples_used=c.samples_used,
             )
+        )
     idx, tie = _scan_candidates(estimates)
     return MimoSeparateResult(value=estimates[idx], tau_star=taus[idx], tie_within_margin=tie)
 
@@ -212,6 +266,7 @@ def mimo_optimize_pilots(
     n = _check_int("n", n, 1)
     T = _check_int("T", T, 2)
     s = linear_snr(snr)
+    _check_snr_blocklength(s, T)
     c1 = _ctr_value(n, n, s, cfg, workers)
     if c1.mean == 0.0:
         # every sampled log2 det rounded to 0: the relaxation divides by it
@@ -221,10 +276,10 @@ def mimo_optimize_pilots(
     estimates = []
     for tau in taus:
         rho_eff = s / (1.0 + s * tau / n)
-        c2 = _ctr_value(n, T - tau, rho_eff, pen_cfg, workers, rank1_x=tau + n / s)
+        c2 = _ctr_value(n, T - tau, rho_eff, pen_cfg, workers, x=tau + n / s)
         estimates.append(
             Estimate(
-                mean=(1.0 - tau / T) * c1.mean - n * c2.mean / T,
+                mean=(1.0 - tau / T) * c1.mean - c2.mean / (T / n),
                 std_error=math.hypot(
                     (1.0 - tau / T) * c1.std_error, (n / T) * c2.std_error
                 ),

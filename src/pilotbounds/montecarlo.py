@@ -15,6 +15,7 @@ results are bit-identical across worker counts.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
@@ -83,11 +84,16 @@ def _mean_estimate(
     draw: Callable[[np.random.Generator, int], np.ndarray],
     workers: int = 1,
 ) -> Estimate:
-    """Reduce per-block partial sums of draw(rng, count) in block order."""
+    """Reduce per-block partial sums of draw(rng, count) in block order.
+
+    At most one thread per block and per CPU runs; a single one runs in
+    the calling thread.
+    """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n = cfg.samples
     n_blocks = (n + _BLOCK - 1) // _BLOCK
+    workers = min(workers, n_blocks, os.cpu_count() or 1)
 
     def one_block(b: int) -> tuple[float, float]:
         count = min(_BLOCK, n - b * _BLOCK)

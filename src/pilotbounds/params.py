@@ -55,6 +55,13 @@ def _check_int(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def _check_snr_blocklength(snr: float, T: int) -> None:
+    """The bounds over a block form snr*T (and snr*tau, tau < T); past
+    the float range they would return inf or nan."""
+    if math.isinf(snr * T):
+        raise ValueError(f"snr*T overflows a float: snr={snr!r}, T={T}")
+
+
 @dataclass(frozen=True)
 class SisoParams:
     """Scalar-channel configuration: blocklength T, pilots tau, SNR."""
@@ -70,6 +77,7 @@ class SisoParams:
             raise ValueError(f"tau must satisfy 0 <= tau < T, got tau={self.tau}, T={self.T}")
         if not isinstance(self.snr, SnrValue):
             object.__setattr__(self, "snr", SnrValue(self.snr))
+        _check_snr_blocklength(self.snr.linear, self.T)
 
 
 @dataclass(frozen=True)
@@ -97,6 +105,7 @@ class MimoParams:
             )
         if not isinstance(self.snr, SnrValue):
             object.__setattr__(self, "snr", SnrValue(self.snr))
+        _check_snr_blocklength(self.snr.linear, self.T)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .expint import EULER_GAMMA, LOG2E, _scaled_sums, eps1_array, expint_scaled, expint_scaled_sum
-from .params import DB_PER_UNIT, PowerOffset, SisoParams, SnrValue, _check_int, linear_snr
+from .params import (
+    DB_PER_UNIT,
+    PowerOffset,
+    SisoParams,
+    SnrValue,
+    _check_int,
+    _check_snr_blocklength,
+    linear_snr,
+)
 
 _OFFSET_BRACKET_DB = 60.0
 
@@ -77,6 +85,7 @@ def separate_bound(T: int, snr) -> SeparateBound:
     """
     T = _check_int("T", T, 2)
     s = linear_snr(snr)
+    _check_snr_blocklength(s, T)
     taus = np.arange(1, T, dtype=float)
     mmse = 1.0 / (1.0 + s * taus)
     eff = s * (1.0 - mmse) / (1.0 + s * mmse)
@@ -122,6 +131,7 @@ def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
         raise ValueError(f"which must be one of {_JOINT_KINDS}, got {which!r}")
     T = _check_int("T", T, 2)
     s = linear_snr(snr)
+    _check_snr_blocklength(s, T)
     c = capacity_csi(s)
     # every lane repeats the arithmetic of the public bound at its tau,
     # so the search value equals joint_bound_*(tau*) bit for bit

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -162,6 +163,28 @@ def test_bad_arguments_exit_code(capsys):
     assert rc == 2 and "strictly increasing" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "--kind", "j1", "--T", "10", "--tau", "1"),
+        ("bound", "--kind", "j2", "--T", "10", "--tau", "1"),
+        ("bound", "--kind", "is", "--T", "10"),
+        ("optimize-pilots", "--T", "10", "--which", "j1"),
+        ("optimize-pilots", "--T", "10", "--which", "j2"),
+        ("bound", "--kind", "j2", "--T", "10", "--tau", "2", "--nt", "2", "--nr", "2"),
+        ("bound", "--kind", "is", "--T", "10", "--nt", "2", "--nr", "2"),
+        ("optimize-pilots", "--T", "10", "--nt", "2"),
+        ("sweep", "--kind", "convergence"),
+    ],
+)
+def test_snr_times_blocklength_overflow_exit_code(capsys, argv):
+    # at 3080 dB, snr*T overflows: j2 printed -inf, the j2 search nan
+    rc, out, err = run_cli(capsys, *argv, "--snr-db", "3080")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: snr*T overflows") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_worker_count_exit_code(capsys, workers):
     rc, _, err = run_cli(capsys, "validate", "--samples", "2000", "--workers", workers)
@@ -293,14 +316,20 @@ def _argv(draw):
     return [command] + [f"{flag}={value}" for flag, value in values.items()]
 
 
+_NON_FINITE = re.compile(r"\b(?:nan|inf|infinity)\b", re.IGNORECASE)
+
+
 @settings(max_examples=60, deadline=None)
 @given(argv=_argv())
 def test_cli_fuzz_exits_cleanly(tmp_path_factory, argv):
-    # every outcome is an exit code the README lists, never a traceback
+    # every outcome is an exit code the README lists, never a traceback,
+    # and a successful run prints no non-finite number
     out_dir = tmp_path_factory.mktemp("fuzz")
     argv = [a.replace("--out=", f"--out={out_dir}/") for a in argv]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
     assert rc in (0, 2, 3), (rc, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        assert not _NON_FINITE.search(out.getvalue()), (argv, out.getvalue())

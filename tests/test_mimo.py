@@ -1,9 +1,11 @@
 import math
 
+import mpmath as mp
 import pytest
 
-from pilotbounds.expint import LOG2E
+from pilotbounds.expint import LOG2E, expint_scaled_sum
 from pilotbounds.mimo import (
+    _ctr_value,
     capacity_ctr,
     mimo_joint_j1,
     mimo_joint_j2,
@@ -84,6 +86,15 @@ def test_single_antenna_optimizer_reduces_exactly():
         assert res.tau_star_continuous == ref.tau_star_continuous
 
 
+@pytest.mark.parametrize("n_t,n_r", [(1, 3), (2, 3), (3, 5), (4, 6)])
+@pytest.mark.parametrize("db", [-10.0, 10.0, 30.0])
+def test_joint_bound_without_pilots_over_n_r_symbols_is_zero(n_t, n_r, db):
+    # at tau = 0 and T = n_r the penalty n_r/T * C_{n_t,T} is the
+    # capacity term itself, so j1 is exactly C - C
+    p = MimoParams(n_t=n_t, n_r=n_r, T=n_r, tau=0, snr=SnrValue.from_db(db))
+    assert mimo_joint_j1(p, CFG).mean == 0.0
+
+
 def test_joint_bound_ordering_two_by_two():
     cfg = McConfig(samples=50_000, seed=7)
     for db in (0.0, 10.0):
@@ -118,9 +129,20 @@ def test_optimizer_square_two_by_two():
 
 
 def test_optimizer_rejects_snr_below_sampler_resolution():
-    # every sampled log2 det rounds to 0 at -400 dB
+    # 8 x 8 is sampled (see test_guard_sends_large_sizes_to_the_sampler),
+    # and every sampled log2 det rounds to 0 at -400 dB
     with pytest.raises(ValueError, match="sampled capacity is 0"):
-        mimo_optimize_pilots(2, 4, SnrValue(1e-40), McConfig(samples=100))
+        mimo_optimize_pilots(8, 9, SnrValue(1e-40), McConfig(samples=100))
+
+
+def test_optimizer_exact_at_vanishing_snr():
+    # the exact path resolves C_{2,2} at -400 dB: C ~ r * rho * log2(e)
+    res = mimo_optimize_pilots(2, 4, SnrValue(1e-40), McConfig(samples=100))
+    assert res.value.samples_used == 0 and res.tau_star in (0, 2, 3)
+    assert math.isfinite(res.value.mean) and math.isfinite(res.tau_star_continuous)
+    c = capacity_ctr(2, 2, SnrValue(1e-40), CFG)
+    assert c.samples_used == 0
+    assert c.mean == pytest.approx(2e-40 * LOG2E, rel=1e-12)
 
 
 def test_effective_blocklength_identity():
@@ -170,3 +192,123 @@ def test_mimo_separate_validates_antenna_counts(n_t, n_r):
     # n_t = 0 would divide by zero, n_t = -1 would search negative pilot counts
     with pytest.raises(ValueError):
         mimo_separate(n_t, n_r, 4, SnrValue(1.0), CFG)
+
+
+def _telatar_quad(t, r, db):
+    """E log2 det(I + (rho/t) Z Z^H) by mpmath quadrature of Telatar's
+    unordered-eigenvalue density
+
+        sum_{k<m} k!/(k+d)! [L_k^(d)(lam)]^2 lam^d e^{-lam},
+
+    m = min(t, r), d = |t - r|, with the Laguerre polynomials from
+    their three-term recurrence."""
+    m, d = min(t, r), abs(t - r)
+    n = max(t, r)
+
+    def density(lam):
+        prev, cur = mp.mpf(0), mp.mpf(1)
+        total = cur**2 / mp.factorial(d)
+        for k in range(1, m):
+            prev, cur = cur, ((2 * k - 1 + d - lam) * cur - (k - 1 + d) * prev) / k
+            total += mp.factorial(k) / mp.factorial(k + d) * cur**2
+        return total * lam**d * mp.exp(-lam)
+
+    with mp.workdps(20):
+        rho = mp.mpf(10) ** (mp.mpf(db) / 10)
+        value = mp.quad(
+            lambda lam: mp.log1p(rho * lam / t) * density(lam),
+            [0, 1, n, 2 * n + 4, 4 * n + 20, mp.inf],
+        )
+        return float(value / mp.log(2))
+
+
+# every size here is admitted by the guard at every SNR; r runs up to
+# 16 as the penalty term C_{n_t, T-tau} does for T - tau <= 16
+_EXACT_SIZES = [
+    (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4), (4, 4), (3, 8), (4, 8),
+    (2, 16), (3, 16), (4, 16), (16, 4), (5, 5), (6, 6), (7, 7),
+]
+
+
+@pytest.mark.parametrize("t,r", _EXACT_SIZES)
+def test_exact_capacity_matches_quadrature(t, r):
+    for db in (-30.0, 0.0, 30.0, 60.0):
+        est = capacity_ctr(t, r, SnrValue.from_db(db), CFG)
+        assert est.std_error == 0.0 and est.samples_used == 0
+        assert est.mean == pytest.approx(_telatar_quad(t, r, db), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("t,r", [(2, 2), (2, 3), (3, 3), (4, 4)])
+@pytest.mark.parametrize("db", [0.0, 10.0, 30.0])
+def test_exact_capacity_matches_sampler(t, r, db):
+    # the sampler shares no code with the Laguerre sum
+    snr = SnrValue.from_db(db)
+    est = sample_ctr(t, r, snr, McConfig(samples=20_000, seed=11))
+    assert abs(capacity_ctr(t, r, snr, CFG).mean - est.mean) <= 4.0 * est.std_error
+
+
+@pytest.mark.parametrize("t,r", [(1, 1), (1, 4), (4, 1), (1, 16), (16, 1)])
+@pytest.mark.parametrize("s", [1e-10, 0.1, 1.0, 10.0, 1e6])
+def test_rank_one_capacity_is_the_scalar_sum(t, r, s):
+    n = max(t, r)
+    assert capacity_ctr(t, r, SnrValue(s), CFG).mean == LOG2E * expint_scaled_sum(n, t / s)
+    # the penalty term passes its sum argument t/rho directly
+    x = 2.0 + t / s
+    assert _ctr_value(t, r, s / (1.0 + 2.0 * s / t), CFG, x=x).mean == LOG2E * expint_scaled_sum(n, x)
+
+
+def test_guard_admits_up_to_four_by_twenty_at_every_snr():
+    # the sizes the pilot searches reach with n <= 4 and T - tau <= 20
+    for t in range(1, 5):
+        for r in range(1, 21):
+            for db in range(-400, 301, 50):
+                assert capacity_ctr(t, r, SnrValue.from_db(db), CFG).samples_used == 0
+                assert capacity_ctr(r, t, SnrValue.from_db(db), CFG).samples_used == 0
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_guard_sends_large_sizes_to_the_sampler(n):
+    cfg = McConfig(samples=2000, seed=3)
+    for s in (1.0, 100.0):
+        est = capacity_ctr(n, n, SnrValue(s), cfg, workers=2)
+        assert est == sample_ctr(n, n, SnrValue(s), cfg)
+        assert est.samples_used == 2000
+
+
+def _first_argmax(values):
+    return max(range(len(values)), key=lambda i: (values[i], -i))
+
+
+@pytest.mark.parametrize("n_t,n_r,T", [(2, 2, 12), (2, 3, 9), (3, 2, 16), (4, 4, 20)])
+@pytest.mark.parametrize("db", [-10.0, 10.0, 30.0])
+def test_exact_separate_search(n_t, n_r, T, db):
+    s = SnrValue.from_db(db).linear
+    taus = range(n_t, T)
+    values = []
+    for tau in taus:
+        mmse = 1.0 / (1.0 + s * (tau / n_t))
+        eff = s * (1.0 - mmse) / (1.0 + s * mmse)
+        values.append((1.0 - tau / T) * capacity_ctr(n_t, n_r, eff, CFG).mean)
+    best = _first_argmax(values)
+    res = mimo_separate(n_t, n_r, T, s, McConfig(samples=100, seed=1))
+    assert res == mimo_separate(n_t, n_r, T, s, McConfig(samples=5000, seed=2))
+    assert res.tau_star == taus[best] and res.value.mean == values[best]
+    assert res.value.std_error == 0.0 and res.value.samples_used == 0
+    assert res.tie_within_margin is False
+
+
+@pytest.mark.parametrize("n,T", [(2, 12), (3, 16), (4, 20)])
+@pytest.mark.parametrize("db", [-10.0, 10.0, 30.0])
+def test_exact_pilot_search(n, T, db):
+    snr = SnrValue.from_db(db)
+    taus = [0] + list(range(n, T))
+    values = [
+        mimo_joint_j1(MimoParams(n_t=n, n_r=n, T=T, tau=tau, snr=snr), CFG).mean
+        for tau in taus
+    ]
+    best = _first_argmax(values)
+    res = mimo_optimize_pilots(n, T, snr, McConfig(samples=100, seed=1))
+    assert res == mimo_optimize_pilots(n, T, snr, McConfig(samples=5000, seed=2))
+    assert res.tau_star == taus[best] and res.value.mean == values[best]
+    assert res.value.std_error == 0.0 and res.value.samples_used == 0
+    assert res.tie_within_margin is False

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pilotbounds import montecarlo
 from pilotbounds.expint import LOG2E, expint_scaled_sum
 from pilotbounds.montecarlo import (
     Estimate,
@@ -91,6 +92,44 @@ def test_worker_count_does_not_change_results():
         two = fn(*args, McConfig(samples=50_000, seed=9), 2)
         eight = fn(*args, McConfig(samples=50_000, seed=9), 8)
         assert one == two == eight
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "samples,workers,cpus,pool_size",
+    [
+        (6553, 2, 2, None),  # one block runs in the calling thread
+        (3 * 16384, 8, 64, 3),  # one thread per block
+        (3 * 16384, 8, 2, 2),  # one thread per CPU
+        (3 * 16384, 2, None, None),  # unknown CPU count: serial
+        (5 * 16384, 4, 8, 4),
+    ],
+)
+def test_worker_count_is_capped(monkeypatch, samples, workers, cpus, pool_size):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    cfg = McConfig(samples=samples, seed=9)
+    est = sample_capacity_siso(SnrValue(1.0), cfg, workers)
+    assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+    assert est == sample_capacity_siso(SnrValue(1.0), cfg, 1)
 
 
 @pytest.mark.parametrize("workers", [0, -1])

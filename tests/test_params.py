@@ -87,6 +87,17 @@ def test_mimo_params():
         MimoParams(n_t=0, n_r=2, T=6, tau=0, snr=1.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_params_reject_snr_times_blocklength_overflow():
+    # snr*T = 1e309 leaves the float range; 1e307 * 10 does not
+    with pytest.raises(ValueError, match="overflows"):
+        SisoParams(T=10, tau=1, snr=1e308)
+    with pytest.raises(ValueError, match="overflows"):
+        MimoParams(n_t=2, n_r=2, T=10, tau=2, snr=1e308)
+    assert SisoParams(T=10, tau=1, snr=1e307).snr.linear == 1e307
+    assert MimoParams(n_t=2, n_r=2, T=10, tau=2, snr=1e307).snr.linear == 1e307
+
+
 def test_power_offset_units():
     off = PowerOffset(1.0)
     assert off.value_db == pytest.approx(DB_PER_UNIT, rel=0)
