@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -32,8 +33,19 @@ def _parse_int_list(text: str) -> tuple:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
+def _finite_float(text: str) -> float:
+    # an SNR that a command does not use is still echoed in its output
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+    return tuple(_finite_float(v) for v in text.split(",") if v.strip())
 
 
 def _add_output_flags(sub, default_format: str) -> None:
@@ -58,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--kind", choices=("c", "is", "j1", "j2"), required=True)
     b.add_argument("--T", type=int, default=None)
     b.add_argument("--tau", type=int, default=None)
-    b.add_argument("--snr-db", type=float, required=True)
+    b.add_argument("--snr-db", type=_finite_float, required=True)
     b.add_argument("--nt", type=int, default=None)
     b.add_argument("--nr", type=int, default=None)
     _add_mc_flags(b)
@@ -66,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     o = subs.add_parser("optimize-pilots", help="best pilot count for a joint bound")
     o.add_argument("--T", type=int, required=True)
-    o.add_argument("--snr-db", type=float, required=True)
+    o.add_argument("--snr-db", type=_finite_float, required=True)
     o.add_argument("--which", choices=("j1", "j2"), default="j1")
     o.add_argument("--nt", type=int, default=None, help="antennas per side (square MIMO)")
     _add_mc_flags(o)
@@ -84,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     f.add_argument("--T", type=int, required=True)
-    f.add_argument("--snr-db", type=float, default=None)
+    f.add_argument("--snr-db", type=_finite_float, default=None)
     f.add_argument("--nt", type=int, default=None)
     _add_output_flags(f, "text")
 
@@ -92,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kind", choices=("fig1", "fig2", "convergence"), required=True)
     s.add_argument("--T-grid", type=_parse_int_list, default=None)
     s.add_argument("--snr-db-list", type=_parse_float_list, default=None)
-    s.add_argument("--snr-db", type=float, default=None)
+    s.add_argument("--snr-db", type=_finite_float, default=None)
     _add_output_flags(s, "csv")
 
     v = subs.add_parser("validate", help="closed forms vs Monte Carlo on the standard grid")

@@ -28,8 +28,10 @@ terms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -179,32 +181,22 @@ def _seed_order(n: int, x: float) -> int:
 def expint_scaled_sum(n: int, x: float) -> float:
     """Partial sum sum_{k=1}^{n} eps_k(x) in a single stable pass.
 
-    One seed eps_{k0}(x), k0 = min(n, ceil(x)), feeds the downward
-    recurrence for the orders below k0 (amplification k/x <= 1) and the
-    forward recurrence for those above (amplification x/k <= 1).
-    Relative error <= 1e-10 for n <= 1e4.
+    The orders come from _scaled_orders; they are added seed first,
+    then downward, then upward.  Relative error <= 1e-10 for n <= 1e4.
     """
     n = _check_int("n", n, 1)
     x = _check_argument(x)
-    k0 = _seed_order(n, x)
-    seed = _eps_scalar(k0, x)
-    total = val = seed
-    for k in range(k0 - 1, 0, -1):
-        val = (1.0 - k * val) / x
-        total += val
-    val = seed
-    for j in range(k0, n):
-        val = (1.0 - x * val) / j
-        total += val
-    return total
+    k0, eps = _scaled_orders(n, x)
+    total = functools.reduce(operator.add, reversed(eps[: k0 - 1]), eps[k0 - 1])
+    return functools.reduce(operator.add, eps[k0:], total)
 
 
-def _scaled_partial_sums(n: int, x: float) -> list[float]:
-    """[S_1, ..., S_n] with S_k = sum_{i=1}^{k} eps_i(x), for validated n, x.
+def _scaled_orders(n: int, x: float) -> tuple[int, list[float]]:
+    """(k0, [eps_1(x), ..., eps_n(x)]) for validated n, x.
 
-    The orders come from the one seed and the two recurrences of
-    expint_scaled_sum; the running sums then add them from order 1 up,
-    so S_n may differ from expint_scaled_sum(n, x) in the last bits.
+    One seed eps_{k0}(x), k0 = min(n, ceil(x)) (1 for x < 1), feeds the
+    downward recurrence for the orders below k0 (amplification k/x <= 1)
+    and the forward recurrence for those above (amplification x/k <= 1).
     """
     k0 = _seed_order(n, x)
     eps = [0.0] * n
@@ -216,7 +208,16 @@ def _scaled_partial_sums(n: int, x: float) -> list[float]:
     for j in range(k0, n):
         val = (1.0 - x * val) / j
         eps[j] = val
-    return list(itertools.accumulate(eps))
+    return k0, eps
+
+
+def _scaled_partial_sums(n: int, x: float) -> list[float]:
+    """[S_1, ..., S_n] with S_k = sum_{i=1}^{k} eps_i(x), for validated n, x.
+
+    The running sums add the orders of _scaled_orders from order 1 up,
+    so S_n may differ from expint_scaled_sum(n, x) in the last bits.
+    """
+    return list(itertools.accumulate(_scaled_orders(n, x)[1]))
 
 
 def _scaled_sums(n: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -237,6 +237,9 @@ def mimo_separate(
         tau_bar = tau / n_t
         mmse = 1.0 / (1.0 + s * tau_bar)
         eff = s * (1.0 - mmse) / (1.0 + s * mmse)
+        if eff == 0.0:
+            # 1 + s*tau_bar rounded to 1: the capacity argument n_t/eff is undefined
+            raise ValueError(f"effective SNR at tau={tau} rounds to 0 at snr={s!r}")
         c = _ctr_value(n_t, n_r, eff, cfg, workers)
         estimates.append(
             Estimate(

@@ -89,6 +89,9 @@ def separate_bound(T: int, snr) -> SeparateBound:
     taus = np.arange(1, T, dtype=float)
     mmse = 1.0 / (1.0 + s * taus)
     eff = s * (1.0 - mmse) / (1.0 + s * mmse)
+    if eff[0] == 0.0:
+        # 1 + s*tau rounded to 1 at tau = 1 (eff grows with tau): 1/eff is undefined
+        raise ValueError(f"effective SNR at tau=1 rounds to 0 at snr={s!r}")
     values = (1.0 - taus / T) * (LOG2E * eps1_array(1.0 / eff))
     best = int(np.argmax(values))
     return SeparateBound(value=float(values[best]), tau_star=best + 1)

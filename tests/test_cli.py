@@ -161,6 +161,14 @@ def test_bad_arguments_exit_code(capsys):
     assert rc == 2 and "overflows" in err
     rc, _, err = run_cli(capsys, "sweep", "--kind", "fig1", "--T-grid", "4,2")
     assert rc == 2 and "strictly increasing" in err
+    # offsets that do not use the SNR echoed it, nan included, in their snr_db column
+    for argv in (
+        ("offset", "--kind", "advantage-asymptotic", "--T", "2", "--snr-db", "nan"),
+        ("offset", "--kind", "single-pilot", "--T", "4", "--snr-db", "1e400"),
+        ("sweep", "--kind", "fig1", "--snr-db-list", "0,nan"),
+    ):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == "" and "not a finite number" in err
 
 
 @pytest.mark.filterwarnings("error")
@@ -183,6 +191,18 @@ def test_snr_times_blocklength_overflow_exit_code(capsys, argv):
     rc, out, err = run_cli(capsys, *argv, "--snr-db", "3080")
     assert rc == 2 and out == ""
     assert err.startswith("error: snr*T overflows") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("antennas", [(), ("1", "2"), ("2", "1"), ("2", "2"), ("8", "8")])
+def test_separate_bound_vanishing_snr_exit_code(capsys, antennas):
+    # at -400 dB, 1 + snr*tau rounds to 1 and the effective SNR is 0:
+    # the exact mimo paths divided by it, the scalar one warned
+    ant = ("--nt", antennas[0], "--nr", antennas[1]) if antennas else ()
+    rc, out, err = run_cli(capsys, "bound", "--kind", "is", "--T", "10", *ant,
+                           "--snr-db", "-400", "--samples", "100")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: effective SNR at tau=") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

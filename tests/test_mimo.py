@@ -3,9 +3,11 @@ import math
 import mpmath as mp
 import pytest
 
+from pilotbounds import mimo
 from pilotbounds.expint import LOG2E, expint_scaled_sum
 from pilotbounds.mimo import (
     _ctr_value,
+    _scan_candidates,
     capacity_ctr,
     mimo_joint_j1,
     mimo_joint_j2,
@@ -14,7 +16,7 @@ from pilotbounds.mimo import (
     mimo_separate,
     pilot_gram_optimality_check,
 )
-from pilotbounds.montecarlo import McConfig, sample_ctr
+from pilotbounds.montecarlo import Estimate, McConfig, sample_ctr
 from pilotbounds.params import MimoParams, SisoParams, SnrValue
 from pilotbounds.siso import (
     capacity_csi,
@@ -113,12 +115,67 @@ def test_low_snr_capacity_expansion():
     assert abs(est.mean - model) < 5.0 * est.std_error
 
 
-def test_separate_uses_common_draws_across_pilot_counts():
-    # same substream for every candidate keeps the argmax stable
-    a = mimo_separate(2, 2, 8, SnrValue(10.0), McConfig(samples=20_000, seed=5))
-    b = mimo_separate(2, 2, 8, SnrValue(10.0), McConfig(samples=20_000, seed=5))
-    assert a == b
-    assert 2 <= a.tau_star <= 7
+def _record_sampler(monkeypatch):
+    """Route mimo's sample_ctr through a recorder of (t, r, cfg)."""
+    calls = []
+
+    def recording(t, r, rho, cfg, workers=1):
+        calls.append((t, r, cfg))
+        return sample_ctr(t, r, rho, cfg, workers)
+
+    monkeypatch.setattr(mimo.mc, "sample_ctr", recording)
+    return calls
+
+
+def test_separate_uses_common_draws_across_pilot_counts(monkeypatch):
+    # 8 x 8 is sampled; the same cfg for every candidate keeps the argmax stable
+    cfg = McConfig(samples=2000, seed=5)
+    calls = _record_sampler(monkeypatch)
+    a = mimo_separate(8, 8, 12, SnrValue(10.0), cfg)
+    assert calls == [(8, 8, cfg)] * 4
+    assert a == mimo_separate(8, 8, 12, SnrValue(10.0), cfg)
+    assert a.value.samples_used == 2000 and a.value.std_error > 0.0
+    assert 8 <= a.tau_star <= 11
+
+
+def test_optimizer_square_sampled(monkeypatch):
+    # C_{8,8} and the tau = 0 penalty C_{8,12} are sampled, the penalties
+    # C_{8,T-tau} with T - tau < 8 exact; the value at tau* is j1 there
+    cfg = McConfig(samples=2000, seed=1)
+    snr = SnrValue(10.0)
+    calls = _record_sampler(monkeypatch)
+    res = mimo_optimize_pilots(8, 12, snr, cfg)
+    assert calls == [(8, 8, cfg), (8, 12, cfg.substream(1))]
+    assert res.value.samples_used == 2000 and res.value.std_error > 0.0
+    assert res.tau_star in (0, 8, 9, 10, 11)
+    for tau in (0, 8, 9, 10, 11):
+        j1 = mimo_joint_j1(MimoParams(n_t=8, n_r=8, T=12, tau=tau, snr=snr), cfg)
+        if tau == res.tau_star:
+            assert j1 == res.value
+        else:
+            margin = 4.0 * math.hypot(j1.std_error, res.value.std_error)
+            assert j1.mean <= res.value.mean + margin
+
+
+def test_joint_bound_ordering_sampled():
+    cfg = McConfig(samples=2000, seed=7)
+    for db in (0.0, 10.0):
+        p = MimoParams(n_t=8, n_r=8, T=12, tau=8, snr=SnrValue.from_db(db))
+        j1 = mimo_joint_j1(p, cfg)
+        j2 = mimo_joint_j2(p, cfg)
+        assert j1.samples_used == j2.samples_used == 2000 and j2.std_error > 0.0
+        margin = 4.0 * math.hypot(j1.std_error, j2.std_error)
+        assert j2.mean <= j1.mean + margin
+
+
+def test_scan_candidates_resolves_ties_toward_fewer_pilots():
+    est = [Estimate(1.0, 0.01, 1), Estimate(1.02, 0.01, 1), Estimate(1.1, 0.01, 1)]
+    # the margin is 4 * hypot(0.01, 0.01) = 0.057: a gap of 0.08 is outside it
+    assert _scan_candidates(est) == (2, False)
+    est[1] = Estimate(1.07, 0.01, 1)  # a gap of 0.03 is inside it
+    assert _scan_candidates(est) == (1, True)
+    # exact candidates: tau* is the first argmax
+    assert _scan_candidates([Estimate(v, 0.0, 0) for v in (1.0, 2.0, 2.0)]) == (1, False)
 
 
 def test_optimizer_square_two_by_two():
