@@ -4,9 +4,10 @@ Subcommands: bound, optimize-pilots, offset, sweep, validate.  Output
 formats are text (default for scalars), csv (default for sweeps), and
 json; json embeds a meta block echoing the fully resolved arguments so
 a saved file identifies its own run.  dB-valued columns are rounded to
-4 decimals at serialization only.  Exit codes: 0 success, 2 bad
-arguments, a failed computation or an unwritable --out, 3 validation
-failure.
+4 decimals at serialization only; a sweep's text is its csv.  Exit
+codes: 0 success, 2 bad arguments (among them a flag the chosen kind
+does not use and an empty grid), a failed computation or an
+unwritable --out, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import io
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import mimo, siso, sweeps
 from .montecarlo import (
@@ -108,70 +109,72 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(s, "csv")
 
     v = subs.add_parser("validate", help="closed forms vs Monte Carlo on the standard grid")
-    v.add_argument("--samples", type=int, default=DEFAULT_SCALAR_SAMPLES)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--workers", type=int, default=1)
+    _add_mc_flags(v)
     _add_output_flags(v, "text")
 
     return parser
 
 
-def _meta(args: argparse.Namespace, **overrides) -> dict:
-    meta = {}
-    for key, val in vars(args).items():
-        if isinstance(val, tuple):
-            val = list(val)
-        meta[key] = val
-    meta.update(overrides)
-    return meta
+class _Report(NamedTuple):
+    """One command's result: its table, its text body (None where the
+    text is the csv), the meta fields beyond the arguments, and the
+    exit code."""
+
+    columns: Sequence[str]
+    rows: Sequence[tuple]
+    text: Optional[str] = None
+    meta: dict = {}
+    code: int = 0
 
 
-def _csv_cell(col: str, val, db_columns) -> str:
+def _meta(args: argparse.Namespace, **extra) -> dict:
+    # json writes the parsed grids, tuples, as lists
+    return {**vars(args), **extra}
+
+
+def _csv_cell(col: str, val) -> str:
     if val is None:
         return ""
     if isinstance(val, bool):
         return "true" if val else "false"
     if isinstance(val, float):
-        return f"{val:.4f}" if col in db_columns else repr(val)
+        return f"{val:.4f}" if col.endswith("_db") else repr(val)
     return str(val)
 
 
-def _csv_text(columns, rows, db_columns) -> str:
+def _csv_text(columns, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_csv_cell(c, v, db_columns) for c, v in zip(columns, row)])
+        writer.writerow([_csv_cell(c, v) for c, v in zip(columns, row)])
     return buf.getvalue()
 
 
-def _json_text(meta: dict, columns, rows, db_columns) -> str:
+def _json_text(meta: dict, columns, rows) -> str:
     out_rows = []
     for row in rows:
         entry = {}
         for col, val in zip(columns, row):
-            if isinstance(val, float) and col in db_columns:
+            if isinstance(val, float) and col.endswith("_db"):
                 val = round(val, 4)
             entry[col] = val
         out_rows.append(entry)
     return json.dumps({"meta": meta, "rows": out_rows}, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, report: _Report) -> None:
+    if args.format == "json":
+        text = _json_text(_meta(args, **report.meta), report.columns, report.rows)
+    elif args.format == "csv" or report.text is None:
+        text = _csv_text(report.columns, report.rows)
+    else:
+        text = report.text
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_table(args, meta, columns, rows, db_columns, text_lines) -> None:
-    if args.format == "csv":
-        _emit(args, _csv_text(columns, rows, db_columns))
-    elif args.format == "json":
-        _emit(args, _json_text(meta, columns, rows, db_columns))
-    else:
-        _emit(args, "\n".join(text_lines) + "\n")
 
 
 def _resolve_mc(args, matrix: bool) -> McConfig:
@@ -187,7 +190,7 @@ _BOUND_COLUMNS = (
 )
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> _Report:
     if (args.nt is None) != (args.nr is None):
         raise ValueError("--nt and --nr must be given together")
     is_mimo = args.nt is not None
@@ -227,9 +230,7 @@ def _cmd_bound(args) -> int:
         args.kind, args.nt, args.nr, args.T, args.tau, args.snr_db,
         tau_star, est.mean, est.std_error, est.samples_used, tie,
     )
-    meta = _meta(args, samples=cfg.samples)
-    _emit_table(args, meta, _BOUND_COLUMNS, [row], {"snr_db"}, [f"{est.mean:.5f}"])
-    return 0
+    return _Report(_BOUND_COLUMNS, [row], f"{est.mean:.5f}\n", {"samples": cfg.samples})
 
 
 _OPTIMIZE_COLUMNS = (
@@ -238,19 +239,19 @@ _OPTIMIZE_COLUMNS = (
 )
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> _Report:
+    if args.nt is not None and args.which == "j2":
+        raise ValueError("--which j2 supports the single-antenna case only")
     snr = SnrValue.from_db(args.snr_db)
     cfg = _resolve_mc(args, args.nt is not None and args.nt > 1)
     if args.nt is not None:
         res = mimo.mimo_optimize_pilots(args.nt, args.T, snr, cfg, args.workers)
         est, tie = res.value, res.tie_within_margin
-        which = "j1"
     else:
         res = siso.optimize_pilots_joint(args.T, snr, which=args.which)
         est, tie = Estimate(res.value, 0.0, 0), None
-        which = args.which
     row = (
-        args.nt, which, args.T, args.snr_db,
+        args.nt, args.which, args.T, args.snr_db,
         res.tau_star, est.mean, est.std_error, res.tau_star_continuous, tie,
     )
     lines = [
@@ -260,96 +261,71 @@ def _cmd_optimize(args) -> int:
     ]
     if tie is not None:
         lines.append(f"tie_within_margin={'true' if tie else 'false'}")
-    meta = _meta(args, samples=cfg.samples)
-    _emit_table(args, meta, _OPTIMIZE_COLUMNS, [row], {"snr_db"}, lines)
-    return 0
+    return _Report(_OPTIMIZE_COLUMNS, [row], "\n".join(lines) + "\n", {"samples": cfg.samples})
 
 
 _OFFSET_COLUMNS = ("kind", "nt", "T", "snr_db", "component", "value_units", "value_db")
 
 
-def _cmd_offset(args) -> int:
-    rows = []
-    lines = []
-    if args.kind == "advantage-asymptotic":
-        if args.nt is not None:
-            off = mimo.mimo_power_advantage_asymptotic(args.nt, args.T)
-        else:
-            off = siso.power_advantage_asymptotic(args.T)
-        rows.append((args.kind, args.nt, args.T, args.snr_db, None,
-                     off.value_3db_units, off.value_db))
-        lines.append(f"{off.value_db:.4f} dB")
-    elif args.kind == "advantage-at-snr":
-        if args.nt is not None:
-            raise ValueError("--kind advantage-at-snr supports the single-antenna case only")
-        if args.snr_db is None:
-            raise ValueError("--kind advantage-at-snr requires --snr-db")
-        off = siso.power_advantage_at_snr(args.T, SnrValue.from_db(args.snr_db))
-        rows.append((args.kind, None, args.T, args.snr_db, None,
-                     off.value_3db_units, off.value_db))
-        lines.append(f"{off.value_db:.4f} dB")
-    elif args.kind == "single-pilot":
-        off = siso.single_pilot_advantage(args.T)
-        rows.append((args.kind, args.nt, args.T, args.snr_db, None,
-                     off.value_3db_units, off.value_db))
-        lines.append(f"{off.value_db:.4f} dB")
-    else:
+def _cmd_offset(args) -> _Report:
+    if args.nt is not None and args.kind != "advantage-asymptotic":
+        raise ValueError(f"--kind {args.kind} supports the single-antenna case only")
+    if args.kind == "true-capacity-gap":
         gap = siso.true_capacity_gap(args.T)
-        for component, off in (
+        offsets = [
             ("penalty_exact", gap.exact),
             ("penalty_stirling", gap.stirling),
             ("gap_exact", gap.gap_exact),
             ("gap_stirling", gap.gap_stirling),
-        ):
-            rows.append((args.kind, args.nt, args.T, args.snr_db, component,
-                         off.value_3db_units, off.value_db))
-        lines.append(f"stirling {gap.gap_stirling.value_db:.4f} dB")
-        lines.append(f"exact {gap.gap_exact.value_db:.4f} dB")
-    _emit_table(args, _meta(args), _OFFSET_COLUMNS, rows, {"snr_db", "value_db"}, lines)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    if args.kind == "fig1":
-        table = sweeps.sweep_fig1(
-            args.T_grid or sweeps.FIG1_DEFAULT_T_GRID,
-            args.snr_db_list or sweeps.FIG1_DEFAULT_SNR_DB,
-        )
-    elif args.kind == "fig2":
-        table = sweeps.sweep_fig2(
-            args.T_grid or sweeps.FIG2_DEFAULT_T_GRID,
-            args.snr_db_list or sweeps.FIG2_DEFAULT_SNR_DB,
-        )
+        ]
+        text = (f"stirling {gap.gap_stirling.value_db:.4f} dB\n"
+                f"exact {gap.gap_exact.value_db:.4f} dB\n")
     else:
-        snr = SnrValue.from_db(args.snr_db) if args.snr_db is not None else SnrValue(10.0)
-        table = sweeps.convergence_table(
-            args.T_grid or sweeps.CONVERGENCE_DEFAULT_T_GRID, snr
-        )
-    db_columns = {"snr_db"} | {c for c in table.columns if c.endswith("_db")}
-    text = _csv_text(table.columns, table.rows, db_columns)
-    if args.format == "json":
-        _emit(args, _json_text(_meta(args), table.columns, table.rows, db_columns))
+        if args.kind == "advantage-asymptotic":
+            if args.nt is not None:
+                off = mimo.mimo_power_advantage_asymptotic(args.nt, args.T)
+            else:
+                off = siso.power_advantage_asymptotic(args.T)
+        elif args.kind == "advantage-at-snr":
+            if args.snr_db is None:
+                raise ValueError("--kind advantage-at-snr requires --snr-db")
+            off = siso.power_advantage_at_snr(args.T, SnrValue.from_db(args.snr_db))
+        else:
+            off = siso.single_pilot_advantage(args.T)
+        offsets = [(None, off)]
+        text = f"{off.value_db:.4f} dB\n"
+    rows = [
+        (args.kind, args.nt, args.T, args.snr_db, component, off.value_3db_units, off.value_db)
+        for component, off in offsets
+    ]
+    return _Report(_OFFSET_COLUMNS, rows, text)
+
+
+def _cmd_sweep(args) -> _Report:
+    # pass on only the flags given: the sweeps own their defaults
+    kwargs = {} if args.T_grid is None else {"T_grid": args.T_grid}
+    if args.kind == "convergence":
+        if args.snr_db_list is not None:
+            raise ValueError("--kind convergence takes --snr-db, not --snr-db-list")
+        if args.snr_db is not None:
+            kwargs["snr"] = SnrValue.from_db(args.snr_db)
+        table = sweeps.convergence_table(**kwargs)
     else:
-        # text and csv coincide for tables
-        _emit(args, text)
-    return 0
+        if args.snr_db is not None:
+            raise ValueError(f"--kind {args.kind} takes --snr-db-list, not --snr-db")
+        if args.snr_db_list is not None:
+            kwargs["snr_db_list"] = args.snr_db_list
+        sweep = sweeps.sweep_fig1 if args.kind == "fig1" else sweeps.sweep_fig2
+        table = sweep(**kwargs)
+    return _Report(table.columns, table.rows)
 
 
-_VALIDATE_COLUMNS = ("name", "reference", "estimate", "std_error", "z")
-
-
-def _cmd_validate(args) -> int:
-    cfg = McConfig(samples=args.samples, seed=args.seed)
+def _cmd_validate(args) -> _Report:
+    cfg = _resolve_mc(args, matrix=False)
     report = sweeps.validate_all(cfg, workers=args.workers)
-    rows = [tuple(c) for c in report.cells]
-    meta = _meta(args, passed=report.passed, max_abs_z=report.max_abs_z)
-    if args.format == "csv":
-        _emit(args, _csv_text(_VALIDATE_COLUMNS, rows, set()))
-    elif args.format == "json":
-        _emit(args, _json_text(meta, _VALIDATE_COLUMNS, rows, set()))
-    else:
-        _emit(args, report.render())
-    return 0 if report.passed else 3
+    meta = {"samples": cfg.samples, "passed": report.passed, "max_abs_z": report.max_abs_z}
+    return _Report(sweeps.ValidationCell._fields, report.cells, report.render(), meta,
+                   0 if report.passed else 3)
 
 
 _COMMANDS = {
@@ -371,7 +347,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        report = _COMMANDS[args.command](args)
+        _emit(args, report)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return report.code

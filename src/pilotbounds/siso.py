@@ -269,19 +269,3 @@ def true_capacity_gap(T: int) -> TrueCapacityGap:
         gap_stirling=PowerOffset(pi_j2 - pen_stirling),
     )
 
-
-def low_power_expansion_check(p: SisoParams) -> float:
-    """Residual of the joint bound against its second-order expansion
-
-        log2(e) * [ m*(snr - snr^2) - (m*snr - sum_{k=1}^{m}(k+tau)*snr^2) ] / T
-
-    with m = T - tau.  The residual is O(snr^3); callers assert the
-    constant.  Only meaningful for snr <= 0.01.
-    """
-    s = p.snr.linear
-    if s > 0.01:
-        raise ValueError(f"expansion check requires snr <= 0.01, got {s!r}")
-    m = p.T - p.tau
-    coeff = m * (m + 1) / 2 + m * p.tau
-    model = LOG2E * (m * (s - s * s) - (m * s - coeff * s * s)) / p.T
-    return abs(joint_bound_j1(p) - model)

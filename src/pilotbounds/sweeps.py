@@ -76,6 +76,13 @@ def _check_t_grid(T_grid: Sequence[int]) -> tuple[int, ...]:
     return grid
 
 
+def _check_snr_db_list(snr_db_list: Sequence[float]) -> tuple[float, ...]:
+    dbs = tuple(float(db) for db in snr_db_list)
+    if not dbs:
+        raise ValueError("SNR list needs at least 1 point, got 0")
+    return dbs
+
+
 def sweep_fig1(
     T_grid: Sequence[int] = FIG1_DEFAULT_T_GRID,
     snr_db_list: Sequence[float] = FIG1_DEFAULT_SNR_DB,
@@ -84,13 +91,13 @@ def sweep_fig1(
     (with its pilot count), and the joint bound at one pilot."""
     grid = _check_t_grid(T_grid)
     rows = []
-    for db in snr_db_list:
+    for db in _check_snr_db_list(snr_db_list):
         snr = SnrValue.from_db(db)
         c = siso.capacity_csi(snr)
         for T in grid:
             sep = siso.separate_bound(T, snr)
             j1 = siso.joint_bound_j1(SisoParams(T=T, tau=1, snr=snr))
-            rows.append((float(db), T, c, sep.value, sep.tau_star, j1))
+            rows.append((db, T, c, sep.value, sep.tau_star, j1))
     return SweepTable(
         columns=("snr_db", "T", "capacity", "separate", "separate_tau_star", "joint_j1_tau1"),
         rows=tuple(rows),
@@ -104,7 +111,7 @@ def sweep_fig2(
     """Joint-over-separate power advantage vs blocklength, in dB:
     the high-SNR asymptote plus the bisected value at each finite SNR."""
     grid = _check_t_grid(T_grid)
-    snr_db_list = tuple(float(db) for db in snr_db_list)
+    snr_db_list = _check_snr_db_list(snr_db_list)
     rows = []
     for T in grid:
         row = [T, siso.power_advantage_asymptotic(T).value_db]
@@ -165,13 +172,6 @@ _VALIDATE_GRAM = MimoParams(n_t=2, n_r=2, T=6, tau=2, snr=SnrValue(10.0))
 _VALIDATE_PERTURBATIONS = ((2.5, 1.5), (3.0, 1.0), (4.0, 0.0))
 
 
-def _z_two_sided(reference: float, est: Estimate) -> float:
-    diff = reference - est.mean
-    if est.std_error == 0.0:
-        return 0.0 if diff == 0.0 else math.inf
-    return diff / est.std_error
-
-
 def validate_all(cfg: McConfig, workers: int = 1) -> ValidationReport:
     """Run every closed-form-vs-sampler pairing on the standard grid.
 
@@ -185,6 +185,14 @@ def validate_all(cfg: McConfig, workers: int = 1) -> ValidationReport:
     cells = []
     stream = 0
 
+    def add_two_sided(name: str, reference: float, est: Estimate) -> None:
+        diff = reference - est.mean
+        if est.std_error == 0.0:
+            z = 0.0 if diff == 0.0 else math.inf
+        else:
+            z = diff / est.std_error
+        cells.append(ValidationCell(name, reference, est.mean, est.std_error, z))
+
     def next_cfg(samples: int) -> McConfig:
         nonlocal stream
         stream += 1
@@ -194,15 +202,7 @@ def validate_all(cfg: McConfig, workers: int = 1) -> ValidationReport:
         snr = SnrValue.from_db(db)
         closed = siso.capacity_csi(snr)
         est = mc.sample_capacity_siso(snr, next_cfg(cfg.samples), workers)
-        cells.append(
-            ValidationCell(
-                name=f"capacity[snr_db={db:g}]",
-                reference=closed,
-                estimate=est.mean,
-                std_error=est.std_error,
-                z=_z_two_sided(closed, est),
-            )
-        )
+        add_two_sided(f"capacity[snr_db={db:g}]", closed, est)
 
     from .expint import LOG2E, expint_scaled_sum
 
@@ -214,30 +214,14 @@ def validate_all(cfg: McConfig, workers: int = 1) -> ValidationReport:
                     continue
                 closed = LOG2E * expint_scaled_sum(T - tau, tau + 1.0 / snr.linear)
                 est = mc.sample_penalty_term(T, tau, snr, next_cfg(cfg.samples), workers)
-                cells.append(
-                    ValidationCell(
-                        name=f"penalty_term[T={T},tau={tau},snr_db={db:g}]",
-                        reference=closed,
-                        estimate=est.mean,
-                        std_error=est.std_error,
-                        z=_z_two_sided(closed, est),
-                    )
-                )
+                add_two_sided(f"penalty_term[T={T},tau={tau},snr_db={db:g}]", closed, est)
 
     for t, r in _VALIDATE_RANK1:
         for db in (0.0, 10.0):
             rho = SnrValue.from_db(db)
             closed = mimo.capacity_ctr(t, r, rho, cfg).mean
             est = mc.sample_ctr(t, r, rho, next_cfg(cfg.samples // 10), workers)
-            cells.append(
-                ValidationCell(
-                    name=f"ctr_rank1[t={t},r={r},rho_db={db:g}]",
-                    reference=closed,
-                    estimate=est.mean,
-                    std_error=est.std_error,
-                    z=_z_two_sided(closed, est),
-                )
-            )
+            add_two_sided(f"ctr_rank1[t={t},r={r},rho_db={db:g}]", closed, est)
 
     for db in (0.0, 10.0):
         snr = SnrValue.from_db(db)
@@ -248,17 +232,9 @@ def validate_all(cfg: McConfig, workers: int = 1) -> ValidationReport:
             ("j1", mimo.mimo_joint_j1, siso.joint_bound_j1),
             ("j2", mimo.mimo_joint_j2, siso.joint_bound_j2),
         ):
-            reduced = mimo_fn(p, pair_cfg, workers)
-            reference = siso_fn(sp)
-            cells.append(
-                ValidationCell(
-                    name=f"reduction_{label}[T=10,tau=2,snr_db={db:g}]",
-                    reference=reference,
-                    estimate=reduced.mean,
-                    std_error=0.0,
-                    z=0.0 if reduced.mean == reference else math.inf,
-                )
-            )
+            # exact on both sides: any difference gives an infinite z
+            reduced = mimo_fn(p, pair_cfg, workers)._replace(std_error=0.0)
+            add_two_sided(f"reduction_{label}[T=10,tau=2,snr_db={db:g}]", siso_fn(sp), reduced)
 
     gram_cfg = next_cfg(cfg.samples // 10)
     report = mimo.pilot_gram_optimality_check(

@@ -4,12 +4,14 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotbounds import cli, sweeps
+from pilotbounds.montecarlo import DEFAULT_MATRIX_SAMPLES, DEFAULT_SCALAR_SAMPLES
 
 
 def run_cli(capsys, *argv):
@@ -169,6 +171,66 @@ def test_bad_arguments_exit_code(capsys):
     ):
         rc, out, err = run_cli(capsys, *argv)
         assert rc == 2 and out == "" and "not a finite number" in err
+    # a flag the kind does not use was ignored, or labelled a single-antenna
+    # row nt=3, and an empty grid ran the default one
+    for argv in (
+        ("offset", "--kind", "single-pilot", "--T", "10", "--nt", "3"),
+        ("offset", "--kind", "true-capacity-gap", "--T", "10", "--nt", "3"),
+        ("optimize-pilots", "--T", "10", "--snr-db", "10", "--nt", "2", "--which", "j2"),
+        ("sweep", "--kind", "fig1", "--snr-db", "10"),
+        ("sweep", "--kind", "fig2", "--snr-db", "10"),
+        ("sweep", "--kind", "convergence", "--snr-db-list", "10"),
+        ("sweep", "--kind", "fig1", "--T-grid=,"),
+        ("sweep", "--kind", "convergence", "--T-grid=,"),
+        ("sweep", "--kind", "fig2", "--snr-db-list=,"),
+    ):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+# argv without --format; the meta samples expected where the command
+# samples, with --samples omitted
+_REPORT_ARGV = {
+    "bound": (("bound", "--kind", "c", "--snr-db", "10"), DEFAULT_SCALAR_SAMPLES),
+    "optimize-pilots": (("optimize-pilots", "--T", "10", "--snr-db", "10", "--nt", "2"),
+                        DEFAULT_MATRIX_SAMPLES),
+    "offset": (("offset", "--kind", "true-capacity-gap", "--T", "10"), None),
+    "sweep": (("sweep", "--kind", "fig1", "--T-grid", "2,4"), None),
+    "validate": (("validate", "--seed", "3"), DEFAULT_SCALAR_SAMPLES),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REPORT_ARGV))
+def test_report_formats(capsys, monkeypatch, command):
+    # one emitter serves every command; this checks what differs per command
+    calls = []
+
+    def small_validate(cfg, workers=1):
+        # the resolved cfg is recorded; the run itself uses few samples
+        calls.append((cfg, original(replace(cfg, samples=2000), workers=workers)))
+        return calls[-1][1]
+
+    original = sweeps.validate_all
+    monkeypatch.setattr(sweeps, "validate_all", small_validate)
+    argv, samples = _REPORT_ARGV[command]
+    outs = {}
+    for fmt in ("text", "csv", "json"):
+        rc, outs[fmt], err = run_cli(capsys, *argv, "--format", fmt)
+        assert rc == 0 and err == ""
+    doc = json.loads(outs["json"])
+    meta = doc["meta"]
+    assert meta["command"] == command and meta["format"] == "json"
+    assert len(doc["rows"]) == outs["csv"].count("\n") - 1
+    assert meta.get("samples") == samples
+    assert (outs["text"] == outs["csv"]) == (command == "sweep")
+    if command == "validate":
+        cfg, report = calls[0]
+        assert cfg.samples == samples and cfg.seed == 3
+        assert meta["passed"] is report.passed and meta["max_abs_z"] == report.max_abs_z
+        assert outs["text"] == report.render()
+    else:
+        assert not calls and "passed" not in meta
 
 
 @pytest.mark.filterwarnings("error")

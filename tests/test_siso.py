@@ -14,7 +14,6 @@ from pilotbounds.siso import (
     capacity_csi,
     joint_bound_j1,
     joint_bound_j2,
-    low_power_expansion_check,
     mmse_estimate_variance,
     optimize_pilots_joint,
     power_advantage_asymptotic,
@@ -228,6 +227,23 @@ def test_true_capacity_gap():
     assert g100.gap_stirling.value_db == pytest.approx(10.0 / 99.0, rel=1e-12)
     assert g100.exact.value_3db_units == pytest.approx(0.0323856905111, rel=1e-10)
     assert g100.gap_exact.value_3db_units == pytest.approx(0.0347239679715, rel=1e-10)
+
+
+def low_power_expansion_check(p: SisoParams) -> float:
+    """Residual of the joint bound against its second-order expansion
+
+        log2(e) * [ m*(snr - snr^2) - (m*snr - sum_{k=1}^{m}(k+tau)*snr^2) ] / T
+
+    with m = T - tau.  The residual is O(snr^3); callers assert the
+    constant.  Only meaningful for snr <= 0.01.
+    """
+    s = p.snr.linear
+    if s > 0.01:
+        raise ValueError(f"expansion check requires snr <= 0.01, got {s!r}")
+    m = p.T - p.tau
+    coeff = m * (m + 1) / 2 + m * p.tau
+    model = LOG2E * (m * (s - s * s) - (m * s - coeff * s * s)) / p.T
+    return abs(joint_bound_j1(p) - model)
 
 
 def test_low_power_expansion_residual():

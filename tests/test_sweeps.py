@@ -26,6 +26,13 @@ def test_sweeps_reject_short_or_unsorted_grids(sweep):
             sweep(grid)
 
 
+@pytest.mark.parametrize("sweep", [sweep_fig1, sweep_fig2])
+def test_sweeps_reject_empty_snr_list(sweep):
+    # an empty list gave a table with no rows
+    with pytest.raises(ValueError, match="SNR list"):
+        sweep((2, 4), ())
+
+
 def test_fig1_shape_and_values():
     table = sweep_fig1()
     assert table.columns == (
