@@ -25,10 +25,9 @@ guard admits every size with m <= 4 and max(t, r) <= 20 (kappa <= 2e4
 over -30...60 dB) and the square sizes up to 7 x 7; it sends 8 x 8 and
 larger square sizes to the sampler at every SNR.
 
-All bound formulas mirror the scalar module with T, tau, and C(.)
-replaced by their per-antenna counterparts; at n_t = n_r = 1 every
-operation here reproduces its scalar counterpart bit for bit (the
-expressions are evaluated in the same order with the same arguments).
+The bounds call the scalar module's expressions with the antenna
+counts, which put the per-antenna counterparts in place of T, tau and
+C(.); at n_t = n_r = 1 they are the scalar bounds, bit for bit.
 
 Pilot searches reuse one capacity value and, where they sample, common
 random draws across tau candidates so Monte Carlo noise cannot flip the
@@ -47,7 +46,7 @@ from . import montecarlo as mc
 from .expint import LOG2E, _check_argument, _scaled_partial_sums, expint_scaled_sum
 from .montecarlo import Estimate, McConfig
 from .params import MimoParams, PowerOffset, _check_int, _check_snr_blocklength, linear_snr
-from .siso import advantage_units
+from .siso import _effective_snr, _j1, _j1_argument, _j2, _tau_continuous, advantage_units
 
 _TIE_MARGIN_SE = 4.0
 # Largest cancellation ratio kappa of the Laguerre sum that is trusted
@@ -154,20 +153,20 @@ def mimo_joint_j1(p: MimoParams, cfg: McConfig, workers: int = 1) -> Estimate:
     """
     s = p.snr.linear
     c1 = _ctr_value(p.n_t, p.n_r, s, cfg, workers)
-    rho_eff = s / (1.0 + s * p.tau / p.n_t)
-    c2 = _ctr_value(
-        p.n_t,
-        p.T - p.tau,
-        rho_eff,
-        cfg.substream(1),
-        workers,
-        x=p.tau + p.n_t / s,
+    return _j1_candidate(p.n_t, p.n_r, p.T, p.tau, s, c1, cfg.substream(1), workers)
+
+
+def _j1_candidate(
+    n_t: int, n_r: int, T: int, tau: int, s: float, c1: Estimate, pen_cfg: McConfig, workers: int
+) -> Estimate:
+    """mimo_joint_j1 at one tau given its capacity term c1; the penalty draws from pen_cfg."""
+    rho_p = s / (1.0 + s * tau / n_t)
+    c2 = _ctr_value(n_t, T - tau, rho_p, pen_cfg, workers, x=_j1_argument(tau, s, n_t))
+    return Estimate(
+        mean=_j1(tau, T, c1.mean, c2.mean, n_r),
+        std_error=math.hypot((1.0 - tau / T) * c1.std_error, (n_r / T) * c2.std_error),
+        samples_used=c1.samples_used + c2.samples_used,
     )
-    # dividing by the effective blocklength T/n_r keeps n_r = 1 bit-equal
-    # to the scalar bound, and at n_r = T, tau = 0 gives exactly C - C
-    value = (1.0 - p.tau / p.T) * c1.mean - c2.mean / (p.T / p.n_r)
-    err = math.hypot((1.0 - p.tau / p.T) * c1.std_error, (p.n_r / p.T) * c2.std_error)
-    return Estimate(mean=value, std_error=err, samples_used=c1.samples_used + c2.samples_used)
 
 
 def mimo_joint_j2(p: MimoParams, cfg: McConfig, workers: int = 1) -> Estimate:
@@ -176,13 +175,9 @@ def mimo_joint_j2(p: MimoParams, cfg: McConfig, workers: int = 1) -> Estimate:
         (1 - tau/T) * C_{n_t,n_r}(snr)
             - (n_t*n_r/T) * log2((1 + snr*T/n_t)/(1 + snr*tau/n_t)).
     """
-    s = p.snr.linear
-    c1 = _ctr_value(p.n_t, p.n_r, s, cfg, workers)
-    value = (1.0 - p.tau / p.T) * c1.mean - (p.n_t * p.n_r) * math.log2(
-        (1.0 + s * p.T / p.n_t) / (1.0 + s * p.tau / p.n_t)
-    ) / p.T
+    c1 = _ctr_value(p.n_t, p.n_r, p.snr.linear, cfg, workers)
     return Estimate(
-        mean=value,
+        mean=_j2((p.tau,), p.T, p.snr.linear, c1.mean, p.n_t, p.n_r)[0],
         std_error=(1.0 - p.tau / p.T) * c1.std_error,
         samples_used=c1.samples_used,
     )
@@ -233,21 +228,10 @@ def mimo_separate(
     _check_snr_blocklength(s, T)
     taus = list(range(n_t, T))
     estimates = []
-    for tau in taus:
-        tau_bar = tau / n_t
-        mmse = 1.0 / (1.0 + s * tau_bar)
-        eff = s * (1.0 - mmse) / (1.0 + s * mmse)
-        if eff == 0.0:
-            # 1 + s*tau_bar rounded to 1: the capacity argument n_t/eff is undefined
-            raise ValueError(f"effective SNR at tau={tau} rounds to 0 at snr={s!r}")
+    for tau, eff in zip(taus, _effective_snr(s, taus, n_t).tolist()):
         c = _ctr_value(n_t, n_r, eff, cfg, workers)
-        estimates.append(
-            Estimate(
-                mean=(1.0 - tau / T) * c.mean,
-                std_error=(1.0 - tau / T) * c.std_error,
-                samples_used=c.samples_used,
-            )
-        )
+        share = 1.0 - tau / T
+        estimates.append(c._replace(mean=share * c.mean, std_error=share * c.std_error))
     idx, tie = _scan_candidates(estimates)
     return MimoSeparateResult(value=estimates[idx], tau_star=taus[idx], tie_within_margin=tie)
 
@@ -276,25 +260,12 @@ def mimo_optimize_pilots(
         raise ValueError(f"sampled capacity is 0 at snr={s!r}, below what the sampler resolves")
     pen_cfg = cfg.substream(1)
     taus = [0] + [tau for tau in range(n, T)]
-    estimates = []
-    for tau in taus:
-        rho_eff = s / (1.0 + s * tau / n)
-        c2 = _ctr_value(n, T - tau, rho_eff, pen_cfg, workers, x=tau + n / s)
-        estimates.append(
-            Estimate(
-                mean=(1.0 - tau / T) * c1.mean - c2.mean / (T / n),
-                std_error=math.hypot(
-                    (1.0 - tau / T) * c1.std_error, (n / T) * c2.std_error
-                ),
-                samples_used=c1.samples_used + c2.samples_used,
-            )
-        )
+    estimates = [_j1_candidate(n, n, T, tau, s, c1, pen_cfg, workers) for tau in taus]
     idx, tie = _scan_candidates(estimates)
-    continuous = n * (LOG2E / (c1.mean / n) - 1.0 / s)
     return MimoPilotSearch(
         tau_star=taus[idx],
         value=estimates[idx],
-        tau_star_continuous=continuous,
+        tau_star_continuous=_tau_continuous(c1.mean, s, n),
         tie_within_margin=tie,
     )
 

@@ -121,6 +121,25 @@ def _exponential(rng: np.random.Generator, shape) -> np.ndarray:
     return -np.log1p(-rng.random(shape))
 
 
+def _complex_gaussian(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """IID circular complex Gaussians of unit variance, from one real draw."""
+    a = rng.standard_normal(shape + (2,))
+    return (a[..., 0] + 1j * a[..., 1]) * _SQRT_HALF
+
+
+def _log2_det(g: np.ndarray, label: str) -> np.ndarray:
+    """log2 det(I + g) over a batch of Hermitian g with I + g positive definite."""
+    side = g.shape[-1]
+    try:
+        ell = np.linalg.cholesky(np.eye(side) + g)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(
+            f"Cholesky failed on a {side}x{side} Gram batch "
+            f"({label}); input should be positive definite"
+        ) from exc
+    return 2.0 * np.log2(np.einsum("nii->ni", ell).real).sum(axis=1)
+
+
 def sample_capacity_siso(snr, cfg: McConfig, workers: int = 1) -> Estimate:
     """Monte Carlo E[log2(1 + snr*|H|^2)] with |H|^2 unit-mean exponential.
 
@@ -167,26 +186,14 @@ def sample_ctr(t: int, r: int, rho, cfg: McConfig, workers: int = 1) -> Estimate
     t = _check_int("t", t, 1)
     r = _check_int("r", r, 1)
     s = linear_snr(rho)
-    side = min(t, r)
-    eye = np.eye(side)
 
     def draw(rng, count):
-        a = rng.standard_normal((count, r, t, 2))
-        z = (a[..., 0] + 1j * a[..., 1]) * _SQRT_HALF
+        z = _complex_gaussian(rng, (count, r, t))
         if t <= r:
             gram = np.einsum("nij,nik->njk", z.conj(), z)
         else:
             gram = np.einsum("nij,nkj->nik", z, z.conj())
-        m = eye + (s / t) * gram
-        try:
-            ell = np.linalg.cholesky(m)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                f"Cholesky failed on a {side}x{side} Gram batch "
-                f"(t={t}, r={r}, rho={s!r}); input should be positive definite"
-            ) from exc
-        diag = np.einsum("nii->ni", ell).real
-        return 2.0 * np.log2(diag).sum(axis=1)
+        return _log2_det((s / t) * gram, f"t={t}, r={r}, rho={s!r}")
 
     return _mean_estimate(cfg, draw, workers)
 
@@ -222,15 +229,11 @@ def sample_delta_mimo(
     # Symmetrized form: det(I + W S) = det(I + W^{1/2} S W^{1/2}) keeps
     # the factorization Hermitian positive definite.
     sqrt_w = np.sqrt(1.0 / (1.0 + (s / n_t) * d))
-    eye = np.eye(n_t)
 
     def draw(rng, count):
-        a = rng.standard_normal((count, n_t, m, 2))
-        x = (a[..., 0] + 1j * a[..., 1]) * _SQRT_HALF
+        x = _complex_gaussian(rng, (count, n_t, m))
         gram = np.einsum("nij,nkj->nik", x, x.conj())
-        sym = eye + (s / n_t) * (sqrt_w[:, None] * gram * sqrt_w[None, :])
-        ell = np.linalg.cholesky(sym)
-        diag = np.einsum("nii->ni", ell).real
-        return (2.0 * n_r) * np.log2(diag).sum(axis=1)
+        sym = (s / n_t) * (sqrt_w[:, None] * gram * sqrt_w[None, :])
+        return n_r * _log2_det(sym, f"n_t={n_t}, n_r={n_r}, snr={s!r}")
 
     return _mean_estimate(cfg, draw, workers)

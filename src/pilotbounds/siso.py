@@ -73,8 +73,40 @@ def mmse_estimate_variance(tau: int, snr) -> float:
 def snr_effective(tau: int, snr) -> SnrValue:
     """Post-estimation SNR snr*(1 - mmse)/(1 + snr*mmse); always < snr."""
     s = linear_snr(snr)
-    m = mmse_estimate_variance(tau, s)
-    return SnrValue(s * (1.0 - m) / (1.0 + s * m))
+    return SnrValue(_effective_snr(s, (_check_int("tau", tau, 1),))[0])
+
+
+def _effective_snr(s: float, taus, n_t: int = 1) -> np.ndarray:
+    """snr_effective at each of the ascending integers taus, from the MMSE 1/(1 + snr*tau/n_t)."""
+    m = 1.0 / (1.0 + s * (np.asarray(taus) / n_t))
+    eff = s * (1.0 - m) / (1.0 + s * m)
+    if eff[0] == 0.0:  # eff grows with tau; n_t/eff is undefined
+        raise ValueError(f"effective SNR at tau={taus[0]} rounds to 0 at snr={s!r}")
+    return eff
+
+
+def _j1(tau, T: int, c: float, penalty, n_r: int = 1):
+    """j1 from its penalty at one tau or an array of them; dividing by T/n_r
+    keeps n_r = 1 bit-equal, and n_r = T, tau = 0 gives exactly C - C."""
+    return (1.0 - tau / T) * c - penalty / (T / n_r)
+
+
+def _j1_argument(tau, s: float, n_t: int = 1):
+    """Argument of the eps_k sums in the j1 penalty."""
+    return tau + n_t / s
+
+
+def _j2(taus, T: int, s: float, c: float, n_t: int = 1, n_r: int = 1) -> list[float]:
+    """j2 at each of taus, by math.log2: np.log2 differs in the last bit
+    for some arguments, which would move a search's tau* at ties."""
+    top = 1.0 + s * T / n_t
+    n_t, dims = float(n_t), float(n_t * n_r)  # exact; spares each lane two int-to-float conversions
+    return [(1.0 - tau / T) * c - dims * math.log2(top / (1.0 + s * tau / n_t)) / T for tau in taus]
+
+
+def _tau_continuous(c: float, s: float, n: int = 1) -> float:
+    """Continuous relaxation of the pilot search for n_t = n_r = n."""
+    return n * (LOG2E / (c / n) - 1.0 / s)
 
 
 def separate_bound(T: int, snr) -> SeparateBound:
@@ -86,12 +118,8 @@ def separate_bound(T: int, snr) -> SeparateBound:
     T = _check_int("T", T, 2)
     s = linear_snr(snr)
     _check_snr_blocklength(s, T)
-    taus = np.arange(1, T, dtype=float)
-    mmse = 1.0 / (1.0 + s * taus)
-    eff = s * (1.0 - mmse) / (1.0 + s * mmse)
-    if eff[0] == 0.0:
-        # 1 + s*tau rounded to 1 at tau = 1 (eff grows with tau): 1/eff is undefined
-        raise ValueError(f"effective SNR at tau=1 rounds to 0 at snr={s!r}")
+    taus = np.arange(1, T)
+    eff = _effective_snr(s, taus)
     values = (1.0 - taus / T) * (LOG2E * eps1_array(1.0 / eff))
     best = int(np.argmax(values))
     return SeparateBound(value=float(values[best]), tau_star=best + 1)
@@ -106,7 +134,7 @@ def joint_bound_j1(p: SisoParams) -> float:
     """
     s = p.snr.linear
     c = capacity_csi(p.snr)
-    return (1.0 - p.tau / p.T) * c - LOG2E * expint_scaled_sum(p.T - p.tau, p.tau + 1.0 / s) / p.T
+    return _j1(p.tau, p.T, c, LOG2E * expint_scaled_sum(p.T - p.tau, _j1_argument(p.tau, s)))
 
 
 def joint_bound_j2(p: SisoParams) -> float:
@@ -114,9 +142,7 @@ def joint_bound_j2(p: SisoParams) -> float:
 
         (1 - tau/T) * C(snr) - (1/T) * log2((1 + snr*T)/(1 + snr*tau)).
     """
-    s = p.snr.linear
-    c = capacity_csi(p.snr)
-    return (1.0 - p.tau / p.T) * c - math.log2((1.0 + s * p.T) / (1.0 + s * p.tau)) / p.T
+    return _j2((p.tau,), p.T, p.snr.linear, capacity_csi(p.snr))[0]
 
 
 _JOINT_KINDS = ("j1", "j2")
@@ -136,20 +162,15 @@ def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
     s = linear_snr(snr)
     _check_snr_blocklength(s, T)
     c = capacity_csi(s)
-    # every lane repeats the arithmetic of the public bound at its tau,
-    # so the search value equals joint_bound_*(tau*) bit for bit
+    # the public bounds and the MIMO bounds (with their antenna counts) call
+    # the same expressions, so the value equals joint_bound_*(tau*) bit for bit
     if which == "j1":
         taus = np.arange(T)
-        values = (1.0 - taus / T) * c - LOG2E * _scaled_sums(T - taus, taus + 1.0 / s) / T
+        values = _j1(taus, T, c, LOG2E * _scaled_sums(T - taus, _j1_argument(taus, s)))
     else:
-        # math.log2, not np.log2: the two differ in the last bit for
-        # some arguments, which would move tau* at ties
-        values = np.array([
-            (1.0 - tau / T) * c - math.log2((1.0 + s * T) / (1.0 + s * tau)) / T
-            for tau in range(T)
-        ])
+        values = np.array(_j2(range(T), T, s, c))
     best = int(np.argmax(values))
-    continuous = LOG2E / c - 1.0 / s
+    continuous = _tau_continuous(c, s)
     return PilotSearch(tau_star=best, value=float(values[best]), tau_star_continuous=continuous)
 
 
@@ -170,6 +191,8 @@ def advantage_units(effective_T: float) -> float:
     """Asymptotic joint-over-separate advantage 1 - log2(T)/(T-1) for a
     (possibly fractional) blocklength, in 3-dB units."""
     effective_T = float(effective_T)
+    if not math.isfinite(effective_T):
+        raise ValueError(f"effective blocklength must be finite, got {effective_T}")
     if effective_T <= 1.0:
         raise ValueError(f"effective blocklength must exceed 1, got {effective_T}")
     return 1.0 - math.log2(effective_T) / (effective_T - 1.0)

@@ -373,25 +373,27 @@ _COMMAND_FLAGS = {
         (("--which",), ("--nt",), ("--seed",), ("--workers",)),
     ),
     "offset": (("--kind", "--T"), (("--snr-db",), ("--nt",))),
-    "sweep": (("--kind",), (("--T-grid",), ("--snr-db-list",), ("--snr-db",))),
+    "sweep": (("--kind",), (("--T-grid",),)),
     "validate": (("--samples",), (("--seed",), ("--workers",))),
 }
+# the SNR flag each sweep kind takes; it rejects the other one
+_SWEEP_SNR_FLAG = {"fig1": "--snr-db-list", "fig2": "--snr-db-list", "convergence": "--snr-db"}
 
 
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
     required, optional = _COMMAND_FLAGS[command]
+    kind = draw(st.sampled_from(_KINDS[command])) if command in _KINDS else None
+    if command == "sweep":
+        optional += ((_SWEEP_SNR_FLAG[kind],),)
     flags = list(required)
     for group in optional + (("--format",), ("--out",)):
         if draw(st.booleans()):
             flags.extend(group)
     if draw(st.integers(0, 9)) == 0:  # now and then any flag, known to the command or not
         flags.append(draw(st.sampled_from(sorted(_VALUES))))
-    values = {
-        flag: draw(st.sampled_from(_KINDS[command]) if flag == "--kind" else _VALUES[flag])
-        for flag in flags
-    }
+    values = {flag: kind if flag == "--kind" else draw(_VALUES[flag]) for flag in flags}
     if draw(st.booleans()):
         flag = draw(st.sampled_from(flags))
         values[flag] = draw(st.sampled_from(_HOSTILE[flag]))

@@ -180,3 +180,18 @@ def test_delta_sampler_validation():
         sample_delta_mimo(p, (-0.5, 4.5), CFG)
     with pytest.raises(ValueError):
         sample_delta_mimo(p, (4.0, 1.0), CFG)  # trace above n_t * tau
+
+
+def test_cholesky_failure_raises_runtime_error(monkeypatch):
+    # both matrix samplers share one log-det, so a failed factorization
+    # surfaces as the same RuntimeError from either
+    def fail(m):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    cfg = McConfig(samples=200, seed=1)
+    with pytest.raises(RuntimeError, match="Cholesky failed on a 2x2 Gram batch"):
+        sample_ctr(2, 3, SnrValue(10.0), cfg)
+    p = MimoParams(n_t=2, n_r=2, T=6, tau=2, snr=SnrValue(10.0))
+    with pytest.raises(RuntimeError, match="Cholesky failed on a 2x2 Gram batch"):
+        sample_delta_mimo(p, (2.0, 2.0), cfg)

@@ -65,6 +65,9 @@ def test_estimation_helpers():
     )
     with pytest.raises(ValueError):
         mmse_estimate_variance(0, SnrValue(1.0))
+    # 1 + snr*tau rounds to 1: the effective SNR is 0, reported as such
+    with pytest.raises(ValueError, match="effective SNR at tau=1 rounds to 0"):
+        snr_effective(1, SnrValue.from_db(-400.0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -148,6 +151,9 @@ def test_power_advantage_asymptotic():
     assert off.value_3db_units == pytest.approx(0.6308968783458486, rel=REL)
     assert off.value_db == pytest.approx(1.899188845528701, rel=REL)
     assert advantage_units(10.0) == off.value_3db_units
+    for bad in (1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            advantage_units(bad)
 
 
 def test_power_advantage_finite_snr():
