@@ -14,6 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import mimo, montecarlo as mc, siso
+from .expint import LOG2E, expint_scaled_sum
 from .montecarlo import Estimate, McConfig
 from .params import MimoParams, SisoParams, SnrValue, _check_int
 
@@ -204,15 +205,13 @@ def validate_all(cfg: McConfig, workers: int = 1) -> ValidationReport:
         est = mc.sample_capacity_siso(snr, next_cfg(cfg.samples), workers)
         add_two_sided(f"capacity[snr_db={db:g}]", closed, est)
 
-    from .expint import LOG2E, expint_scaled_sum
-
     for db in _VALIDATE_SNR_DB:
         snr = SnrValue.from_db(db)
         for T in _VALIDATE_T:
             for tau in _VALIDATE_TAU:
                 if tau >= T:
                     continue
-                closed = LOG2E * expint_scaled_sum(T - tau, tau + 1.0 / snr.linear)
+                closed = LOG2E * expint_scaled_sum(T - tau, siso._j1_argument(tau, snr.linear))
                 est = mc.sample_penalty_term(T, tau, snr, next_cfg(cfg.samples), workers)
                 add_two_sided(f"penalty_term[T={T},tau={tau},snr_db={db:g}]", closed, est)
 

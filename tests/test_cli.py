@@ -317,8 +317,8 @@ def test_unwritable_out_exit_code(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
 
 
-def _csv(values):
-    return st.lists(values, max_size=5).map(lambda vs: ",".join(map(str, vs)))
+def _csv(lists):
+    return lists.map(lambda vs: ",".join(map(str, vs)))
 
 
 # Values small enough that one call takes well under a second and a few
@@ -330,8 +330,11 @@ _VALUES = {
     "--nt": st.integers(min_value=1, max_value=2),
     "--nr": st.integers(min_value=1, max_value=2),
     "--which": st.sampled_from(["j1", "j2"]),
-    "--T-grid": _csv(st.integers(min_value=2, max_value=64)),
-    "--snr-db-list": _csv(st.floats(min_value=-150.0, max_value=150.0)),
+    # valid grids only (sorted, distinct, >= 2 points); _HOSTILE has the bad ones
+    "--T-grid": _csv(
+        st.lists(st.integers(min_value=2, max_value=64), min_size=2, max_size=5, unique=True).map(sorted)
+    ),
+    "--snr-db-list": _csv(st.lists(st.floats(min_value=-150.0, max_value=150.0), min_size=1, max_size=5)),
     "--samples": st.sampled_from([100, 1000, 4096]),
     "--seed": st.integers(min_value=0, max_value=2**64 - 1),
     "--workers": st.sampled_from([1, 2]),
@@ -346,8 +349,8 @@ _HOSTILE = {
     "--nt": [-1, 0],
     "--nr": [-1, 0],
     "--which": ["zz"],
-    "--T-grid": ["-2,4", "0", "8,4", "4,4", "2.5"],
-    "--snr-db-list": ["nan", "1e5", "x"],
+    "--T-grid": ["-2,4", "0", "8,4", "4,4", "2.5", "4", ""],
+    "--snr-db-list": ["nan", "1e5", "x", ""],
     "--samples": [-1, 99],
     "--seed": [-1, 2**64],
     "--workers": [-1, 0],
@@ -378,6 +381,13 @@ _COMMAND_FLAGS = {
 }
 # the SNR flag each sweep kind takes; it rejects the other one
 _SWEEP_SNR_FLAG = {"fig1": "--snr-db-list", "fig2": "--snr-db-list", "convergence": "--snr-db"}
+# a convergence grid must span two decades: its last point is 100x the
+# largest one drawn, so T stays <= 6400 (a few ms per call)
+_CONVERGENCE_T_GRID = _csv(
+    st.lists(st.integers(min_value=2, max_value=64), min_size=1, max_size=4, unique=True).map(
+        lambda vs: sorted(vs) + [100 * max(vs)]
+    )
+)
 
 
 @st.composite
@@ -394,6 +404,8 @@ def _argv(draw):
     if draw(st.integers(0, 9)) == 0:  # now and then any flag, known to the command or not
         flags.append(draw(st.sampled_from(sorted(_VALUES))))
     values = {flag: kind if flag == "--kind" else draw(_VALUES[flag]) for flag in flags}
+    if kind == "convergence" and "--T-grid" in values:
+        values["--T-grid"] = draw(_CONVERGENCE_T_GRID)
     if draw(st.booleans()):
         flag = draw(st.sampled_from(flags))
         values[flag] = draw(st.sampled_from(_HOSTILE[flag]))

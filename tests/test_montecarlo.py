@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,13 +57,26 @@ def test_capacity_sampler_matches_closed_form():
 
 
 @pytest.mark.parametrize(
-    "T,tau", [(2, 0), (2, 1), (6, 2), (10, 1)]
+    "T,tau", [(2, 0), (2, 1), (6, 2), (10, 1), (100, 1), (1000, 0), (1000, 2)]
 )
 @pytest.mark.parametrize("s", [1.0, 10.0])
 def test_penalty_sampler_matches_closed_form(T, tau, s):
     est = sample_penalty_term(T, tau, SnrValue(s), CFG)
     closed = LOG2E * expint_scaled_sum(T - tau, tau + 1.0 / s)
     assert _z(est, closed) < 5.0
+
+
+def test_penalty_sampler_block_memory_is_independent_of_block_length():
+    # one Gamma(T - tau) variate per sample: a 16384-sample block at
+    # T - tau = 999 holds a few count-long vectors, not a count x 999 matrix
+    cfg = McConfig(samples=16384, seed=42)
+    tracemalloc.start()
+    try:
+        sample_penalty_term(1000, 1, SnrValue(1.0), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("t,r", [(1, 1), (1, 4), (4, 1)])
