@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotbounds.expint import (
+    _SCALAR_LANES,
     _scaled_sums,
     eps1_array,
     expint_e1,
@@ -93,6 +94,20 @@ def test_batched_sums_match_scalar_bitwise():
     assert np.array_equal(batch, solo)
 
 
+@pytest.mark.parametrize("snr_db", [-100.0, -37.5, 0.0, 40.0])
+@pytest.mark.parametrize("T", [2, 10, 1000])
+def test_batched_sums_match_scalar_on_search_lanes(T, snr_db):
+    # the lanes of the j1 pilot search: tau = 0..T-1, n = T - tau terms at
+    # x = tau + 1/snr; tau = T-1 has n = 1, and at low SNR every lane
+    # seeds at k0 = n, so the forward recurrence has no step to run
+    taus = np.arange(T)
+    n = T - taus
+    x = taus + 1.0 / 10.0 ** (snr_db / 10.0)
+    batch = _scaled_sums(n, x)
+    solo = np.array([expint_scaled_sum(int(ni), float(xi)) for ni, xi in zip(n, x)])
+    assert np.array_equal(batch, solo)
+
+
 def test_sum_single_term_is_first_order():
     for x in (0.3, 1.0, 9.0):
         assert expint_scaled_sum(1, x) == expint_scaled(1, x)
@@ -147,10 +162,26 @@ def test_monotone_in_order(k, x):
 def test_eps1_array_matches_scalar_bitwise():
     # batch evaluation must equal one-at-a-time evaluation exactly:
     # each lane converges on its own schedule and then freezes
-    xs = np.array([0.01, 0.3, 0.999, 1.0, 1.5, 7.0, 123.0, 1e3])
-    batch = eps1_array(xs)
-    solo = np.array([expint_scaled(1, float(x)) for x in xs])
-    assert np.array_equal(batch, solo)
+    rng = np.random.default_rng(20090906)
+    cases = [np.array([0.01, 0.3, 0.999, 1.0, 1.5, 7.0, 123.0, 1e3])]
+    # the vector continued fraction: near x = 1 a lane needs ~86
+    # iterations, at 1e9 a few, so lanes leave the batch all along
+    cases.append(
+        np.concatenate(
+            [
+                rng.uniform(1e-6, 1.0, 500),
+                rng.uniform(1.0, 1.05, 500),
+                10.0 ** rng.uniform(0.0, 9.0, 1000),
+            ]
+        )
+    )
+    # either side of the switch from the scalar to the vector CF
+    for cf_lanes in (_SCALAR_LANES - 1, _SCALAR_LANES, _SCALAR_LANES + 1):
+        cases.append(np.concatenate([rng.uniform(0.1, 1.0, 7), rng.uniform(1.0, 3.0, cf_lanes)]))
+    for xs in cases:
+        batch = eps1_array(xs)
+        solo = np.array([expint_scaled(1, float(x)) for x in xs])
+        assert np.array_equal(batch, solo)
 
 
 @pytest.mark.parametrize("bad_k", [0, -1, 1.5, 10.0, True, None])
