@@ -196,16 +196,6 @@ def expint_scaled(k: int, x: float) -> float:
     return _eps_scalar(k, x)
 
 
-def expint_e1(x: float) -> float:
-    """E_1(x) = integral_1^inf e^{-x t}/t dt for x > 0.
-
-    Underflows to 0.0 for x beyond ~745 where the true value is
-    smaller than the tiniest subnormal.
-    """
-    x = _check_argument(x)
-    return math.exp(-x) * _eps_scalar(1, x)
-
-
 def _eps_scalar(k: int, x: float) -> float:
     """eps_k(x) for validated arguments: the continued fraction for
     x >= 1; below, the eps_1 series lane and k - 1 forward recurrence

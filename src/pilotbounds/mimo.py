@@ -286,19 +286,21 @@ def pilot_gram_optimality_check(
     """Check that the uniform pilot Gram diag(tau, ..., tau) minimizes the
     estimation penalty against the supplied diagonal perturbations.
 
-    Every evaluation uses the same cfg, hence the same draws: the
-    uniform diagonal re-submitted as a perturbation gives an excess of
-    exactly zero, and genuine perturbations are compared with highly
-    correlated noise.  A perturbation passes when its penalty is no
-    more than 4 combined standard errors below the uniform one.
+    Every evaluation uses the same cfg, hence the same draws: X is
+    drawn once per block and serves the uniform diagonal and every
+    perturbation (each estimate equals its own sample_delta_mimo call
+    with cfg).  The uniform diagonal re-submitted as a perturbation
+    gives an excess of exactly zero, and genuine perturbations are
+    compared with highly correlated noise.  A perturbation passes when
+    its penalty is no more than 4 combined standard errors below the
+    uniform one.
     """
     uniform = (float(p.tau),) * p.n_t
-    base = mc.sample_delta_mimo(p, uniform, cfg, workers)
+    diagonals = [tuple(float(v) for v in diag) for diag in perturbations]
+    base, *estimates = mc._sample_delta_mimo_rows(p, [uniform] + diagonals, cfg, workers)
     rows = []
     all_ok = True
-    for diag in perturbations:
-        diag_t = tuple(float(v) for v in diag)
-        est = mc.sample_delta_mimo(p, diag_t, cfg, workers)
+    for diag_t, est in zip(diagonals, estimates):
         excess = est.mean - base.mean
         se = math.hypot(base.std_error, est.std_error)
         ok = excess >= -_TIE_MARGIN_SE * se

@@ -13,6 +13,13 @@ SeedSequence([seed, stream_id, block_index]), and per-block partial
 sums are reduced in block order.  Worker threads only change which
 thread computes a block, never the draws or the reduction order, so
 results are bit-identical across worker counts.
+
+Estimates that can share draws share them (common random numbers): one
+block's draw may return k rows, one per estimate, as the penalty term
+at several SNRs of one (T, tau) and the Gram penalty at several pilot
+diagonals do.  Each row is reduced exactly as a lone estimate is, so
+each row is still a pure function of McConfig and equals the one-row
+call bit for bit.
 """
 
 from __future__ import annotations
@@ -86,11 +93,12 @@ def _mean_estimate(
     cfg: McConfig,
     draw: Callable[[np.random.Generator, int], np.ndarray],
     workers: int = 1,
-) -> Estimate:
+) -> list[Estimate]:
     """Reduce per-block partial sums of draw(rng, count) in block order.
 
-    At most one thread per block and per CPU runs; a single one runs in
-    the calling thread.
+    draw returns k rows of count values, shape (k, count), or one row of
+    shape (count,); each row gives one Estimate.  At most one thread per
+    block and per CPU runs; a single one runs in the calling thread.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -98,10 +106,10 @@ def _mean_estimate(
     n_blocks = (n + _BLOCK - 1) // _BLOCK
     workers = min(workers, n_blocks, os.cpu_count() or 1)
 
-    def one_block(b: int) -> tuple[float, float]:
+    def one_block(b: int) -> list[tuple[float, float]]:
         count = min(_BLOCK, n - b * _BLOCK)
-        values = np.asarray(draw(_block_rng(cfg, b), count), dtype=float)
-        return float(values.sum()), float((values * values).sum())
+        rows = np.asarray(draw(_block_rng(cfg, b), count), dtype=float).reshape(-1, count)
+        return [(float(v.sum()), float((v * v).sum())) for v in rows]
 
     if workers == 1:
         parts = [one_block(b) for b in range(n_blocks)]
@@ -109,14 +117,17 @@ def _mean_estimate(
         with ThreadPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(one_block, range(n_blocks)))
 
-    total = 0.0
-    total_sq = 0.0
-    for s, q in parts:
-        total += s
-        total_sq += q
-    mean = total / n
-    var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-    return Estimate(mean=mean, std_error=math.sqrt(var / n), samples_used=n)
+    estimates = []
+    for row_parts in zip(*parts):  # one row's partial sums, in block order
+        total = 0.0
+        total_sq = 0.0
+        for s, q in row_parts:
+            total += s
+            total_sq += q
+        mean = total / n
+        var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
+        estimates.append(Estimate(mean=mean, std_error=math.sqrt(var / n), samples_used=n))
+    return estimates
 
 
 def _complex_gaussian(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -151,7 +162,7 @@ def sample_capacity_siso(snr, cfg: McConfig, workers: int = 1) -> Estimate:
     def draw(rng, count):
         return np.log2(1.0 + s * rng.standard_exponential(count))
 
-    return _mean_estimate(cfg, draw, workers)
+    return _mean_estimate(cfg, draw, workers)[0]
 
 
 def sample_penalty_term(T: int, tau: int, snr, cfg: McConfig, workers: int = 1) -> Estimate:
@@ -163,14 +174,28 @@ def sample_penalty_term(T: int, tau: int, snr, cfg: McConfig, workers: int = 1) 
     is drawn directly, one variate per sample (numpy's standard_gamma,
     Marsaglia & Tsang 2000), so a sample costs O(1) whatever T-tau is.
     """
+    return _sample_penalty_terms(T, tau, (snr,), cfg, workers)[0]
+
+
+def _sample_penalty_terms(
+    T: int, tau: int, snrs: Sequence, cfg: McConfig, workers: int = 1
+) -> list[Estimate]:
+    """sample_penalty_term at each of snrs from one Gamma(T-tau) draw per
+    block: row i is bit-equal to sample_penalty_term(T, tau, snrs[i], cfg)."""
     tau = _check_int("tau", tau, 0)
     T = _check_int("T", T, tau + 1)
-    s = linear_snr(snr)
     m = T - tau
-    scale = s / (1.0 + s * tau)
+    scales = [s / (1.0 + s * tau) for s in map(linear_snr, snrs)]
 
     def draw(rng, count):
-        return np.log2(1.0 + scale * rng.standard_gamma(m, count))
+        g = rng.standard_gamma(m, count)
+        out = np.empty((len(scales), count))
+        for row, scale in zip(out, scales):
+            # log2(1 + scale*g) in place: the same roundings, one buffer
+            np.multiply(g, scale, out=row)
+            row += 1.0
+            np.log2(row, out=row)
+        return out
 
     return _mean_estimate(cfg, draw, workers)
 
@@ -194,7 +219,7 @@ def sample_ctr(t: int, r: int, rho, cfg: McConfig, workers: int = 1) -> Estimate
             gram = np.einsum("nij,nkj->nik", z, z.conj())
         return _log2_det((s / t) * gram, f"t={t}, r={r}, rho={s!r}")
 
-    return _mean_estimate(cfg, draw, workers)
+    return _mean_estimate(cfg, draw, workers)[0]
 
 
 def sample_delta_mimo(
@@ -211,28 +236,46 @@ def sample_delta_mimo(
     X of shape n_t x (T - tau).  Used to check numerically that the
     uniform Gram d = (tau, ..., tau) minimizes the penalty.
     """
-    d = np.asarray(pilot_gram_diagonal, dtype=float)
-    if d.shape != (params.n_t,):
-        raise ValueError(
-            f"pilot Gram diagonal must have length n_t={params.n_t}, got shape {d.shape}"
-        )
-    if (d < 0.0).any():
-        raise ValueError("pilot Gram diagonal entries must be >= 0")
-    trace_cap = params.n_t * params.tau
-    if d.sum() > trace_cap + 1e-9:
-        raise ValueError(
-            f"pilot power constraint violated: trace {d.sum()!r} > n_t*tau = {trace_cap}"
-        )
+    return _sample_delta_mimo_rows(params, (pilot_gram_diagonal,), cfg, workers)[0]
+
+
+def _sample_delta_mimo_rows(
+    params: MimoParams,
+    diagonals: Sequence[Sequence[float]],
+    cfg: McConfig,
+    workers: int = 1,
+) -> list[Estimate]:
+    """sample_delta_mimo at each of diagonals from one draw of X per
+    block: row i is bit-equal to sample_delta_mimo(params, diagonals[i], cfg).
+    Every diagonal is checked before anything is drawn."""
     s = params.snr.linear
     n_t, n_r, m = params.n_t, params.n_r, params.T - params.tau
-    # Symmetrized form: det(I + W S) = det(I + W^{1/2} S W^{1/2}) keeps
-    # the factorization Hermitian positive definite.
-    sqrt_w = np.sqrt(1.0 / (1.0 + (s / n_t) * d))
+    trace_cap = n_t * params.tau
+    weights = []
+    for diagonal in diagonals:
+        d = np.asarray(diagonal, dtype=float)
+        if d.shape != (n_t,):
+            raise ValueError(
+                f"pilot Gram diagonal must have length n_t={n_t}, got shape {d.shape}"
+            )
+        if (d < 0.0).any():
+            raise ValueError("pilot Gram diagonal entries must be >= 0")
+        if d.sum() > trace_cap + 1e-9:
+            raise ValueError(
+                f"pilot power constraint violated: trace {d.sum()!r} > n_t*tau = {trace_cap}"
+            )
+        # Symmetrized form: det(I + W S) = det(I + W^{1/2} S W^{1/2}) keeps
+        # the factorization Hermitian positive definite.
+        weights.append(np.sqrt(1.0 / (1.0 + (s / n_t) * d)))
+    label = f"n_t={n_t}, n_r={n_r}, snr={s!r}"
 
     def draw(rng, count):
         x = _complex_gaussian(rng, (count, n_t, m))
         gram = np.einsum("nij,nkj->nik", x, x.conj())
-        sym = (s / n_t) * (sqrt_w[:, None] * gram * sqrt_w[None, :])
-        return n_r * _log2_det(sym, f"n_t={n_t}, n_r={n_r}, snr={s!r}")
+        out = np.empty((len(weights), count))
+        for row, sqrt_w in zip(out, weights):
+            sym = (s / n_t) * (sqrt_w[:, None] * gram * sqrt_w[None, :])
+            row[:] = n_r * _log2_det(sym, label)
+        return out
 
     return _mean_estimate(cfg, draw, workers)

@@ -205,15 +205,20 @@ def validate_all(cfg: McConfig, workers: int = 1) -> ValidationReport:
         est = mc.sample_capacity_siso(snr, next_cfg(cfg.samples), workers)
         add_two_sided(f"capacity[snr_db={db:g}]", closed, est)
 
-    for db in _VALIDATE_SNR_DB:
-        snr = SnrValue.from_db(db)
-        for T in _VALIDATE_T:
-            for tau in _VALIDATE_TAU:
-                if tau >= T:
-                    continue
-                closed = LOG2E * expint_scaled_sum(T - tau, siso._j1_argument(tau, snr.linear))
-                est = mc.sample_penalty_term(T, tau, snr, next_cfg(cfg.samples), workers)
-                add_two_sided(f"penalty_term[T={T},tau={tau},snr_db={db:g}]", closed, est)
+    # One Gamma draw serves the four SNRs of a (T, tau) group.  Group j
+    # takes the substream of its first-SNR cell, and the counter then
+    # skips the streams of all the penalty cells.
+    snrs = [SnrValue.from_db(db) for db in _VALIDATE_SNR_DB]
+    groups = [(T, tau) for T in _VALIDATE_T for tau in _VALIDATE_TAU if tau < T]
+    penalty = [
+        mc._sample_penalty_terms(T, tau, snrs, next_cfg(cfg.samples), workers)
+        for T, tau in groups
+    ]
+    stream += len(groups) * (len(snrs) - 1)
+    for i, (db, snr) in enumerate(zip(_VALIDATE_SNR_DB, snrs)):
+        for (T, tau), ests in zip(groups, penalty):
+            closed = LOG2E * expint_scaled_sum(T - tau, siso._j1_argument(tau, snr.linear))
+            add_two_sided(f"penalty_term[T={T},tau={tau},snr_db={db:g}]", closed, ests[i])
 
     for t, r in _VALIDATE_RANK1:
         for db in (0.0, 10.0):

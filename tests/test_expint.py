@@ -10,10 +10,19 @@ from pilotbounds.expint import (
     _SCALAR_LANES,
     _scaled_sums,
     eps1_array,
-    expint_e1,
     expint_scaled,
     expint_scaled_sum,
 )
+
+
+def expint_e1(x: float) -> float:
+    """E_1(x) = integral_1^inf e^{-x t}/t dt for x > 0, as e^{-x} eps_1(x).
+
+    Underflows to 0.0 for x beyond ~745 where the true value is
+    smaller than the tiniest subnormal.
+    """
+    eps1 = expint_scaled(1, x)  # validates x
+    return math.exp(-x) * eps1
 
 
 def quadrature_oracle(k: int, x: float) -> float:

@@ -16,7 +16,7 @@ from pilotbounds.mimo import (
     mimo_separate,
     pilot_gram_optimality_check,
 )
-from pilotbounds.montecarlo import Estimate, McConfig, sample_ctr
+from pilotbounds.montecarlo import Estimate, McConfig, sample_ctr, sample_delta_mimo
 from pilotbounds.params import MimoParams, SisoParams, SnrValue
 from pilotbounds.siso import (
     capacity_csi,
@@ -233,6 +233,20 @@ def test_gram_check_uniform_against_itself_is_exact_zero():
     report = pilot_gram_optimality_check(p, [(2.0, 2.0)], McConfig(samples=5_000, seed=2))
     assert report.rows[0].excess_over_uniform == 0.0
     assert report.rows[0].uniform_not_larger
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_gram_check_rows_equal_separate_sampler_calls(workers):
+    # X is drawn once for all diagonals; each estimate keeps the bits of
+    # its own sample_delta_mimo call with the same cfg
+    p = MimoParams(n_t=2, n_r=2, T=6, tau=2, snr=SnrValue(10.0))
+    cfg = McConfig(samples=20_000, seed=2)
+    perturbations = [(2.5, 1.5), (3.0, 1.0), (4.0, 0.0)]
+    report = pilot_gram_optimality_check(p, perturbations, cfg, workers)
+    assert report.uniform == sample_delta_mimo(p, (2.0, 2.0), cfg)
+    for row, diag in zip(report.rows, perturbations):
+        assert row.diagonal == diag
+        assert row.estimate == sample_delta_mimo(p, diag, cfg)
 
 
 def test_capacity_ctr_validation():

@@ -9,6 +9,8 @@ from pilotbounds.expint import LOG2E, expint_scaled_sum
 from pilotbounds.montecarlo import (
     Estimate,
     McConfig,
+    _sample_delta_mimo_rows,
+    _sample_penalty_terms,
     derive_stream,
     sample_capacity_siso,
     sample_ctr,
@@ -64,6 +66,69 @@ def test_penalty_sampler_matches_closed_form(T, tau, s):
     est = sample_penalty_term(T, tau, SnrValue(s), CFG)
     closed = LOG2E * expint_scaled_sum(T - tau, tau + 1.0 / s)
     assert _z(est, closed) < 5.0
+
+
+_ROW_SNRS = tuple(SnrValue.from_db(db) for db in (-10.0, 0.0, 10.0, 20.0))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "T,tau", [(2, 0), (2, 1), (10, 0), (10, 1), (10, 2), (1000, 0), (1000, 1), (1000, 2)]
+)
+def test_penalty_rows_match_single_calls(T, tau, workers):
+    # one Gamma draw per block serves every SNR; each row keeps the
+    # bits of its own one-row call
+    cfg = McConfig(samples=40_000, seed=17)
+    rows = _sample_penalty_terms(T, tau, _ROW_SNRS, cfg, workers)
+    assert rows == [sample_penalty_term(T, tau, snr, cfg, 1) for snr in _ROW_SNRS]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_delta_rows_match_single_calls(workers):
+    p = MimoParams(n_t=2, n_r=2, T=6, tau=2, snr=SnrValue(10.0))
+    cfg = McConfig(samples=20_000, seed=11)
+    diagonals = [(2.0, 2.0), (2.5, 1.5), (4.0, 0.0)]
+    rows = _sample_delta_mimo_rows(p, diagonals, cfg, workers)
+    assert rows == [sample_delta_mimo(p, d, cfg, 1) for d in diagonals]
+
+
+def test_delta_rows_check_every_diagonal_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew before checking the diagonals")
+
+    monkeypatch.setattr(montecarlo, "_mean_estimate", no_draw)
+    p = MimoParams(n_t=2, n_r=2, T=6, tau=2, snr=SnrValue(10.0))
+    with pytest.raises(ValueError, match="pilot power constraint"):
+        _sample_delta_mimo_rows(p, [(2.0, 2.0), (4.0, 1.0)], CFG)
+
+
+# (mean, std_error) of one-row calls, recorded before estimates shared
+# draws as rows; the one-row path must keep these bits.
+@pytest.mark.parametrize(
+    "T,tau,db,seed,mean,se",
+    [
+        (2, 0, 0.0, 1, "0x1.70742851526a8p+0", "0x1.9eff9f5b347d9p-9"),
+        (10, 1, 10.0, 2, "0x1.91b1c2edd30aap+1", "0x1.1b1a7810b72cdp-9"),
+        (1000, 2, -10.0, 3, "0x1.993c87ae3caf6p+2", "0x1.dac15bd6441fap-13"),
+    ],
+)
+def test_penalty_sampler_pinned_bits(T, tau, db, seed, mean, se):
+    est = sample_penalty_term(T, tau, SnrValue.from_db(db), McConfig(samples=40_000, seed=seed))
+    assert (est.mean.hex(), est.std_error.hex()) == (mean, se)
+
+
+@pytest.mark.parametrize(
+    "diagonal,seed,mean,se",
+    [
+        ((2.0, 2.0), 1, "0x1.598b627708ae0p+2", "0x1.173af83139709p-7"),
+        ((3.0, 1.0), 2, "0x1.7d07d29efcb52p+2", "0x1.276bd273849b0p-7"),
+        ((4.0, 0.0), 3, "0x1.3e56b1c1d0843p+3", "0x1.6a75b9fa943b7p-7"),
+    ],
+)
+def test_delta_sampler_pinned_bits(diagonal, seed, mean, se):
+    p = MimoParams(n_t=2, n_r=2, T=6, tau=2, snr=SnrValue(10.0))
+    est = sample_delta_mimo(p, diagonal, McConfig(samples=20_000, seed=seed))
+    assert (est.mean.hex(), est.std_error.hex()) == (mean, se)
 
 
 def test_penalty_sampler_block_memory_is_independent_of_block_length():

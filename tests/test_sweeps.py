@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 
-from pilotbounds.montecarlo import McConfig
-from pilotbounds.params import SisoParams, SnrValue
+from pilotbounds import mimo
+from pilotbounds.montecarlo import McConfig, sample_capacity_siso, sample_ctr, sample_penalty_term
+from pilotbounds.params import MimoParams, SisoParams, SnrValue
 from pilotbounds.sweeps import (
     CONVERGENCE_DEFAULT_T_GRID,
     FIG1_DEFAULT_SNR_DB,
@@ -115,3 +117,50 @@ def test_validate_all_catches_corrupted_reduction(monkeypatch):
     report = validate_all(SMALL_CFG)
     assert not report.passed
     assert math.isinf(report.max_abs_z)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_validate_all_stream_map(workers):
+    # Every sampled cell equals a direct sampler call on the substream it
+    # has always had: capacity 1-4, penalty (T, tau) group j at 5 + j
+    # (the stream of its -10 dB cell; its other SNRs share the draw),
+    # rank-1 49-54 after the 44 penalty streams, Gram 57.
+    cfg = SMALL_CFG
+    cells = {c.name: c for c in validate_all(cfg, workers).cells}
+
+    def sub(index, samples=cfg.samples):
+        return replace(cfg.substream(index), samples=samples)
+
+    def check(name, est):
+        assert (cells[name].estimate, cells[name].std_error) == (est.mean, est.std_error), name
+
+    dbs = (-10.0, 0.0, 10.0, 20.0)
+    for i, db in enumerate(dbs):
+        check(f"capacity[snr_db={db:g}]", sample_capacity_siso(SnrValue.from_db(db), sub(1 + i)))
+    groups = [(T, tau) for T in (2, 6, 10, 20) for tau in (0, 1, 2) if tau < T]
+    for j, (T, tau) in enumerate(groups):
+        for db in dbs:
+            est = sample_penalty_term(T, tau, SnrValue.from_db(db), sub(5 + j))
+            check(f"penalty_term[T={T},tau={tau},snr_db={db:g}]", est)
+    k = 49
+    for t, r in ((1, 1), (1, 4), (4, 1)):
+        for db in (0.0, 10.0):
+            est = sample_ctr(t, r, SnrValue.from_db(db), sub(k, 2000))
+            check(f"ctr_rank1[t={t},r={r},rho_db={db:g}]", est)
+            k += 1
+    for db in (0.0, 10.0):
+        sp = SisoParams(T=10, tau=2, snr=SnrValue.from_db(db))
+        for label, fn in (("j1", siso.joint_bound_j1), ("j2", siso.joint_bound_j2)):
+            cell = cells[f"reduction_{label}[T=10,tau=2,snr_db={db:g}]"]
+            assert cell.estimate == cell.reference == fn(sp)
+    gram = mimo.pilot_gram_optimality_check(
+        MimoParams(n_t=2, n_r=2, T=6, tau=2, snr=SnrValue(10.0)),
+        ((2.5, 1.5), (3.0, 1.0), (4.0, 0.0)),
+        sub(57, 2000),
+    )
+    for row in gram.rows:
+        cell = cells[f"gram_minimal[diag={row.diagonal!r}]"]
+        assert (cell.reference, cell.estimate, cell.std_error) == (
+            gram.uniform.mean, row.estimate.mean, row.combined_std_error
+        )
+    assert len(cells) == 61
