@@ -4,9 +4,12 @@ The joint-processing bounds carry over with the capacity functional
 C_{t,r}(rho) = E[log2 det(I + (rho/t) Z Z')] in place of the scalar
 capacity.  Single-antenna paths reduce bit-exactly to the scalar
 code; C_{t,r} is exact from Telatar's Laguerre form wherever its
-cancellation guard admits it (every size here), and larger sizes run
-through the Monte Carlo sampler, which reports a standard error
-alongside each estimate.
+cancellation guard admits it: every size here, every size with
+min(t, r) <= 6 and max(t, r) <= 20, and the square sizes up to 9 x 9,
+to a relative error of at most 2.1e-15 per unit of the guard's
+cancellation ratio.  Larger sizes, such as 12 x 12, run through the
+Monte Carlo sampler, which reports a standard error alongside each
+estimate.
 
 Pilot design inside a block is also checked here: among all pilot
 Gram matrices with a fixed power budget, the scaled identity (pilots
@@ -28,7 +31,7 @@ from pilotbounds import (
 cfg = McConfig(samples=50_000, seed=0)
 snr = SnrValue(10.0)
 
-print("capacity functional at 10 dB (exact; 8 x 8 is sampled)")
+print("capacity functional at 10 dB (exact; 8 x 8 included)")
 for t, r in ((1, 1), (1, 4), (4, 1), (2, 2), (4, 4), (8, 8)):
     est = capacity_ctr(t, r, snr, cfg)
     tag = "exact" if est.std_error == 0.0 else f"+- {est.std_error:.4f}"

@@ -27,7 +27,7 @@ from .montecarlo import (
     Estimate,
     McConfig,
 )
-from .params import MimoParams, SisoParams, SnrValue
+from .params import MimoParams, SisoParams, SnrValue, _check_int
 
 
 def _parse_int_list(text: str) -> tuple:
@@ -35,7 +35,7 @@ def _parse_int_list(text: str) -> tuple:
 
 
 def _finite_float(text: str) -> float:
-    # an SNR that a command does not use is still echoed in its output
+    # nan and inf fail here, before a command looks at the value
     try:
         value = float(text)
     except ValueError:
@@ -178,6 +178,7 @@ def _emit(args: argparse.Namespace, report: _Report) -> None:
 
 
 def _resolve_mc(args, matrix: bool) -> McConfig:
+    _check_int("workers", args.workers, 1)
     samples = args.samples
     if samples is None:
         samples = DEFAULT_MATRIX_SAMPLES if matrix else DEFAULT_SCALAR_SAMPLES
@@ -188,11 +189,17 @@ _BOUND_COLUMNS = (
     "kind", "nt", "nr", "T", "tau", "snr_db",
     "tau_star", "value", "std_error", "samples_used", "tie_within_margin",
 )
+# the block flags each kind requires; it rejects the others
+_BOUND_BLOCK_FLAGS = {"c": (), "is": ("T",), "j1": ("T", "tau"), "j2": ("T", "tau")}
 
 
 def _cmd_bound(args) -> _Report:
     if (args.nt is None) != (args.nr is None):
         raise ValueError("--nt and --nr must be given together")
+    for flag in ("T", "tau"):
+        required = flag in _BOUND_BLOCK_FLAGS[args.kind]
+        if (getattr(args, flag) is None) == required:
+            raise ValueError(f"--kind {args.kind} {'requires' if required else 'takes no'} --{flag}")
     is_mimo = args.nt is not None
     snr = SnrValue.from_db(args.snr_db)
     matrix = is_mimo and min(args.nt, args.nr) > 1
@@ -206,8 +213,6 @@ def _cmd_bound(args) -> _Report:
         else:
             est = Estimate(siso.capacity_csi(snr), 0.0, 0)
     elif args.kind == "is":
-        if args.T is None:
-            raise ValueError("--kind is requires --T")
         if is_mimo:
             res = mimo.mimo_separate(args.nt, args.nr, args.T, snr, cfg, args.workers)
             est, tau_star, tie = res.value, res.tau_star, res.tie_within_margin
@@ -215,8 +220,6 @@ def _cmd_bound(args) -> _Report:
             res = siso.separate_bound(args.T, snr)
             est, tau_star = Estimate(res.value, 0.0, 0), res.tau_star
     else:
-        if args.T is None or args.tau is None:
-            raise ValueError(f"--kind {args.kind} requires --T and --tau")
         if is_mimo:
             p = MimoParams(n_t=args.nt, n_r=args.nr, T=args.T, tau=args.tau, snr=snr)
             fn = mimo.mimo_joint_j1 if args.kind == "j1" else mimo.mimo_joint_j2
@@ -270,6 +273,8 @@ _OFFSET_COLUMNS = ("kind", "nt", "T", "snr_db", "component", "value_units", "val
 def _cmd_offset(args) -> _Report:
     if args.nt is not None and args.kind != "advantage-asymptotic":
         raise ValueError(f"--kind {args.kind} supports the single-antenna case only")
+    if args.snr_db is not None and args.kind != "advantage-at-snr":
+        raise ValueError(f"--kind {args.kind} takes no --snr-db")
     if args.kind == "true-capacity-gap":
         gap = siso.true_capacity_gap(args.T)
         offsets = [

@@ -39,7 +39,6 @@ few ufuncs on a slice, with no mask.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 
@@ -215,14 +214,19 @@ def _seed_order(n: int, x: float) -> int:
 def expint_scaled_sum(n: int, x: float) -> float:
     """Partial sum sum_{k=1}^{n} eps_k(x) in a single stable pass.
 
-    The orders come from _scaled_orders; they are added seed first,
-    then downward, then upward.  Relative error <= 1e-10 for n <= 1e4.
+    Relative error <= 1e-10 for n <= 1e4.
     """
     n = _check_int("n", n, 1)
     x = _check_argument(x)
-    k0, eps = _scaled_orders(n, x)
-    total = functools.reduce(operator.add, reversed(eps[: k0 - 1]), eps[k0 - 1])
-    return functools.reduce(operator.add, eps[k0:], total)
+    return _sum_in_order(*_scaled_orders(n, x))
+
+
+def _sum_in_order(k0: int, terms: list[float]) -> float:
+    """Sum terms[k - 1] over the orders k = 1..len(terms) as
+    expint_scaled_sum does: order k0, the seed, first, then k0 - 1 down
+    to 1, then k0 + 1 up to the last."""
+    total = functools.reduce(operator.add, reversed(terms[: k0 - 1]), terms[k0 - 1])
+    return functools.reduce(operator.add, terms[k0:], total)
 
 
 def _scaled_orders(n: int, x: float) -> tuple[int, list[float]]:
@@ -243,15 +247,6 @@ def _scaled_orders(n: int, x: float) -> tuple[int, list[float]]:
         val = (1.0 - x * val) / j
         eps[j] = val
     return k0, eps
-
-
-def _scaled_partial_sums(n: int, x: float) -> list[float]:
-    """[S_1, ..., S_n] with S_k = sum_{i=1}^{k} eps_i(x), for validated n, x.
-
-    The running sums add the orders of _scaled_orders from order 1 up,
-    so S_n may differ from expint_scaled_sum(n, x) in the last bits.
-    """
-    return list(itertools.accumulate(_scaled_orders(n, x)[1]))
 
 
 def _scaled_sums(n: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -3,27 +3,26 @@
 The capacity functional C_{t,r}(rho) = E[log2 det(I + (rho/t) Z Z†)]
 is exact wherever it can be evaluated to full accuracy.  With
 m = min(t, r), d = |t - r| and x = t/rho, Telatar's Laguerre form of
-the eigenvalue density turns it into a weighted sum of the scalar
-channel's partial sums S_n(x) = sum_{k=1}^{n} eps_k(x):
+the eigenvalue density, summed by parts, makes it one weighted sum of
+the scalar channel's eps_k(x):
 
-    C_{t,r}(rho) = log2(e) * sum_{j=d}^{d+2m-2} w_j S_{j+1}(x),
+    C_{t,r}(rho) = log2(e) * sum_{k=1}^{t+r-1} W_k eps_k(x),
 
+    W_k = sum_{j >= max(d, k-1)} w_j,
     sum_j (w_j/j!) lam^j = lam^d sum_{k<m} k!/(k+d)! [L_k^(d)(lam)]^2.
 
-At m = 1 the only weight is w_{n-1} = 1, and the rank-1 form
-log2(e) * S_{max(t,r)}(x) is evaluated directly.  For m >= 2 the
-weights alternate in sign, and the sum cancels more as m and d grow.
-A guard measures that cancellation on every call,
-
-    kappa = sum_j |w_j S_{j+1}| / |sum_j w_j S_{j+1}|,
-
-and falls back to Monte Carlo (sample_ctr) when kappa > 1e5.  The
-relative error of the exact sum stayed below 3e-16 * kappa against
-mpmath quadrature for t, r <= 12 and 8 x 32 over -30...60 dB, so an
-exact result is good to about 3e-11.  Scanned over -400...300 dB, the
-guard admits every size with m <= 4 and max(t, r) <= 20 (kappa <= 2e4
-over -30...60 dB) and the square sizes up to 7 x 7; it sends 8 x 8 and
-larger square sizes to the sampler at every SNR.
+W_k = m for k <= d + 1, so at m = 1 every W_k is 1; the products are
+added in expint_scaled_sum's order, so there the sum is that
+function's value bit for bit.  For m >= 2 some W_k are negative, and
+the sum cancels more as m and d grow.  A guard measures that
+cancellation on every call, kappa = sum_k |W_k eps_k| / sum_k W_k eps_k,
+and falls back to Monte Carlo (sample_ctr) when kappa > 1e5.  Against
+60-digit mpmath, at 2,463 admitted points (t, r in 2..20, -300...300
+dB), the relative error stayed below 2.1e-15 * kappa; the worst was
+7.3e-11, at 11 x 8 and 0 dB (kappa 7.7e4).  Scanned over -400...300
+dB in 1 dB steps, the guard admits at every SNR each size with
+max(t, r) <= 20 and m <= 6, max(t, r) <= 13 and m = 7, max(t, r) <= 11
+and m = 8, and 9 x 9.  It samples 12 x 12 and up at every SNR.
 
 The bounds call the scalar module's expressions with the antenna
 counts, which put the per-antenna counterparts in place of T, tau and
@@ -43,14 +42,15 @@ import math
 from typing import NamedTuple, Sequence
 
 from . import montecarlo as mc
-from .expint import LOG2E, _check_argument, _scaled_partial_sums, expint_scaled_sum
+# expint_scaled_sum is unused here; bench/spans.py traces the kernel through mimo's name
+from .expint import LOG2E, _check_argument, _scaled_orders, _sum_in_order, expint_scaled_sum
 from .montecarlo import Estimate, McConfig
 from .params import MimoParams, PowerOffset, _check_int, _check_snr_blocklength, linear_snr
 from .siso import _effective_snr, _j1, _j1_argument, _j2, _tau_continuous, advantage_units
 
 _TIE_MARGIN_SE = 4.0
-# Largest cancellation ratio kappa of the Laguerre sum that is trusted
-# (see the module docstring for the measured error per unit of kappa).
+# Largest cancellation ratio kappa of the Laguerre sum that is trusted;
+# at 2.1e-15 per unit of kappa (module docstring) that is about 2e-10.
 _KAPPA_MAX = 1e5
 
 
@@ -84,8 +84,8 @@ class GramOptimalityReport(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _laguerre_weights(m: int, d: int) -> tuple[float, ...]:
-    """w_{d+i}, i = 0..2m-2, of the Laguerre sum in the module docstring,
-    built exactly in rationals and rounded once."""
+    """W_k, k = 1..d+2m-1, of the Laguerre sum in the module docstring,
+    built exactly in rationals and each rounded once."""
     from fractions import Fraction  # first use only: off the import path
 
     c = [Fraction(0)] * (2 * m - 1)
@@ -99,31 +99,24 @@ def _laguerre_weights(m: int, d: int) -> tuple[float, ...]:
         for a, la in enumerate(lag):
             for b, lb in enumerate(lag):
                 c[a + b] += scale * la * lb
-    return tuple(float(ci * math.factorial(d + i)) for i, ci in enumerate(c))
+    w = [ci * math.factorial(d + i) for i, ci in enumerate(c)]  # w_j at w[j - d]
+    return tuple(float(sum(w[max(k - 1 - d, 0):])) for k in range(1, d + 2 * m))
 
 
 def _ctr_value(
-    t: int,
-    r: int,
-    rho_linear: float,
-    cfg: McConfig,
-    workers: int = 1,
-    x: float | None = None,
+    t: int, r: int, rho_linear: float, cfg: McConfig, workers: int = 1, x: float | None = None
 ) -> Estimate:
-    """C_{t,r}(rho): the rank-1 sum, the Laguerre sum where the
-    cancellation guard admits it, else sample_ctr with cfg.
+    """C_{t,r}(rho): the Laguerre sum where the cancellation guard
+    admits it, else sample_ctr with cfg.
 
     x optionally supplies the sum argument t/rho directly, for callers
     that can form it with fewer roundings than the quotient.
     """
     if x is None:
         x = t / rho_linear
-    m, n = min(t, r), max(t, r)
-    if m == 1:
-        return Estimate(mean=LOG2E * expint_scaled_sum(n, x), std_error=0.0, samples_used=0)
-    sums = _scaled_partial_sums(t + r - 1, _check_argument(x))
-    terms = [w * s for w, s in zip(_laguerre_weights(m, n - m), sums[n - m:])]
-    total = sum(terms)
+    k0, eps = _scaled_orders(t + r - 1, _check_argument(x))
+    terms = [w * e for w, e in zip(_laguerre_weights(min(t, r), abs(t - r)), eps)]
+    total = _sum_in_order(k0, terms)
     if total > 0.0 and sum(map(abs, terms)) <= _KAPPA_MAX * total:
         return Estimate(mean=LOG2E * total, std_error=0.0, samples_used=0)
     return mc.sample_ctr(t, r, rho_linear, cfg, workers)
@@ -132,14 +125,16 @@ def _ctr_value(
 def capacity_ctr(t: int, r: int, rho, cfg: McConfig, workers: int = 1) -> Estimate:
     """Ergodic capacity functional C_{t,r}(rho) in bits/s/Hz.
 
-    Exact (std_error 0, samples_used 0) when min(t, r) = 1, and from
-    Telatar's Laguerre sum when its cancellation ratio kappa is at most
-    1e5 (relative error about 3e-16 * kappa); sampled via sample_ctr
-    with cfg otherwise.  Every size with min(t, r) <= 4 and
-    max(t, r) <= 20 is exact; 8 x 8 and larger square sizes are sampled.
+    Exact (std_error 0, samples_used 0) from Telatar's Laguerre sum
+    when its cancellation ratio kappa is at most 1e5 (relative error
+    below 2.1e-15 * kappa, as measured), else sampled via sample_ctr
+    with cfg.  Every size with min(t, r) <= 6 and max(t, r) <= 20 is
+    exact, and so are the square sizes up to 9 x 9; 12 x 12 and larger
+    square sizes are sampled.
     """
     t = _check_int("t", t, 1)
     r = _check_int("r", r, 1)
+    workers = _check_int("workers", workers, 1)
     return _ctr_value(t, r, linear_snr(rho), cfg, workers)
 
 
@@ -151,6 +146,7 @@ def mimo_joint_j1(p: MimoParams, cfg: McConfig, workers: int = 1) -> Estimate:
     with snr_p = snr/(1 + snr*tau/n_t).  The capacity term draws from
     cfg, the penalty term from cfg.substream(1).
     """
+    workers = _check_int("workers", workers, 1)
     s = p.snr.linear
     c1 = _ctr_value(p.n_t, p.n_r, s, cfg, workers)
     return _j1_candidate(p.n_t, p.n_r, p.T, p.tau, s, c1, cfg.substream(1), workers)
@@ -175,6 +171,7 @@ def mimo_joint_j2(p: MimoParams, cfg: McConfig, workers: int = 1) -> Estimate:
         (1 - tau/T) * C_{n_t,n_r}(snr)
             - (n_t*n_r/T) * log2((1 + snr*T/n_t)/(1 + snr*tau/n_t)).
     """
+    workers = _check_int("workers", workers, 1)
     c1 = _ctr_value(p.n_t, p.n_r, p.snr.linear, cfg, workers)
     return Estimate(
         mean=_j2((p.tau,), p.T, p.snr.linear, c1.mean, p.n_t, p.n_r)[0],
@@ -224,6 +221,7 @@ def mimo_separate(
     n_r = _check_int("n_r", n_r, 1)
     # at least one data symbol after the n_t pilots
     T = _check_int("T", T, n_t + 1)
+    workers = _check_int("workers", workers, 1)
     s = linear_snr(snr)
     _check_snr_blocklength(s, T)
     taus = list(range(n_t, T))
@@ -252,6 +250,7 @@ def mimo_optimize_pilots(
     """
     n = _check_int("n", n, 1)
     T = _check_int("T", T, 2)
+    workers = _check_int("workers", workers, 1)
     s = linear_snr(snr)
     _check_snr_blocklength(s, T)
     c1 = _ctr_value(n, n, s, cfg, workers)

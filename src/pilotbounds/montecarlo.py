@@ -100,11 +100,9 @@ def _mean_estimate(
     shape (count,); each row gives one Estimate.  At most one thread per
     block and per CPU runs; a single one runs in the calling thread.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     n = cfg.samples
     n_blocks = (n + _BLOCK - 1) // _BLOCK
-    workers = min(workers, n_blocks, os.cpu_count() or 1)
+    workers = min(_check_int("workers", workers, 1), n_blocks, os.cpu_count() or 1)
 
     def one_block(b: int) -> list[tuple[float, float]]:
         count = min(_BLOCK, n - b * _BLOCK)

@@ -172,7 +172,8 @@ def test_bad_arguments_exit_code(capsys):
         rc, out, err = run_cli(capsys, *argv)
         assert rc == 2 and out == "" and "not a finite number" in err
     # a flag the kind does not use was ignored, or labelled a single-antenna
-    # row nt=3, and an empty grid ran the default one
+    # row nt=3, or echoed beside the searched tau_star, and an empty grid
+    # ran the default one
     for argv in (
         ("offset", "--kind", "single-pilot", "--T", "10", "--nt", "3"),
         ("offset", "--kind", "true-capacity-gap", "--T", "10", "--nt", "3"),
@@ -183,6 +184,12 @@ def test_bad_arguments_exit_code(capsys):
         ("sweep", "--kind", "fig1", "--T-grid=,"),
         ("sweep", "--kind", "convergence", "--T-grid=,"),
         ("sweep", "--kind", "fig2", "--snr-db-list=,"),
+        ("bound", "--kind", "c", "--snr-db", "10", "--T", "10"),
+        ("bound", "--kind", "c", "--snr-db", "10", "--tau", "1", "--nt", "2", "--nr", "2"),
+        ("bound", "--kind", "is", "--T", "10", "--tau", "2", "--snr-db", "10"),
+        ("offset", "--kind", "single-pilot", "--T", "10", "--snr-db", "10"),
+        ("offset", "--kind", "advantage-asymptotic", "--T", "10", "--snr-db", "10"),
+        ("offset", "--kind", "true-capacity-gap", "--T", "10", "--snr-db", "10"),
     ):
         rc, out, err = run_cli(capsys, *argv)
         assert rc == 2 and out == "", argv
@@ -269,8 +276,19 @@ def test_separate_bound_vanishing_snr_exit_code(capsys, antennas):
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_worker_count_exit_code(capsys, workers):
-    rc, _, err = run_cli(capsys, "validate", "--samples", "2000", "--workers", workers)
-    assert rc == 2 and "workers must be >= 1" in err
+    # the count is checked where it enters, also where nothing is sampled:
+    # the scalar bound and the exact 2 x 2 sizes ran with exit 0
+    for argv in (
+        ("validate", "--samples", "2000"),
+        ("bound", "--kind", "c", "--snr-db", "10"),
+        ("bound", "--kind", "c", "--snr-db", "10", "--nt", "2", "--nr", "2"),
+        ("bound", "--kind", "c", "--snr-db", "10", "--nt", "12", "--nr", "12", "--samples", "100"),
+        ("optimize-pilots", "--T", "10", "--snr-db", "10"),
+        ("optimize-pilots", "--T", "10", "--snr-db", "10", "--nt", "2"),
+        ("optimize-pilots", "--T", "13", "--snr-db", "10", "--nt", "12", "--samples", "100"),
+    ):
+        rc, out, err = run_cli(capsys, *argv, "--workers", workers)
+        assert rc == 2 and out == "" and "workers must be >= 1" in err, argv
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -131,28 +131,29 @@ def _record_sampler(monkeypatch):
 
 
 def test_separate_uses_common_draws_across_pilot_counts(monkeypatch):
-    # 8 x 8 is sampled; the same cfg for every candidate keeps the argmax stable
+    # 12 x 12 is sampled; the same cfg for every candidate keeps the argmax stable
     cfg = McConfig(samples=2000, seed=5)
     calls = _record_sampler(monkeypatch)
-    a = mimo_separate(8, 8, 12, SnrValue(10.0), cfg)
-    assert calls == [(8, 8, cfg)] * 4
-    assert a == mimo_separate(8, 8, 12, SnrValue(10.0), cfg)
+    a = mimo_separate(12, 12, 16, SnrValue(10.0), cfg)
+    assert calls == [(12, 12, cfg)] * 4
+    assert a == mimo_separate(12, 12, 16, SnrValue(10.0), cfg)
     assert a.value.samples_used == 2000 and a.value.std_error > 0.0
-    assert 8 <= a.tau_star <= 11
+    assert 12 <= a.tau_star <= 15
 
 
 def test_optimizer_square_sampled(monkeypatch):
-    # C_{8,8} and the tau = 0 penalty C_{8,12} are sampled, the penalties
-    # C_{8,T-tau} with T - tau < 8 exact; the value at tau* is j1 there
+    # C_{12,12} and the tau = 0 penalty C_{12,16} are sampled, the
+    # penalties C_{12,T-tau} with T - tau <= 4 exact; the value at tau* is
+    # j1 there
     cfg = McConfig(samples=2000, seed=1)
     snr = SnrValue(10.0)
     calls = _record_sampler(monkeypatch)
-    res = mimo_optimize_pilots(8, 12, snr, cfg)
-    assert calls == [(8, 8, cfg), (8, 12, cfg.substream(1))]
+    res = mimo_optimize_pilots(12, 16, snr, cfg)
+    assert calls == [(12, 12, cfg), (12, 16, cfg.substream(1))]
     assert res.value.samples_used == 2000 and res.value.std_error > 0.0
-    assert res.tau_star in (0, 8, 9, 10, 11)
-    for tau in (0, 8, 9, 10, 11):
-        j1 = mimo_joint_j1(MimoParams(n_t=8, n_r=8, T=12, tau=tau, snr=snr), cfg)
+    assert res.tau_star in (0, 12, 13, 14, 15)
+    for tau in (0, 12, 13, 14, 15):
+        j1 = mimo_joint_j1(MimoParams(n_t=12, n_r=12, T=16, tau=tau, snr=snr), cfg)
         if tau == res.tau_star:
             assert j1 == res.value
         else:
@@ -163,7 +164,7 @@ def test_optimizer_square_sampled(monkeypatch):
 def test_joint_bound_ordering_sampled():
     cfg = McConfig(samples=2000, seed=7)
     for db in (0.0, 10.0):
-        p = MimoParams(n_t=8, n_r=8, T=12, tau=8, snr=SnrValue.from_db(db))
+        p = MimoParams(n_t=12, n_r=12, T=16, tau=12, snr=SnrValue.from_db(db))
         j1 = mimo_joint_j1(p, cfg)
         j2 = mimo_joint_j2(p, cfg)
         assert j1.samples_used == j2.samples_used == 2000 and j2.std_error > 0.0
@@ -189,10 +190,10 @@ def test_optimizer_square_two_by_two():
 
 
 def test_optimizer_rejects_snr_below_sampler_resolution():
-    # 8 x 8 is sampled (see test_guard_sends_large_sizes_to_the_sampler),
+    # 12 x 12 is sampled (see test_guard_sends_large_sizes_to_the_sampler),
     # and every sampled log2 det rounds to 0 at -400 dB
     with pytest.raises(ValueError, match="sampled capacity is 0"):
-        mimo_optimize_pilots(8, 9, SnrValue(1e-40), McConfig(samples=100))
+        mimo_optimize_pilots(12, 13, SnrValue(1e-40), McConfig(samples=100))
 
 
 def test_optimizer_exact_at_vanishing_snr():
@@ -297,10 +298,11 @@ def _telatar_quad(t, r, db):
 
 
 # every size here is admitted by the guard at every SNR; r runs up to
-# 16 as the penalty term C_{n_t, T-tau} does for T - tau <= 16
+# 20 as the penalty term C_{n_t, T-tau} does for T - tau <= 20
 _EXACT_SIZES = [
     (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4), (4, 4), (3, 8), (4, 8),
     (2, 16), (3, 16), (4, 16), (16, 4), (5, 5), (6, 6), (7, 7),
+    (8, 8), (9, 9), (8, 11), (6, 20), (20, 6),
 ]
 
 
@@ -331,16 +333,22 @@ def test_rank_one_capacity_is_the_scalar_sum(t, r, s):
     assert _ctr_value(t, r, s / (1.0 + 2.0 * s / t), CFG, x=x).mean == LOG2E * expint_scaled_sum(n, x)
 
 
-def test_guard_admits_up_to_four_by_twenty_at_every_snr():
-    # the sizes the pilot searches reach with n <= 4 and T - tau <= 20
-    for t in range(1, 5):
-        for r in range(1, 21):
+# the largest max(t, r) the guard admits at every SNR, per min(t, r),
+# as measured over t, r <= 20 and -400...300 dB
+_ADMITTED = {1: 20, 2: 20, 3: 20, 4: 20, 5: 20, 6: 20, 7: 13, 8: 11, 9: 9}
+
+
+def test_guard_admits_the_measured_region_at_every_snr():
+    # among them the sizes the pilot searches reach with n <= 6 and
+    # T - tau <= 20
+    for m, largest in _ADMITTED.items():
+        for n in range(m, largest + 1):
             for db in range(-400, 301, 50):
-                assert capacity_ctr(t, r, SnrValue.from_db(db), CFG).samples_used == 0
-                assert capacity_ctr(r, t, SnrValue.from_db(db), CFG).samples_used == 0
+                assert capacity_ctr(m, n, SnrValue.from_db(db), CFG).samples_used == 0
+                assert capacity_ctr(n, m, SnrValue.from_db(db), CFG).samples_used == 0
 
 
-@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("n", [12, 16])
 def test_guard_sends_large_sizes_to_the_sampler(n):
     cfg = McConfig(samples=2000, seed=3)
     for s in (1.0, 100.0):
