@@ -3,13 +3,11 @@
 The joint-processing bounds carry over with the capacity functional
 C_{t,r}(rho) = E[log2 det(I + (rho/t) Z Z')] in place of the scalar
 capacity.  Single-antenna paths reduce bit-exactly to the scalar
-code; C_{t,r} is exact from Telatar's Laguerre form wherever its
-cancellation guard admits it: every size here, every size with
-min(t, r) <= 6 and max(t, r) <= 20, and the square sizes up to 9 x 9,
-to a relative error of at most 2.1e-15 per unit of the guard's
-cancellation ratio.  Larger sizes, such as 12 x 12, run through the
-Monte Carlo sampler, which reports a standard error alongside each
-estimate.
+code.  C_{t,r} is exact at every size, from Telatar's Laguerre form:
+in floats wherever its cancellation guard admits it (every size with
+min(t, r) <= 6 and max(t, r) <= 20, and the square sizes up to 9 x 9),
+in stdlib decimal elsewhere, such as at 12 x 12.  So are the bounds
+and the pilot search; only the pilot-Gram check below samples.
 
 Pilot design inside a block is also checked here: among all pilot
 Gram matrices with a fixed power budget, the scaled identity (pilots
@@ -28,28 +26,24 @@ from pilotbounds import (
     pilot_gram_optimality_check,
 )
 
-cfg = McConfig(samples=50_000, seed=0)
 snr = SnrValue(10.0)
 
-print("capacity functional at 10 dB (exact; 8 x 8 included)")
-for t, r in ((1, 1), (1, 4), (4, 1), (2, 2), (4, 4), (8, 8)):
-    est = capacity_ctr(t, r, snr, cfg)
-    tag = "exact" if est.std_error == 0.0 else f"+- {est.std_error:.4f}"
-    print(f"  C_{{{t},{r}}} = {est.mean:8.4f}  {tag}")
+print("capacity functional at 10 dB, exact at every size")
+for t, r in ((1, 1), (1, 4), (4, 1), (2, 2), (4, 4), (8, 8), (12, 12)):
+    label = f"C_{{{t},{r}}}"
+    print(f"  {label:9} = {capacity_ctr(t, r, snr).mean:8.4f}")
 
 print()
 print("2x2 joint bounds, T = 10")
 for tau in (0, 2, 4):
     p = MimoParams(n_t=2, n_r=2, T=10, tau=tau, snr=snr)
-    j1 = mimo_joint_j1(p, cfg)
-    j2 = mimo_joint_j2(p, cfg)
-    print(f"  tau = {tau}: I_J1 = {j1.mean:.4f} +- {j1.std_error:.4f}, "
-          f"I_J2 = {j2.mean:.4f} +- {j2.std_error:.4f}")
+    print(f"  tau = {tau}: I_J1 = {mimo_joint_j1(p).mean:.4f}, "
+          f"I_J2 = {mimo_joint_j2(p).mean:.4f}")
 
 print()
-res = mimo_optimize_pilots(2, 20, snr, McConfig(samples=50_000, seed=1))
+res = mimo_optimize_pilots(2, 20, snr)
 print(f"2 antennas, T = 20: best pilot count tau* = {res.tau_star} "
-      f"(value {res.value.mean:.4f} +- {res.value.std_error:.4f})")
+      f"(value {res.value.mean:.4f})")
 print("one pilot block per transmit antenna, mirroring tau* = 1 per scalar block")
 
 print()

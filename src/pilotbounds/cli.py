@@ -21,13 +21,8 @@ import sys
 from typing import NamedTuple, Optional, Sequence
 
 from . import mimo, siso, sweeps
-from .montecarlo import (
-    DEFAULT_MATRIX_SAMPLES,
-    DEFAULT_SCALAR_SAMPLES,
-    Estimate,
-    McConfig,
-)
-from .params import MimoParams, SisoParams, SnrValue, _check_int
+from .montecarlo import DEFAULT_SCALAR_SAMPLES, McConfig
+from .params import MimoParams, SisoParams, SnrValue
 
 
 def _parse_int_list(text: str) -> tuple:
@@ -54,12 +49,6 @@ def _add_output_flags(sub, default_format: str) -> None:
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
-def _add_mc_flags(sub) -> None:
-    sub.add_argument("--samples", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--workers", type=int, default=1)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pilotbounds",
@@ -74,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--snr-db", type=_finite_float, required=True)
     b.add_argument("--nt", type=int, default=None)
     b.add_argument("--nr", type=int, default=None)
-    _add_mc_flags(b)
     _add_output_flags(b, "text")
 
     o = subs.add_parser("optimize-pilots", help="best pilot count for a joint bound")
@@ -82,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--snr-db", type=_finite_float, required=True)
     o.add_argument("--which", choices=("j1", "j2"), default="j1")
     o.add_argument("--nt", type=int, default=None, help="antennas per side (square MIMO)")
-    _add_mc_flags(o)
     _add_output_flags(o, "text")
 
     f = subs.add_parser("offset", help="asymptotic power offsets and gaps, in dB")
@@ -109,7 +96,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(s, "csv")
 
     v = subs.add_parser("validate", help="closed forms vs Monte Carlo on the standard grid")
-    _add_mc_flags(v)
+    v.add_argument("--samples", type=int, default=DEFAULT_SCALAR_SAMPLES)
+    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--workers", type=int, default=1)
     _add_output_flags(v, "text")
 
     return parser
@@ -177,18 +166,7 @@ def _emit(args: argparse.Namespace, report: _Report) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_mc(args, matrix: bool) -> McConfig:
-    _check_int("workers", args.workers, 1)
-    samples = args.samples
-    if samples is None:
-        samples = DEFAULT_MATRIX_SAMPLES if matrix else DEFAULT_SCALAR_SAMPLES
-    return McConfig(samples=samples, seed=args.seed)
-
-
-_BOUND_COLUMNS = (
-    "kind", "nt", "nr", "T", "tau", "snr_db",
-    "tau_star", "value", "std_error", "samples_used", "tie_within_margin",
-)
+_BOUND_COLUMNS = ("kind", "nt", "nr", "T", "tau", "snr_db", "tau_star", "value")
 # the block flags each kind requires; it rejects the others
 _BOUND_BLOCK_FLAGS = {"c": (), "is": ("T",), "j1": ("T", "tau"), "j2": ("T", "tau")}
 
@@ -202,69 +180,48 @@ def _cmd_bound(args) -> _Report:
             raise ValueError(f"--kind {args.kind} {'requires' if required else 'takes no'} --{flag}")
     is_mimo = args.nt is not None
     snr = SnrValue.from_db(args.snr_db)
-    matrix = is_mimo and min(args.nt, args.nr) > 1
-    cfg = _resolve_mc(args, matrix)
 
     tau_star = None
-    tie = None
     if args.kind == "c":
-        if is_mimo:
-            est = mimo.capacity_ctr(args.nt, args.nr, snr, cfg, args.workers)
-        else:
-            est = Estimate(siso.capacity_csi(snr), 0.0, 0)
+        value = mimo.capacity_ctr(args.nt, args.nr, snr).mean if is_mimo else siso.capacity_csi(snr)
     elif args.kind == "is":
         if is_mimo:
-            res = mimo.mimo_separate(args.nt, args.nr, args.T, snr, cfg, args.workers)
-            est, tau_star, tie = res.value, res.tau_star, res.tie_within_margin
+            res = mimo.mimo_separate(args.nt, args.nr, args.T, snr)
+            value, tau_star = res.value.mean, res.tau_star
         else:
             res = siso.separate_bound(args.T, snr)
-            est, tau_star = Estimate(res.value, 0.0, 0), res.tau_star
+            value, tau_star = res.value, res.tau_star
     else:
         if is_mimo:
             p = MimoParams(n_t=args.nt, n_r=args.nr, T=args.T, tau=args.tau, snr=snr)
             fn = mimo.mimo_joint_j1 if args.kind == "j1" else mimo.mimo_joint_j2
-            est = fn(p, cfg, args.workers)
+            value = fn(p).mean
         else:
             p = SisoParams(T=args.T, tau=args.tau, snr=snr)
             fn = siso.joint_bound_j1 if args.kind == "j1" else siso.joint_bound_j2
-            est = Estimate(fn(p), 0.0, 0)
+            value = fn(p)
 
-    row = (
-        args.kind, args.nt, args.nr, args.T, args.tau, args.snr_db,
-        tau_star, est.mean, est.std_error, est.samples_used, tie,
-    )
-    return _Report(_BOUND_COLUMNS, [row], f"{est.mean:.5f}\n", {"samples": cfg.samples})
+    row = (args.kind, args.nt, args.nr, args.T, args.tau, args.snr_db, tau_star, value)
+    return _Report(_BOUND_COLUMNS, [row], f"{value:.5f}\n")
 
 
-_OPTIMIZE_COLUMNS = (
-    "nt", "which", "T", "snr_db",
-    "tau_star", "value", "std_error", "tau_star_continuous", "tie_within_margin",
-)
+_OPTIMIZE_COLUMNS = ("nt", "which", "T", "snr_db", "tau_star", "value", "tau_star_continuous")
 
 
 def _cmd_optimize(args) -> _Report:
     if args.nt is not None and args.which == "j2":
         raise ValueError("--which j2 supports the single-antenna case only")
     snr = SnrValue.from_db(args.snr_db)
-    cfg = _resolve_mc(args, args.nt is not None and args.nt > 1)
     if args.nt is not None:
-        res = mimo.mimo_optimize_pilots(args.nt, args.T, snr, cfg, args.workers)
-        est, tie = res.value, res.tie_within_margin
+        res = mimo.mimo_optimize_pilots(args.nt, args.T, snr)
+        value = res.value.mean
     else:
         res = siso.optimize_pilots_joint(args.T, snr, which=args.which)
-        est, tie = Estimate(res.value, 0.0, 0), None
-    row = (
-        args.nt, args.which, args.T, args.snr_db,
-        res.tau_star, est.mean, est.std_error, res.tau_star_continuous, tie,
-    )
-    lines = [
-        f"tau_star={res.tau_star}",
-        f"value={est.mean:.5f}",
-        f"tau_star_continuous={res.tau_star_continuous:.6f}",
-    ]
-    if tie is not None:
-        lines.append(f"tie_within_margin={'true' if tie else 'false'}")
-    return _Report(_OPTIMIZE_COLUMNS, [row], "\n".join(lines) + "\n", {"samples": cfg.samples})
+        value = res.value
+    row = (args.nt, args.which, args.T, args.snr_db, res.tau_star, value, res.tau_star_continuous)
+    text = (f"tau_star={res.tau_star}\nvalue={value:.5f}\n"
+            f"tau_star_continuous={res.tau_star_continuous:.6f}\n")
+    return _Report(_OPTIMIZE_COLUMNS, [row], text)
 
 
 _OFFSET_COLUMNS = ("kind", "nt", "T", "snr_db", "component", "value_units", "value_db")
@@ -326,9 +283,9 @@ def _cmd_sweep(args) -> _Report:
 
 
 def _cmd_validate(args) -> _Report:
-    cfg = _resolve_mc(args, matrix=False)
+    cfg = McConfig(samples=args.samples, seed=args.seed)
     report = sweeps.validate_all(cfg, workers=args.workers)
-    meta = {"samples": cfg.samples, "passed": report.passed, "max_abs_z": report.max_abs_z}
+    meta = {"passed": report.passed, "max_abs_z": report.max_abs_z}
     return _Report(sweeps.ValidationCell._fields, report.cells, report.render(), meta,
                    0 if report.passed else 3)
 

@@ -237,16 +237,85 @@ def _scaled_orders(n: int, x: float) -> tuple[int, list[float]]:
     and the forward recurrence for those above (amplification x/k <= 1).
     """
     k0 = _seed_order(n, x)
-    eps = [0.0] * n
-    eps[k0 - 1] = val = _eps_scalar(k0, x)
+    return k0, _orders_from_seed(n, k0, x, _eps_scalar(k0, x))
+
+
+def _orders_from_seed(n: int, k0: int, x, seed) -> list:
+    """[eps_1(x), ..., eps_n(x)] from seed = eps_{k0}(x) through the two
+    recurrences, in floats or, with a Decimal x and seed, in decimal."""
+    eps = [seed] * n
+    val = seed
     for k in range(k0 - 1, 0, -1):
-        val = (1.0 - k * val) / x
+        val = (1 - k * val) / x
         eps[k - 1] = val
-    val = eps[k0 - 1]
+    val = seed
     for j in range(k0, n):
-        val = (1.0 - x * val) / j
+        val = (1 - x * val) / j
         eps[j] = val
-    return k0, eps
+    return eps
+
+
+def _decimal_orders(n: int, x: float) -> tuple[int, list]:
+    """_scaled_orders(n, x) in decimal at the context's precision.
+
+    At x >= 1 the seed comes from the continued fraction.  Decimal has
+    no Euler gamma, so below x = 1 it is eps_1(x) = e^x (-gamma - ln x
+    + Ein(x)), with -gamma = E_1(1) - Ein(1) and E_1(1) from the
+    continued fraction."""
+    import decimal  # first use only: off the import path
+
+    X = decimal.Decimal(x)
+    k0 = _seed_order(n, x)
+    if x >= 1.0:
+        seed = _decimal_cf(k0, X)
+    else:
+        seed = X.exp() * (_decimal_neg_gamma(decimal.getcontext().prec) - X.ln() + _decimal_ein(X))
+    return k0, _orders_from_seed(n, k0, X, seed)
+
+
+@functools.lru_cache(maxsize=None)
+def _decimal_neg_gamma(prec: int):
+    import decimal
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = prec
+        one = decimal.Decimal(1)
+        return _decimal_cf(1, one) / one.exp() - _decimal_ein(one)
+
+
+def _decimal_ein(x):
+    """Ein(x) = sum_{j>=1} (-1)^(j+1) x^j/(j j!) for a Decimal x in (0, 1],
+    until a term no longer moves the total."""
+    total, term, j = x, x, 1  # term = (-1)^(j+1) x^j/j!
+    while True:
+        j += 1
+        term = -term * x / j
+        if total + term / j == total:
+            return total
+        total += term / j
+
+
+def _decimal_cf(k: int, x):
+    """eps_k(x) for a Decimal x >= 1 by the continued fraction of
+    _eps_scalar_cf, until a step moves the value by at most 100 units in
+    the last of the context's digits."""
+    import decimal
+
+    prec = decimal.getcontext().prec
+    tol = decimal.Decimal(1).scaleb(2 - prec)
+    b = x + k
+    c = decimal.Decimal("Infinity")
+    d = h = 1 / b
+    for i in range(1, _CF_MAX_ITER * prec):
+        a = -i * (k - 1 + i)
+        b += 2
+        d = 1 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1) <= tol:
+            return h
+    raise RuntimeError("continued fraction failed to converge")
 
 
 def _scaled_sums(n: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Seeded Monte Carlo estimators for every expectation in the toolkit.
 
-These samplers are both the computation path for MIMO capacity
-functionals and the independent oracle backing the scalar closed forms.
-None of them evaluates eps_k: the joint-bound penalty draws its sum of
-T-tau unit exponentials as one Gamma(T-tau, 1) variate per sample, and
-the scalar capacity one standard exponential per sample.
+These samplers are the independent oracle behind validate and the
+pilot-Gram check.  None of them evaluates eps_k: the joint-bound
+penalty draws its sum of T-tau unit exponentials as one Gamma(T-tau, 1)
+variate per sample, and the scalar capacity one standard exponential
+per sample.
 
 Reproducibility contract: an estimate is a pure function of
 (seed, stream_id, samples).  Draws are generated in fixed blocks of
@@ -38,9 +38,8 @@ _BLOCK = 16384
 _SQRT_HALF = math.sqrt(0.5)
 _MASK64 = (1 << 64) - 1
 
-# Default sample counts put standard errors near 1e-3 bits/s/Hz.
+# The default sample count puts standard errors near 1e-3 bits/s/Hz.
 DEFAULT_SCALAR_SAMPLES = 1_000_000
-DEFAULT_MATRIX_SAMPLES = 100_000
 
 
 def derive_stream(stream_id: int, index: int) -> int:
@@ -75,7 +74,7 @@ class McConfig:
 class Estimate(NamedTuple):
     """Sample mean with its standard error.
 
-    Exact closed-form fast paths report std_error 0.0 and
+    The MIMO bounds, which are exact, report std_error 0.0 and
     samples_used 0: no draws were consumed.
     """
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotbounds import cli, sweeps
-from pilotbounds.montecarlo import DEFAULT_MATRIX_SAMPLES, DEFAULT_SCALAR_SAMPLES
+from pilotbounds.montecarlo import DEFAULT_SCALAR_SAMPLES
 
 
 def run_cli(capsys, *argv):
@@ -28,14 +28,17 @@ def test_bound_text(capsys):
 
 def test_bound_capacity_json_meta(capsys):
     rc, out, _ = run_cli(
-        capsys, "bound", "--kind", "c", "--snr-db", "10", "--format", "json", "--seed", "9"
+        capsys, "bound", "--kind", "c", "--snr-db", "10", "--format", "json", "--nt", "1", "--nr", "1"
     )
     assert rc == 0
     doc = json.loads(out)
-    assert doc["meta"]["seed"] == 9
+    assert doc["meta"]["nt"] == doc["meta"]["nr"] == 1
     assert doc["meta"]["command"] == "bound"
+    # nothing is sampled: no sampling flags, columns or meta
+    assert not {"samples", "seed", "workers"} & set(doc["meta"])
     assert doc["rows"][0]["value"] == pytest.approx(2.9065148084148045, rel=1e-12)
-    assert doc["rows"][0]["samples_used"] == 0
+    assert list(doc["rows"][0]) == sorted(cli._BOUND_COLUMNS)
+    assert not {"std_error", "samples_used", "tie_within_margin"} & set(doc["rows"][0])
 
 
 def test_bound_csv_rounds_db_columns(capsys):
@@ -194,14 +197,24 @@ def test_bad_arguments_exit_code(capsys):
         rc, out, err = run_cli(capsys, *argv)
         assert rc == 2 and out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    # bound and optimize-pilots sample nothing and take no sampling flags
+    for argv in (
+        ("bound", "--kind", "c", "--snr-db", "10"),
+        ("bound", "--kind", "c", "--snr-db", "10", "--nt", "12", "--nr", "12"),
+        ("optimize-pilots", "--T", "10", "--snr-db", "10"),
+        ("optimize-pilots", "--T", "13", "--snr-db", "10", "--nt", "12"),
+    ):
+        for flag in ("--samples=1000", "--seed=3", "--workers=2"):
+            rc, out, err = run_cli(capsys, *argv, flag)
+            assert rc == 2 and out == "", (argv, flag)
+            assert "unrecognized arguments" in err and "Traceback" not in err, (argv, flag)
 
 
 # argv without --format; the meta samples expected where the command
 # samples, with --samples omitted
 _REPORT_ARGV = {
-    "bound": (("bound", "--kind", "c", "--snr-db", "10"), DEFAULT_SCALAR_SAMPLES),
-    "optimize-pilots": (("optimize-pilots", "--T", "10", "--snr-db", "10", "--nt", "2"),
-                        DEFAULT_MATRIX_SAMPLES),
+    "bound": (("bound", "--kind", "c", "--snr-db", "10", "--nt", "12", "--nr", "12"), None),
+    "optimize-pilots": (("optimize-pilots", "--T", "10", "--snr-db", "10", "--nt", "2"), None),
     "offset": (("offset", "--kind", "true-capacity-gap", "--T", "10"), None),
     "sweep": (("sweep", "--kind", "fig1", "--T-grid", "2,4"), None),
     "validate": (("validate", "--seed", "3"), DEFAULT_SCALAR_SAMPLES),
@@ -268,27 +281,16 @@ def test_separate_bound_vanishing_snr_exit_code(capsys, antennas):
     # at -400 dB, 1 + snr*tau rounds to 1 and the effective SNR is 0:
     # the exact mimo paths divided by it, the scalar one warned
     ant = ("--nt", antennas[0], "--nr", antennas[1]) if antennas else ()
-    rc, out, err = run_cli(capsys, "bound", "--kind", "is", "--T", "10", *ant,
-                           "--snr-db", "-400", "--samples", "100")
+    rc, out, err = run_cli(capsys, "bound", "--kind", "is", "--T", "10", *ant, "--snr-db", "-400")
     assert rc == 2 and out == ""
     assert err.startswith("error: effective SNR at tau=") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_worker_count_exit_code(capsys, workers):
-    # the count is checked where it enters, also where nothing is sampled:
-    # the scalar bound and the exact 2 x 2 sizes ran with exit 0
-    for argv in (
-        ("validate", "--samples", "2000"),
-        ("bound", "--kind", "c", "--snr-db", "10"),
-        ("bound", "--kind", "c", "--snr-db", "10", "--nt", "2", "--nr", "2"),
-        ("bound", "--kind", "c", "--snr-db", "10", "--nt", "12", "--nr", "12", "--samples", "100"),
-        ("optimize-pilots", "--T", "10", "--snr-db", "10"),
-        ("optimize-pilots", "--T", "10", "--snr-db", "10", "--nt", "2"),
-        ("optimize-pilots", "--T", "13", "--snr-db", "10", "--nt", "12", "--samples", "100"),
-    ):
-        rc, out, err = run_cli(capsys, *argv, "--workers", workers)
-        assert rc == 2 and out == "" and "workers must be >= 1" in err, argv
+    # validate is the one command that samples, and so takes --workers
+    rc, out, err = run_cli(capsys, "validate", "--samples", "2000", "--workers", workers)
+    assert rc == 2 and out == "" and err == f"error: workers must be >= 1, got {workers}\n"
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -340,13 +342,16 @@ def _csv(lists):
 
 
 # Values small enough that one call takes well under a second and a few
-# MB: T <= 64, at most 4096 samples, at most 2 antennas, 2 workers.
+# MB: T <= 64, at most 4096 samples, 2 workers, at most 12 antennas.
+# Half the antenna counts are 10 to 12, where C_{t,r} takes the decimal
+# Laguerre sum.
+_ANTENNAS = st.one_of(st.integers(min_value=1, max_value=4), st.integers(min_value=10, max_value=12))
 _VALUES = {
     "--T": st.integers(min_value=2, max_value=64),
     "--tau": st.integers(min_value=0, max_value=63),
     "--snr-db": st.floats(min_value=-150.0, max_value=150.0),
-    "--nt": st.integers(min_value=1, max_value=2),
-    "--nr": st.integers(min_value=1, max_value=2),
+    "--nt": _ANTENNAS,
+    "--nr": _ANTENNAS,
     "--which": st.sampled_from(["j1", "j2"]),
     # valid grids only (sorted, distinct, >= 2 points); _HOSTILE has the bad ones
     "--T-grid": _csv(
@@ -382,17 +387,11 @@ _KINDS = {
     "sweep": ["fig1", "fig2", "convergence"],
 }
 # (flags every call carries, groups of flags drawn in or out together);
-# --samples is always given where it exists, because the defaults take
-# seconds per call
+# --samples is always given where it exists, because the default takes
+# a second per call
 _COMMAND_FLAGS = {
-    "bound": (
-        ("--kind", "--snr-db", "--samples"),
-        (("--T",), ("--tau",), ("--nt", "--nr"), ("--seed",), ("--workers",)),
-    ),
-    "optimize-pilots": (
-        ("--T", "--snr-db", "--samples"),
-        (("--which",), ("--nt",), ("--seed",), ("--workers",)),
-    ),
+    "bound": (("--kind", "--snr-db"), (("--T",), ("--tau",), ("--nt", "--nr"))),
+    "optimize-pilots": (("--T", "--snr-db"), (("--which",), ("--nt",))),
     "offset": (("--kind", "--T"), (("--snr-db",), ("--nt",))),
     "sweep": (("--kind",), (("--T-grid",),)),
     "validate": (("--samples",), (("--seed",), ("--workers",))),
@@ -433,7 +432,7 @@ def _argv(draw):
 _NON_FINITE = re.compile(r"\b(?:nan|inf|infinity)\b", re.IGNORECASE)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(argv=_argv())
 def test_cli_fuzz_exits_cleanly(tmp_path_factory, argv):
     # every outcome is an exit code the README lists, never a traceback,

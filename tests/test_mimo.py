@@ -1,12 +1,16 @@
+import functools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from pilotbounds import mimo
+from pilotbounds import mimo, montecarlo
 from pilotbounds.expint import LOG2E, expint_scaled_sum
 from pilotbounds.mimo import (
+    _ctr_decimal,
     _ctr_value,
+    _laguerre_weights,
     _scan_candidates,
     capacity_ctr,
     mimo_joint_j1,
@@ -16,7 +20,7 @@ from pilotbounds.mimo import (
     mimo_separate,
     pilot_gram_optimality_check,
 )
-from pilotbounds.montecarlo import Estimate, McConfig, sample_ctr, sample_delta_mimo
+from pilotbounds.montecarlo import McConfig, sample_ctr, sample_delta_mimo
 from pilotbounds.params import MimoParams, SisoParams, SnrValue
 from pilotbounds.siso import (
     capacity_csi,
@@ -118,68 +122,72 @@ def test_low_snr_capacity_expansion():
     assert abs(est.mean - model) < 5.0 * est.std_error
 
 
-def _record_sampler(monkeypatch):
-    """Route mimo's sample_ctr through a recorder of (t, r, cfg)."""
-    calls = []
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Fail the test if anything draws a sample."""
 
-    def recording(t, r, rho, cfg, workers=1):
-        calls.append((t, r, cfg))
-        return sample_ctr(t, r, rho, cfg, workers)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a MIMO bound or search drew samples")
 
-    monkeypatch.setattr(mimo.mc, "sample_ctr", recording)
-    return calls
-
-
-def test_separate_uses_common_draws_across_pilot_counts(monkeypatch):
-    # 12 x 12 is sampled; the same cfg for every candidate keeps the argmax stable
-    cfg = McConfig(samples=2000, seed=5)
-    calls = _record_sampler(monkeypatch)
-    a = mimo_separate(12, 12, 16, SnrValue(10.0), cfg)
-    assert calls == [(12, 12, cfg)] * 4
-    assert a == mimo_separate(12, 12, 16, SnrValue(10.0), cfg)
-    assert a.value.samples_used == 2000 and a.value.std_error > 0.0
-    assert 12 <= a.tau_star <= 15
+    monkeypatch.setattr(montecarlo, "sample_ctr", refuse)
+    monkeypatch.setattr(montecarlo, "_mean_estimate", refuse)
 
 
-def test_optimizer_square_sampled(monkeypatch):
-    # C_{12,12} and the tau = 0 penalty C_{12,16} are sampled, the
-    # penalties C_{12,T-tau} with T - tau <= 4 exact; the value at tau* is
-    # j1 there
-    cfg = McConfig(samples=2000, seed=1)
-    snr = SnrValue(10.0)
-    calls = _record_sampler(monkeypatch)
-    res = mimo_optimize_pilots(12, 16, snr, cfg)
-    assert calls == [(12, 12, cfg), (12, 16, cfg.substream(1))]
-    assert res.value.samples_used == 2000 and res.value.std_error > 0.0
-    assert res.tau_star in (0, 12, 13, 14, 15)
-    for tau in (0, 12, 13, 14, 15):
-        j1 = mimo_joint_j1(MimoParams(n_t=12, n_r=12, T=16, tau=tau, snr=snr), cfg)
-        if tau == res.tau_star:
-            assert j1 == res.value
-        else:
-            margin = 4.0 * math.hypot(j1.std_error, res.value.std_error)
-            assert j1.mean <= res.value.mean + margin
+def _exact(est):
+    assert est.std_error == 0.0 and est.samples_used == 0
+    return est.mean
 
 
-def test_joint_bound_ordering_sampled():
-    cfg = McConfig(samples=2000, seed=7)
+def _quad_j1(n_t, n_r, T, tau, s):
+    """j1 from quadratures of both capacity terms at snr s."""
+    penalty = _telatar_quad_rho(n_t, T - tau, n_t / (tau + n_t / s))
+    return (1 - tau / T) * _telatar_quad_rho(n_t, n_r, s) - n_r / T * penalty
+
+
+# 12 x 12 and C_{12,16} run in decimal at every SNR, the penalties
+# C_{12,T-tau} with T - tau <= 4 in floats
+
+
+def test_separate_exact_at_twelve_by_twelve(no_sampling):
+    s, taus = 10.0, range(12, 16)
+    res = mimo_separate(12, 12, 16, SnrValue(s))
+    refs = []
+    for tau in taus:
+        mmse = 1.0 / (1.0 + s * (tau / 12))
+        eff = s * (1.0 - mmse) / (1.0 + s * mmse)
+        refs.append((1.0 - tau / 16) * _telatar_quad_rho(12, 12, eff))
+    assert res.tau_star == taus[_first_argmax(refs)] and res.tie_within_margin is False
+    assert _exact(res.value) == pytest.approx(max(refs), rel=1e-13, abs=0.0)
+
+
+def test_optimizer_square_twelve_by_twelve(no_sampling):
+    s, taus = 10.0, (0, 12, 13, 14, 15)
+    res = mimo_optimize_pilots(12, 16, SnrValue(s))
+    refs = [_quad_j1(12, 12, 16, tau, s) for tau in taus]
+    assert res.tau_star == taus[_first_argmax(refs)] and res.tie_within_margin is False
+    assert _exact(res.value) == pytest.approx(max(refs), rel=1e-12, abs=0.0)
+    p = MimoParams(n_t=12, n_r=12, T=16, tau=res.tau_star, snr=SnrValue(s))
+    assert mimo_joint_j1(p) == res.value
+
+
+def test_joint_bound_ordering_twelve_by_twelve(no_sampling):
     for db in (0.0, 10.0):
-        p = MimoParams(n_t=12, n_r=12, T=16, tau=12, snr=SnrValue.from_db(db))
-        j1 = mimo_joint_j1(p, cfg)
-        j2 = mimo_joint_j2(p, cfg)
-        assert j1.samples_used == j2.samples_used == 2000 and j2.std_error > 0.0
-        margin = 4.0 * math.hypot(j1.std_error, j2.std_error)
-        assert j2.mean <= j1.mean + margin
+        s = SnrValue.from_db(db).linear
+        p = MimoParams(n_t=12, n_r=12, T=16, tau=12, snr=SnrValue(s))
+        j1 = _exact(mimo_joint_j1(p))
+        j2 = _exact(mimo_joint_j2(p))
+        assert j2 <= j1
+        assert j1 == pytest.approx(_quad_j1(12, 12, 16, 12, s), rel=1e-12, abs=0.0)
+        log_term = LOG2E * (math.log1p(s * 16 / 12) - math.log1p(s))
+        ref_j2 = 0.25 * _telatar_quad_rho(12, 12, s) - 144 / 16 * log_term
+        assert j2 == pytest.approx(ref_j2, rel=1e-12, abs=0.0)
 
 
 def test_scan_candidates_resolves_ties_toward_fewer_pilots():
-    est = [Estimate(1.0, 0.01, 1), Estimate(1.02, 0.01, 1), Estimate(1.1, 0.01, 1)]
-    # the margin is 4 * hypot(0.01, 0.01) = 0.057: a gap of 0.08 is outside it
-    assert _scan_candidates(est) == (2, False)
-    est[1] = Estimate(1.07, 0.01, 1)  # a gap of 0.03 is inside it
-    assert _scan_candidates(est) == (1, True)
-    # exact candidates: tau* is the first argmax
-    assert _scan_candidates([Estimate(v, 0.0, 0) for v in (1.0, 2.0, 2.0)]) == (1, False)
+    # tau* is the first argmax: an exact tie goes to the smaller tau
+    assert _scan_candidates([1.0, 2.0, 2.0]) == 1
+    assert _scan_candidates([3.0, 1.0, 3.0]) == 0
+    assert _scan_candidates([1.0, 1.1, 1.05]) == 1
 
 
 def test_optimizer_square_two_by_two():
@@ -189,21 +197,16 @@ def test_optimizer_square_two_by_two():
     assert 0.0 < res.tau_star_continuous < 2.0
 
 
-def test_optimizer_rejects_snr_below_sampler_resolution():
-    # 12 x 12 is sampled (see test_guard_sends_large_sizes_to_the_sampler),
-    # and every sampled log2 det rounds to 0 at -400 dB
-    with pytest.raises(ValueError, match="sampled capacity is 0"):
-        mimo_optimize_pilots(12, 13, SnrValue(1e-40), McConfig(samples=100))
-
-
-def test_optimizer_exact_at_vanishing_snr():
-    # the exact path resolves C_{2,2} at -400 dB: C ~ r * rho * log2(e)
-    res = mimo_optimize_pilots(2, 4, SnrValue(1e-40), McConfig(samples=100))
-    assert res.value.samples_used == 0 and res.tau_star in (0, 2, 3)
-    assert math.isfinite(res.value.mean) and math.isfinite(res.tau_star_continuous)
-    c = capacity_ctr(2, 2, SnrValue(1e-40), CFG)
-    assert c.samples_used == 0
-    assert c.mean == pytest.approx(2e-40 * LOG2E, rel=1e-12)
+def test_optimizer_exact_at_vanishing_snr(no_sampling):
+    # the float sum resolves C_{2,2} at -400 dB, the decimal one C_{12,12}
+    # (a sampled C_{12,12} rounded to 0 there): C ~ r * rho * log2(e)
+    for n, T in ((2, 4), (12, 13)):
+        res = mimo_optimize_pilots(n, T, SnrValue(1e-40), McConfig(samples=100))
+        assert res.tau_star in [0] + list(range(n, T))
+        assert math.isfinite(_exact(res.value)) and math.isfinite(res.tau_star_continuous)
+        c = _exact(capacity_ctr(n, n, SnrValue(1e-40), CFG))
+        assert c == pytest.approx(n * 1e-40 * LOG2E, rel=1e-12)
+        assert c == pytest.approx(_telatar_quad_rho(n, n, 1e-40), rel=1e-13, abs=0.0)
 
 
 def test_effective_blocklength_identity():
@@ -270,6 +273,11 @@ def test_mimo_separate_validates_antenna_counts(n_t, n_r):
 
 
 def _telatar_quad(t, r, db):
+    return _telatar_quad_rho(t, r, SnrValue.from_db(db).linear)
+
+
+@functools.lru_cache(maxsize=None)
+def _telatar_quad_rho(t, r, rho):
     """E log2 det(I + (rho/t) Z Z^H) by mpmath quadrature of Telatar's
     unordered-eigenvalue density
 
@@ -289,12 +297,15 @@ def _telatar_quad(t, r, db):
         return total * lam**d * mp.exp(-lam)
 
     with mp.workdps(20):
-        rho = mp.mpf(10) ** (mp.mpf(db) / 10)
+        rho = mp.mpf(rho)
+        # mp.quad's tolerance is absolute: integrate log1p(.)/rho, of
+        # order 1, where rho is small
+        scale = min(rho, 1)
         value = mp.quad(
-            lambda lam: mp.log1p(rho * lam / t) * density(lam),
+            lambda lam: mp.log1p(rho * lam / t) / scale * density(lam),
             [0, 1, n, 2 * n + 4, 4 * n + 20, mp.inf],
         )
-        return float(value / mp.log(2))
+        return float(value * scale / mp.log(2))
 
 
 # every size here is admitted by the guard at every SNR; r runs up to
@@ -304,14 +315,52 @@ _EXACT_SIZES = [
     (2, 16), (3, 16), (4, 16), (16, 4), (5, 5), (6, 6), (7, 7),
     (8, 8), (9, 9), (8, 11), (6, 20), (20, 6),
 ]
+# sizes the guard refuses at every SNR here: the decimal sum, good to
+# about one ulp
+_DECIMAL_SIZES = [(12, 12), (16, 16), (8, 32), (24, 24)]
 
 
-@pytest.mark.parametrize("t,r", _EXACT_SIZES)
-def test_exact_capacity_matches_quadrature(t, r):
+@pytest.mark.parametrize("t,r", _EXACT_SIZES + _DECIMAL_SIZES)
+def test_exact_capacity_matches_quadrature(t, r, no_sampling):
+    rel = 1e-13 if (t, r) in _DECIMAL_SIZES else 1e-10
     for db in (-30.0, 0.0, 30.0, 60.0):
         est = capacity_ctr(t, r, SnrValue.from_db(db), CFG)
-        assert est.std_error == 0.0 and est.samples_used == 0
-        assert est.mean == pytest.approx(_telatar_quad(t, r, db), rel=1e-10, abs=0.0)
+        assert _exact(est) == pytest.approx(_telatar_quad(t, r, db), rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("t,r", [(4, 4), (8, 8), (12, 12), (16, 16), (24, 24), (32, 32), (8, 32)])
+def test_decimal_digits_match_thirty_more(t, r):
+    # 20 + ceil(log10 sum |W_k|) digits round to the float that 30 more
+    # digits give; at 4 x 4 and 8 x 8 the float sum serves the public calls
+    m, d = min(t, r), abs(t - r)
+    digits = _laguerre_weights(m, d)[3]
+    for db in (-30.0, 0.0, 30.0):
+        x = t / SnrValue.from_db(db).linear
+        assert _ctr_decimal(m, d, x, digits) == _ctr_decimal(m, d, x, digits + 30)
+
+
+def _fraction_weights(m, d):
+    """W_k in rationals, term by term from the Laguerre coefficients."""
+    c = [Fraction(0)] * (2 * m - 1)
+    for k in range(m):
+        lag = [
+            Fraction((-1) ** i * math.comb(k + d, k - i), math.factorial(i))
+            for i in range(k + 1)
+        ]
+        scale = Fraction(math.factorial(k), math.factorial(k + d))
+        for a, la in enumerate(lag):
+            for b, lb in enumerate(lag):
+                c[a + b] += scale * la * lb
+    w = [ci * math.factorial(d + i) for i, ci in enumerate(c)]  # w_j at w[j - d]
+    return [sum(w[max(k - 1 - d, 0):]) for k in range(1, d + 2 * m)]
+
+
+@pytest.mark.parametrize("m,d", [(1, 0), (1, 5), (2, 0), (3, 7), (4, 16), (7, 13), (12, 0), (12, 4), (20, 3)])
+def test_integer_weights_equal_the_rationals(m, d):
+    num, den, weights, _ = _laguerre_weights(m, d)
+    ref = _fraction_weights(m, d)
+    assert [Fraction(n, den) for n in num] == ref
+    assert list(weights) == [float(w) for w in ref]
 
 
 @pytest.mark.parametrize("t,r", [(2, 2), (2, 3), (3, 3), (4, 4)])
@@ -330,7 +379,7 @@ def test_rank_one_capacity_is_the_scalar_sum(t, r, s):
     assert capacity_ctr(t, r, SnrValue(s), CFG).mean == LOG2E * expint_scaled_sum(n, t / s)
     # the penalty term passes its sum argument t/rho directly
     x = 2.0 + t / s
-    assert _ctr_value(t, r, s / (1.0 + 2.0 * s / t), CFG, x=x).mean == LOG2E * expint_scaled_sum(n, x)
+    assert _ctr_value(t, r, x) == LOG2E * expint_scaled_sum(n, x)
 
 
 # the largest max(t, r) the guard admits at every SNR, per min(t, r),
@@ -338,23 +387,37 @@ def test_rank_one_capacity_is_the_scalar_sum(t, r, s):
 _ADMITTED = {1: 20, 2: 20, 3: 20, 4: 20, 5: 20, 6: 20, 7: 13, 8: 11, 9: 9}
 
 
-def test_guard_admits_the_measured_region_at_every_snr():
+def _record_decimal(monkeypatch):
+    """Route mimo's decimal sum through a recorder of its arguments."""
+    calls = []
+
+    def recording(m, d, x, digits):
+        calls.append((m, d, x, digits))
+        return _ctr_decimal(m, d, x, digits)
+
+    monkeypatch.setattr(mimo, "_ctr_decimal", recording)
+    return calls
+
+
+def test_guard_admits_the_measured_region_at_every_snr(monkeypatch):
     # among them the sizes the pilot searches reach with n <= 6 and
     # T - tau <= 20
+    calls = _record_decimal(monkeypatch)
     for m, largest in _ADMITTED.items():
         for n in range(m, largest + 1):
             for db in range(-400, 301, 50):
-                assert capacity_ctr(m, n, SnrValue.from_db(db), CFG).samples_used == 0
-                assert capacity_ctr(n, m, SnrValue.from_db(db), CFG).samples_used == 0
+                capacity_ctr(m, n, SnrValue.from_db(db))
+                capacity_ctr(n, m, SnrValue.from_db(db))
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [12, 16])
-def test_guard_sends_large_sizes_to_the_sampler(n):
-    cfg = McConfig(samples=2000, seed=3)
+def test_guard_sends_large_sizes_to_the_decimal_sum(n, monkeypatch, no_sampling):
+    calls = _record_decimal(monkeypatch)
     for s in (1.0, 100.0):
-        est = capacity_ctr(n, n, SnrValue(s), cfg, workers=2)
-        assert est == sample_ctr(n, n, SnrValue(s), cfg)
-        assert est.samples_used == 2000
+        est = capacity_ctr(n, n, SnrValue(s), McConfig(samples=2000, seed=3), workers=2)
+        assert calls[-1] == (n, 0, n / s, _laguerre_weights(n, 0)[3])
+        assert _exact(est) == pytest.approx(_telatar_quad_rho(n, n, s), rel=1e-13, abs=0.0)
 
 
 def _first_argmax(values):
