@@ -197,16 +197,29 @@ def test_optimizer_square_two_by_two():
     assert 0.0 < res.tau_star_continuous < 2.0
 
 
-def test_optimizer_exact_at_vanishing_snr(no_sampling):
-    # the float sum resolves C_{2,2} at -400 dB, the decimal one C_{12,12}
-    # (a sampled C_{12,12} rounded to 0 there): C ~ r * rho * log2(e)
+def _check_vanishing_snr(n, T):
+    # C ~ r * rho * log2(e) at -400 dB
+    res = mimo_optimize_pilots(n, T, SnrValue(1e-40), McConfig(samples=100))
+    assert res.tau_star in [0] + list(range(n, T))
+    assert math.isfinite(_exact(res.value)) and math.isfinite(res.tau_star_continuous)
+    c = _exact(capacity_ctr(n, n, SnrValue(1e-40), CFG))
+    assert c == pytest.approx(n * 1e-40 * LOG2E, rel=1e-12)
+    assert c == pytest.approx(_telatar_quad_rho(n, n, 1e-40), rel=1e-13, abs=0.0)
+
+
+def test_optimizer_rejects_snr_below_sampler_resolution(no_sampling):
+    # a sampled C_{12,12} rounds every log2 det to 0 at -400 dB; the
+    # decimal sum resolves it, and the optimizer refuses only an SNR whose
+    # sum argument n/snr overflows a float
+    _check_vanishing_snr(12, 13)
     for n, T in ((2, 4), (12, 13)):
-        res = mimo_optimize_pilots(n, T, SnrValue(1e-40), McConfig(samples=100))
-        assert res.tau_star in [0] + list(range(n, T))
-        assert math.isfinite(_exact(res.value)) and math.isfinite(res.tau_star_continuous)
-        c = _exact(capacity_ctr(n, n, SnrValue(1e-40), CFG))
-        assert c == pytest.approx(n * 1e-40 * LOG2E, rel=1e-12)
-        assert c == pytest.approx(_telatar_quad_rho(n, n, 1e-40), rel=1e-13, abs=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            mimo_optimize_pilots(n, T, SnrValue(1e-308))
+
+
+def test_optimizer_exact_at_vanishing_snr(no_sampling):
+    # the float sum resolves C_{2,2} at -400 dB
+    _check_vanishing_snr(2, 4)
 
 
 def test_effective_blocklength_identity():
