@@ -10,7 +10,16 @@ Evaluation strategy per element:
 
 * x < 1: power series for eps_1, then the forward recurrence
   k*eps_{k+1}(x) = 1 - x*eps_k(x), whose error amplification factor is
-  x/k < 1 on every step.
+  x/k < 1 on every step.  The series E_1(x) = -gamma - ln x +
+  sum_n (-1)^(n+1) x^n/(n n!) (A&S 5.1.11) stops after the last term
+  that can change the sum: a batch runs the count its largest lane
+  needs (the table _SERIES_X), at most _SERIES_TERMS.  The dropped
+  terms are exact no-ops.  Once term n + 1 is below 0.2*2^-56 in
+  magnitude, the partial sum lies within it of E_1(x) >= E_1(1) > 0.2,
+  and each later term is smaller still (the ratio of magnitudes is
+  x(n+1)/(n+2)^2 < 1/4).  Floats above 1/8 lie at least 2^-55 apart,
+  so adding any of these terms, under a quarter of half that gap,
+  rounds back to the same partial sum.
 * x >= 1: modified Lentz continued fraction evaluated directly at the
   requested order.  The forward recurrence is NOT started below
   k = ceil(x): each step multiplies the seed error by x/k, which is
@@ -38,6 +47,7 @@ few ufuncs on a slice, with no mask.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -49,11 +59,19 @@ from .params import _check_int
 LOG2E = math.log2(math.e)
 EULER_GAMMA = float(np.euler_gamma)
 
-# Series term count: at the x -> 1 branch edge, term 26 is below
-# 1e-27 while the result is O(0.2), so 25 fixed terms leave the
-# truncation error far under one ulp.  A fixed count keeps single and
-# batched evaluations bit-identical.
+# Series terms, at most: at the x -> 1 branch edge, term 26 is below
+# 1e-27 while the result is O(0.2), so 25 terms leave the truncation
+# error far under one ulp.  Fewer run where the rest are no-ops: below
+# _SERIES_X[n - 1], term n + 1, x^(n+1)/((n+1)(n+1)!), is under
+# 0.2*2^-56, a quarter of half an ulp of any partial sum there (module
+# docstring), so n terms give the bits of 25; past the last threshold
+# all 25 run.  A lane's result does not depend on the count its batch
+# runs, so single and batched evaluations stay bit-identical.
 _SERIES_TERMS = 25
+_SERIES_X = tuple(
+    (0.2 * 2.0**-56 * (n + 1) * math.factorial(n + 1)) ** (1.0 / (n + 1))
+    for n in range(1, _SERIES_TERMS)
+)
 _CF_TOL = 5e-16
 _CF_MAX_ITER = 400
 _TINY = 1e-300
@@ -65,6 +83,7 @@ _TINY = 1e-300
 # 300 lanes 2.21 -> 7.66 ms.  The crossover lies near 40 lanes for x in
 # [1, 1.05] (~86 iterations each) and near 120 for x in [3, 50].
 _SCALAR_LANES = 64
+_BAD_ARGUMENTS = "arguments must be finite and > 0"
 
 
 def _check_argument(x) -> float:
@@ -81,8 +100,10 @@ def _eps1_lanes(x: np.ndarray) -> np.ndarray:
     """eps_1(x) over a float array of arguments x > 0.
 
     Each lane runs the operation sequence of a one-element call, so a
-    batched call returns bit-identical values: below x = 1 the fixed
-    25-term series, at x >= 1 the continued fraction.  Up to
+    batched call returns bit-identical values: below x = 1 the series,
+    up to the term count the largest lane needs (the terms past a
+    lane's own count add exactly nothing), at x >= 1 the continued
+    fraction.  Up to
     _SCALAR_LANES lanes at x >= 1 run the scalar CF one by one; more run
     the vector CF, where each iteration costs only the lanes still
     converging.
@@ -92,11 +113,16 @@ def _eps1_lanes(x: np.ndarray) -> np.ndarray:
     lo = x < 1.0
     if lo.any():
         xs = x[lo]
+        neg = -xs
         acc = -EULER_GAMMA - np.log(xs)
         term = xs.copy()
-        for n in range(1, _SERIES_TERMS + 1):
-            acc = acc + term
-            term = term * (-xs) * n / (n + 1.0) ** 2
+        acc += term
+        # in place: term = term * (-x) * n / (n + 1)^2, then acc += term
+        for n in range(1, bisect.bisect_right(_SERIES_X, float(xs.max())) + 1):
+            term *= neg
+            term *= n
+            term /= (n + 1.0) ** 2
+            acc += term
         out[lo] = np.exp(xs) * acc
 
     hi = ~lo
@@ -175,7 +201,7 @@ def eps1_array(x: np.ndarray) -> np.ndarray:
     """Vectorized eps_1 over an array of positive arguments."""
     x = np.asarray(x, dtype=float)
     if x.size and (not np.isfinite(x).all() or (x <= 0.0).any()):
-        raise ValueError("arguments must be finite and > 0")
+        raise ValueError(_BAD_ARGUMENTS)
     return _eps1_lanes(x)
 
 

@@ -105,11 +105,17 @@ def _laguerre_weights(m: int, d: int) -> tuple[tuple[int, ...], int, tuple[float
     for k in range(m):
         # (m-1)! L_k^(d)(lam) = sum_i (-1)^i C(k+d, k-i) (m-1)!/i! lam^i
         lag = [(-1) ** i * math.comb(k + d, k - i) * (top // f(i)) for i in range(k + 1)]
-        scale = f(m - 1 + d) // f(k + d) * f(k)
+        # the square of the polynomial: the squares, plus twice each
+        # a < b cross term
+        sq = [0] * (2 * k + 1)
         for a, la in enumerate(lag):
-            la *= scale
-            for b, lb in enumerate(lag):
-                c[a + b] += la * lb
+            sq[2 * a] += la * la
+            twice = 2 * la
+            for b, lb in enumerate(lag[a + 1 :], a + 1):
+                sq[a + b] += twice * lb
+        scale = f(m - 1 + d) // f(k + d) * f(k)
+        for i, v in enumerate(sq):
+            c[i] += scale * v
     # D w_j at index j - d, and its tail sums
     tails = list(itertools.accumulate(reversed([ci * f(d + i) for i, ci in enumerate(c)])))[::-1]
     num = (tails[0],) * (d + 1) + tuple(tails[1:])

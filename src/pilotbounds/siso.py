@@ -24,7 +24,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expint import EULER_GAMMA, LOG2E, _scaled_sums, eps1_array, expint_scaled, expint_scaled_sum
+from .expint import (
+    EULER_GAMMA,
+    LOG2E,
+    _BAD_ARGUMENTS,
+    _eps1_lanes,
+    _scaled_sums,
+    eps1_array,  # not called here; bench/spans.py wraps siso.eps1_array
+    expint_scaled,
+    expint_scaled_sum,
+)
 from .params import (
     DB_PER_UNIT,
     PowerOffset,
@@ -116,11 +125,21 @@ def separate_bound(T: int, snr) -> SeparateBound:
     resolve to the smallest tau.
     """
     T = _check_int("T", T, 2)
+    taus = np.arange(1, T)
+    return _separate_best(T, snr, taus, 1.0 - taus / T)
+
+
+def _separate_best(T: int, snr, taus: np.ndarray, share: np.ndarray) -> SeparateBound:
+    """separate_bound for a validated T, given taus = 1..T-1 and
+    share = 1 - taus/T, with its checks and messages.  eff ascends with
+    tau, so 1/eff[0] is the largest eps_1 argument and the only one that
+    can fail eps1_array's check."""
     s = linear_snr(snr)
     _check_snr_blocklength(s, T)
-    taus = np.arange(1, T)
-    eff = _effective_snr(s, taus)
-    values = (1.0 - taus / T) * (LOG2E * eps1_array(1.0 / eff))
+    x = 1.0 / _effective_snr(s, taus)
+    if math.isinf(x[0]):
+        raise ValueError(_BAD_ARGUMENTS)
+    values = share * (LOG2E * _eps1_lanes(x))
     best = int(np.argmax(values))
     return SeparateBound(value=float(values[best]), tau_star=best + 1)
 
@@ -212,13 +231,19 @@ def power_advantage_at_snr(T: int, snr) -> PowerOffset:
     Strict monotonicity of the separate bound in SNR makes the root
     unique.  At small T and finite SNR the separate bound can already
     exceed the joint bound, so delta may be negative; the bisection
-    bracket is [-60, +60] dB and the root is located to 1e-6 dB.
+    bracket is [-60, +60] dB and the root is located to 1e-6 dB.  The
+    pilot counts and their shares 1 - tau/T are built once, and each
+    step checks its SNR and the largest eps_1 argument only, so every
+    step returns or raises what separate_bound would.
     """
     s = linear_snr(snr)
-    target = joint_bound_j2(SisoParams(T=T, tau=1, snr=SnrValue(s)))
+    p = SisoParams(T=T, tau=1, snr=SnrValue(s))
+    target = joint_bound_j2(p)
+    taus = np.arange(1, p.T)
+    share = 1.0 - taus / p.T
 
     def gap(delta_db: float) -> float:
-        return separate_bound(T, s * 10.0 ** (delta_db / 10.0)).value - target
+        return _separate_best(p.T, s * 10.0 ** (delta_db / 10.0), taus, share).value - target
 
     lo, hi = -_OFFSET_BRACKET_DB, _OFFSET_BRACKET_DB
     g_lo, g_hi = gap(lo), gap(hi)

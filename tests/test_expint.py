@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from pilotbounds.expint import (
     _SCALAR_LANES,
+    _SERIES_X,
+    EULER_GAMMA,
     _scaled_sums,
     eps1_array,
     expint_scaled,
@@ -191,6 +193,58 @@ def test_eps1_array_matches_scalar_bitwise():
         batch = eps1_array(xs)
         solo = np.array([expint_scaled(1, float(x)) for x in xs])
         assert np.array_equal(batch, solo)
+
+
+def fixed_count_series(xs: np.ndarray) -> np.ndarray:
+    """eps_1 below x = 1 by all 25 terms of the series: the kernel,
+    which stops at the last term that can change the sum, must return
+    these bits."""
+    acc = -EULER_GAMMA - np.log(xs)
+    term = xs.copy()
+    for n in range(1, 26):
+        acc = acc + term
+        term = term * (-xs) * n / (n + 1.0) ** 2
+    return np.exp(xs) * acc
+
+
+def _assert_series_bits(xs, scalar=True):
+    ref = fixed_count_series(xs)
+    assert np.array_equal(eps1_array(xs), ref)
+    if scalar:
+        assert [expint_scaled(1, x) for x in xs.tolist()] == ref.tolist()
+
+
+def test_series_stops_without_changing_a_bit_at_the_thresholds():
+    # either side of each threshold below 1 the count changes by one term
+    below_one = [t for t in _SERIES_X if t < 1.0]
+    assert len(below_one) == 17
+    ulp = 2.0**-52
+    xs = np.array([t * f for t in below_one for f in (1.0 - ulp, 1.0, 1.0 + ulp)])
+    for x in xs:
+        _assert_series_bits(np.array([x]))
+    _assert_series_bits(xs)
+
+
+def test_series_stops_without_changing_a_bit_log_uniform():
+    rng = np.random.default_rng(14)
+    xs = 10.0 ** rng.uniform(-300.0, 0.0, 100_000)
+    xs = xs[xs < 1.0]
+    _assert_series_bits(xs, scalar=False)
+    _assert_series_bits(xs[::50])  # one by one: each lane runs its own count
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        [1e-300, 0.999999],
+        [3e-9, 1e-5, 0.5, 0.9999999999999999],
+        [0.99, 1e-200, 0.2, 1e-12, 0.05],
+        [5e-324, 0.7],
+    ],
+)
+def test_series_stops_without_changing_a_bit_in_mixed_batches(xs):
+    # the tiny lanes run the count the near-1 lane needs
+    _assert_series_bits(np.array(xs))
 
 
 @pytest.mark.parametrize("bad_k", [0, -1, 1.5, 10.0, True, None])

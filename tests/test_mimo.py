@@ -368,7 +368,9 @@ def _fraction_weights(m, d):
     return [sum(w[max(k - 1 - d, 0):]) for k in range(1, d + 2 * m)]
 
 
-@pytest.mark.parametrize("m,d", [(1, 0), (1, 5), (2, 0), (3, 7), (4, 16), (7, 13), (12, 0), (12, 4), (20, 3)])
+@pytest.mark.parametrize(
+    "m,d", [(1, 0), (1, 5), (2, 0), (3, 7), (4, 16), (7, 13), (12, 0), (12, 4), (20, 3), (64, 0), (60, 20)]
+)
 def test_integer_weights_equal_the_rationals(m, d):
     num, den, weights, _ = _laguerre_weights(m, d)
     ref = _fraction_weights(m, d)

@@ -181,11 +181,25 @@ def _scipy_offset(T, snr):
     return optimize.bisect(gap, -60.0, 60.0, xtol=1e-6) / DB_PER_UNIT
 
 
-@pytest.mark.parametrize("T", [2, 10, 100])
+@pytest.mark.parametrize("T", [2, 3, 5, 10, 40, 100])
 def test_power_advantage_matches_scipy_bisect(T):
-    for db in (-40.0, -20.0, 0.0, 20.0, 40.0):
+    # 0, 7.5, 15 and 30 dB lie on the SNR grid of the benchmark's fig2 sweeps
+    for db in (-40.0, -20.0, 0.0, 7.5, 15.0, 20.0, 30.0, 40.0):
         snr = SnrValue.from_db(db)
         assert power_advantage_at_snr(T, snr).value_3db_units == _scipy_offset(T, snr)
+
+
+@pytest.mark.parametrize("T", [2, 10, 100])
+def test_power_advantage_raises_as_the_public_path(T):
+    # at -150 dB the bracket's lower end is -210 dB, where the effective
+    # SNR of the separate bound rounds to 0
+    snr = SnrValue.from_db(-150.0)
+    with pytest.raises(ValueError) as ref:
+        _scipy_offset(T, snr)
+    with pytest.raises(ValueError) as ours:
+        power_advantage_at_snr(T, snr)
+    assert str(ours.value) == str(ref.value)
+    assert str(ours.value) == "effective SNR at tau=1 rounds to 0 at snr=1.0000000000000001e-21"
 
 
 @pytest.mark.parametrize(
