@@ -314,4 +314,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a blocklength whose lanes or orders cannot be held
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     return report.code

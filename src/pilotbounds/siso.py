@@ -29,6 +29,7 @@ from .expint import (
     LOG2E,
     _BAD_ARGUMENTS,
     _eps1_lanes,
+    _eps_scalar_cf,
     _scaled_sums,
     eps1_array,  # not called here; bench/spans.py wraps siso.eps1_array
     expint_scaled,
@@ -131,17 +132,23 @@ def separate_bound(T: int, snr) -> SeparateBound:
 
 def _separate_best(T: int, snr, taus: np.ndarray, share: np.ndarray) -> SeparateBound:
     """separate_bound for a validated T, given taus = 1..T-1 and
-    share = 1 - taus/T, with its checks and messages.  eff ascends with
-    tau, so 1/eff[0] is the largest eps_1 argument and the only one that
-    can fail eps1_array's check."""
+    share = 1 - taus/T, with its checks and messages."""
+    values = share * (LOG2E * _eps1_lanes(_separate_arguments(T, snr, taus)))
+    best = int(np.argmax(values))
+    return SeparateBound(value=float(values[best]), tau_star=best + 1)
+
+
+def _separate_arguments(T: int, snr, taus) -> np.ndarray:
+    """The eps_1 arguments 1/eff of the separate bound at the ascending
+    taus, taus[0] = 1, after every check separate_bound makes.  eff
+    ascends with tau, so 1/eff[0] is the largest argument and the only
+    one that can fail eps1_array's check."""
     s = linear_snr(snr)
     _check_snr_blocklength(s, T)
     x = 1.0 / _effective_snr(s, taus)
     if math.isinf(x[0]):
         raise ValueError(_BAD_ARGUMENTS)
-    values = share * (LOG2E * _eps1_lanes(x))
-    best = int(np.argmax(values))
-    return SeparateBound(value=float(values[best]), tau_star=best + 1)
+    return x
 
 
 def joint_bound_j1(p: SisoParams) -> float:
@@ -174,6 +181,16 @@ def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
     The continuous relaxation tau* = log2(e)/C - 1/snr is reported for
     reference only (it lies in [0, 1], up to float cancellation at
     extreme SNR) and never decides the integer answer.
+
+    The j1 search sums only the pilot counts that can still win, and
+    stays exact.  j1(tau) is (1 - tau/T)*C less a penalty >= 0, and a
+    rounded subtraction of a non-negative number never exceeds the
+    number it subtracts from, so the float (1 - tau/T)*C, formed as j1
+    forms it, bounds j1(tau) bit for bit.  tau in {0, 1} are summed
+    first; a tau >= 2 whose bound does not exceed their best can be
+    neither larger nor, being later, the first maximum.  Every lane is
+    bit-equal whatever batch it runs in, so tau* and its value are
+    those of the exhaustive scan.
     """
     if which not in _JOINT_KINDS:
         raise ValueError(f"which must be one of {_JOINT_KINDS}, got {which!r}")
@@ -184,13 +201,34 @@ def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
     # the public bounds and the MIMO bounds (with their antenna counts) call
     # the same expressions, so the value equals joint_bound_*(tau*) bit for bit
     if which == "j1":
-        taus = np.arange(T)
-        values = _j1(taus, T, c, LOG2E * _scaled_sums(T - taus, _j1_argument(taus, s)))
+        best, value = _j1_best(T, s, c)
     else:
         values = np.array(_j2(range(T), T, s, c))
-    best = int(np.argmax(values))
+        best = int(np.argmax(values))
+        value = float(values[best])
     continuous = _tau_continuous(c, s)
-    return PilotSearch(tau_star=best, value=float(values[best]), tau_star_continuous=continuous)
+    return PilotSearch(tau_star=best, value=value, tau_star_continuous=continuous)
+
+
+def _j1_values(taus: np.ndarray, T: int, s: float, c: float) -> np.ndarray:
+    return _j1(taus, T, c, LOG2E * _scaled_sums(T - taus, _j1_argument(taus, s)))
+
+
+def _j1_best(T: int, s: float, c: float) -> tuple[int, float]:
+    """(tau*, j1(tau*)), the first maximum over tau in [0, T-1], summing
+    tau >= 2 only where (1 - tau/T)*c exceeds the best of tau in {0, 1}
+    (optimize_pilots_joint says why that is exact)."""
+    values = _j1_values(np.arange(2), T, s, c)
+    best = int(np.argmax(values))
+    value = float(values[best])
+    rest = np.arange(2, T)
+    rest = rest[(1.0 - rest / T) * c > value]
+    if rest.size:
+        values = _j1_values(rest, T, s, c)
+        i = int(np.argmax(values))
+        if values[i] > value:
+            best, value = int(rest[i]), float(values[i])
+    return best, value
 
 
 def asymptote_j1(T: int) -> float:
@@ -234,16 +272,42 @@ def power_advantage_at_snr(T: int, snr) -> PowerOffset:
     bracket is [-60, +60] dB and the root is located to 1e-6 dB.  The
     pilot counts and their shares 1 - tau/T are built once, and each
     step checks its SNR and the largest eps_1 argument only, so every
-    step returns or raises what separate_bound would.
+    step raises what separate_bound would.
+
+    A bisection step uses the gap only through its sign: whether
+    gap * g_lo >= 0 and whether gap == 0.  At a step SNR <= 1, where
+    every eps_1 argument 1/eff is >= 1, the step first evaluates alone,
+    by the scalar continued fraction, the pilot count that won the last
+    full separate bound, after the same checks.  Its value is one lane
+    of the full bound, bit for bit, so it bounds the full gap from
+    below.  When it exceeds the target, and its product with g_lo does
+    not round to 0, the full gap would give the same two decisions, so
+    the step is settled without the other T - 2 lanes and the root
+    keeps its bits.  Every other step, and the bracket ends, evaluate
+    the full bound.
     """
     s = linear_snr(snr)
     p = SisoParams(T=T, tau=1, snr=SnrValue(s))
     target = joint_bound_j2(p)
     taus = np.arange(1, p.T)
     share = 1.0 - taus / p.T
+    incumbent = 1  # tau* of the last full separate bound
 
     def gap(delta_db: float) -> float:
-        return _separate_best(p.T, s * 10.0 ** (delta_db / 10.0), taus, share).value - target
+        nonlocal incumbent
+        best = _separate_best(p.T, s * 10.0 ** (delta_db / 10.0), taus, share)
+        incumbent = best.tau_star
+        return best.value - target
+
+    def step_gap(delta_db: float) -> float:
+        snr_d = s * 10.0 ** (delta_db / 10.0)
+        if snr_d <= 1.0:  # eff <= snr_d, so each eps_1 argument 1/eff is >= 1
+            # taus[0] = 1 rides along for the checks of the full bound
+            x = _separate_arguments(p.T, snr_d, taus[[0, incumbent - 1]])[-1]
+            lane = share[incumbent - 1] * (LOG2E * _eps_scalar_cf(1, float(x))) - target
+            if lane > 0.0 and lane * g_lo != 0.0:
+                return lane
+        return gap(delta_db)
 
     lo, hi = -_OFFSET_BRACKET_DB, _OFFSET_BRACKET_DB
     g_lo, g_hi = gap(lo), gap(hi)
@@ -252,7 +316,7 @@ def power_advantage_at_snr(T: int, snr) -> PowerOffset:
             f"offset saturated: no crossing within +/-{_OFFSET_BRACKET_DB} dB "
             f"for T={T}, snr={s!r}"
         )
-    root_db = _bisect(gap, lo, hi, g_lo, g_hi, xtol=1e-6)
+    root_db = _bisect(step_gap, lo, hi, g_lo, g_hi, xtol=1e-6)
     return PowerOffset(root_db / DB_PER_UNIT)
 
 

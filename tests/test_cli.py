@@ -286,6 +286,27 @@ def test_separate_bound_vanishing_snr_exit_code(capsys, antennas):
     assert err.startswith("error: effective SNR at tau=") and err.count("\n") == 1
 
 
+_HUGE_T = str(10**15)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "--kind", "is", "--T", _HUGE_T, "--snr-db", "10"),
+        ("optimize-pilots", "--T", _HUGE_T, "--snr-db", "10"),
+        ("offset", "--kind", "advantage-at-snr", "--T", _HUGE_T, "--snr-db", "10"),
+        ("bound", "--kind", "j1", "--T", _HUGE_T, "--tau", "1", "--snr-db", "10"),
+        ("sweep", "--kind", "fig1", "--T-grid", f"2,{_HUGE_T}"),
+    ],
+)
+def test_huge_blocklength_exit_code(capsys, argv):
+    # each fails at one up-front allocation of petabytes (the pilot counts
+    # or the eps_k orders of a block), so nothing is allocated
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_worker_count_exit_code(capsys, workers):
     # validate is the one command that samples, and so takes --workers

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pilotbounds.expint import (
     _SCALAR_LANES,
+    _SCALAR_SUM_LANES,
     _SERIES_X,
     EULER_GAMMA,
     _scaled_sums,
@@ -114,6 +115,21 @@ def test_batched_sums_match_scalar_on_search_lanes(T, snr_db):
     taus = np.arange(T)
     n = T - taus
     x = taus + 1.0 / 10.0 ** (snr_db / 10.0)
+    batch = _scaled_sums(n, x)
+    solo = np.array([expint_scaled_sum(int(ni), float(xi)) for ni, xi in zip(n, x)])
+    assert np.array_equal(batch, solo)
+
+
+@pytest.mark.parametrize("lanes", [_SCALAR_SUM_LANES - 1, _SCALAR_SUM_LANES, _SCALAR_SUM_LANES + 1])
+def test_batched_sums_match_scalar_either_side_of_the_small_batch_rule(lanes):
+    # j1 search lanes at T = 1000, 10 dB: tau = 0 seeds below x = 1, the
+    # rest at x >= 1, and from tau = 500 up k0 = n (no forward step)
+    T = 1000
+    taus = np.linspace(0, T - 1, lanes).astype(np.int64)
+    n = T - taus
+    x = taus + 0.1
+    k0 = np.minimum(n, np.ceil(x))
+    assert x[0] < 1.0 <= x[1] and (k0 == n).any() and (k0 < n).sum() > 1
     batch = _scaled_sums(n, x)
     solo = np.array([expint_scaled_sum(int(ni), float(xi)) for ni, xi in zip(n, x)])
     assert np.array_equal(batch, solo)

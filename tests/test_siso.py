@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilotbounds.expint import LOG2E
+from pilotbounds import siso
+from pilotbounds.expint import LOG2E, _scaled_sums
 from pilotbounds.params import DB_PER_UNIT, SisoParams, SnrValue
 from pilotbounds.siso import (
     _bisect,
@@ -107,11 +108,17 @@ def test_optimizer_j2_variant():
 # exactly at tau = 0 and 1, so a last-maximum argmax returns 1; at
 # T=100, -37 dB j2 is the only point of a 0.5 dB grid over the T below
 # and -100..40 dB where np.log2 in place of math.log2 changes tau*'s value.
-_SCAN_EXTRA_DB = {(2, "j1"): (-145.0,), (100, "j2"): (-37.0,)}
+# At T=1000 from -10 to 10 dB the pruned j1 search sums 0-49 of the
+# tau >= 2.
+_SCAN_EXTRA_DB = {
+    (2, "j1"): (-145.0,),
+    (100, "j2"): (-37.0,),
+    (1000, "j1"): (-7.5, -5.0, -2.5, 2.5, 5.0, 7.5),
+}
 
 
 @pytest.mark.parametrize("which,bound", [("j1", joint_bound_j1), ("j2", joint_bound_j2)])
-@pytest.mark.parametrize("T", [2, 3, 10, 100, 1000])
+@pytest.mark.parametrize("T", [2, 3, 10, 33, 100, 300, 1000])
 def test_optimizer_matches_first_max_scan(T, which, bound):
     # reference: the per-tau scan of the public bound, first strict max
     for db in [*range(-100, 41, 10), *_SCAN_EXTRA_DB.get((T, which), ())]:
@@ -123,6 +130,55 @@ def test_optimizer_matches_first_max_scan(T, which, bound):
                 best_tau, best_val = tau, v
         res = optimize_pilots_joint(T, snr, which=which)
         assert (res.tau_star, res.value) == (best_tau, best_val), db
+
+
+def _j1_lanes_summed(monkeypatch, T, snr):
+    """The tau >= 2 whose eps_k sums the j1 search runs."""
+    summed = []
+
+    def spy(n, x):
+        summed.extend((T - n).tolist())
+        return _scaled_sums(n, x)
+
+    monkeypatch.setattr(siso, "_scaled_sums", spy)
+    optimize_pilots_joint(T, snr, which="j1")
+    monkeypatch.undo()
+    assert summed[:2] == [0, 1]
+    return summed[2:]
+
+
+def _j1_lanes_that_can_win(T, snr):
+    # the tau >= 2 whose bound (1 - tau/T)*C exceeds the best j1 at tau <= 1
+    best = max(joint_bound_j1(SisoParams(T=T, tau=tau, snr=snr)) for tau in (0, 1))
+    c = capacity_csi(snr)
+    return [tau for tau in range(2, T) if (1.0 - tau / T) * c > best]
+
+
+@pytest.mark.parametrize("db,kept", [(-10.0, 49), (0.0, 10), (40.0, 0)])
+def test_j1_search_sums_only_the_lanes_that_can_win(monkeypatch, db, kept):
+    snr = SnrValue.from_db(db)
+    lanes = _j1_lanes_summed(monkeypatch, 1000, snr)
+    assert lanes == _j1_lanes_that_can_win(1000, snr)
+    assert len(lanes) == kept
+
+
+def test_j1_search_keeps_a_lane_whose_bound_exceeds_the_best_by_an_ulp(monkeypatch):
+    # bisect in dB for the last SNR at which tau = 2's bound still exceeds
+    # the best j1 at tau <= 1 (at 30 dB it does, at 40 dB it does not):
+    # there the margin is a few ulps, and any relative pruning margin
+    # above that drops the lane
+    lo, hi = 30.0, 40.0
+    assert _j1_lanes_that_can_win(1000, SnrValue.from_db(lo))[:1] == [2]
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if _j1_lanes_that_can_win(1000, SnrValue.from_db(mid))[:1] == [2]:
+            lo = mid
+        else:
+            hi = mid
+    assert _j1_lanes_summed(monkeypatch, 1000, SnrValue.from_db(lo)) == [2]
+    assert _j1_lanes_summed(monkeypatch, 1000, SnrValue.from_db(hi)) == []
 
 
 @pytest.mark.parametrize("bad_T", [0, 1, True, 10.0])
@@ -181,15 +237,24 @@ def _scipy_offset(T, snr):
     return optimize.bisect(gap, -60.0, 60.0, xtol=1e-6) / DB_PER_UNIT
 
 
-@pytest.mark.parametrize("T", [2, 3, 5, 10, 40, 100])
+# 0, 7.5, 15 and 30 dB lie on the SNR grid of the benchmark's fig2
+# sweeps.  At T = 300 and 1000 the steps below 0 dB evaluate the separate
+# bound's lanes by the continued fraction, and the bisection tries the
+# last pilot count alone first.
+_OFFSET_DB = {
+    **dict.fromkeys((2, 3, 5, 10, 40, 100), (-40.0, -20.0, 0.0, 7.5, 15.0, 20.0, 30.0, 40.0)),
+    **dict.fromkeys((300, 1000), (-60.0, -40.0, -10.0, -5.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("T", sorted(_OFFSET_DB))
 def test_power_advantage_matches_scipy_bisect(T):
-    # 0, 7.5, 15 and 30 dB lie on the SNR grid of the benchmark's fig2 sweeps
-    for db in (-40.0, -20.0, 0.0, 7.5, 15.0, 20.0, 30.0, 40.0):
+    for db in _OFFSET_DB[T]:
         snr = SnrValue.from_db(db)
         assert power_advantage_at_snr(T, snr).value_3db_units == _scipy_offset(T, snr)
 
 
-@pytest.mark.parametrize("T", [2, 10, 100])
+@pytest.mark.parametrize("T", [2, 10, 100, 1000])
 def test_power_advantage_raises_as_the_public_path(T):
     # at -150 dB the bracket's lower end is -210 dB, where the effective
     # SNR of the separate bound rounds to 0
