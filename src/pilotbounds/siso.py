@@ -28,7 +28,9 @@ from .expint import (
     EULER_GAMMA,
     LOG2E,
     _BAD_ARGUMENTS,
+    _SERIES_TERMS,
     _eps1_lanes,
+    _eps_scalar,
     _eps_scalar_cf,
     _scaled_sums,
     eps1_array,  # not called here; bench/spans.py wraps siso.eps1_array
@@ -46,6 +48,18 @@ from .params import (
 )
 
 _OFFSET_BRACKET_DB = 60.0
+# power_advantage_at_snr confirms a window of half-width
+# _ROOT_HALF_WIDTH_DB + _ROOT_STAIR_DB/(snr*tau) around the estimated
+# root, trying at most _LANE_TRIES lanes.  The second term serves low SNR,
+# where the float 1 - mmse in the effective SNR, mmse = 1/(1 + snr*tau),
+# is a staircase of steps 2^-53 that moves the lane's root by up to about
+# 4.8e-16/(snr*tau) dB.  A bisection step more than _REPLAY_MARGIN_DB
+# past the window takes the decisions of the window's end.
+_ROOT_HALF_WIDTH_DB = 1e-9
+_ROOT_STAIR_DB = 2e-15
+_REPLAY_MARGIN_DB = 1e-7
+_LANE_TRIES = 5
+_NEWTON_STEPS = 40
 
 
 class SeparateBound(NamedTuple):
@@ -133,9 +147,27 @@ def separate_bound(T: int, snr) -> SeparateBound:
 def _separate_best(T: int, snr, taus: np.ndarray, share: np.ndarray) -> SeparateBound:
     """separate_bound for a validated T, given taus = 1..T-1 and
     share = 1 - taus/T, with its checks and messages."""
-    values = share * (LOG2E * _eps1_lanes(_separate_arguments(T, snr, taus)))
+    values = _separate_values(T, snr, taus, share)
     best = int(np.argmax(values))
     return SeparateBound(value=float(values[best]), tau_star=best + 1)
+
+
+def _separate_values(T: int, snr, taus: np.ndarray, share: np.ndarray) -> np.ndarray:
+    """The separate bound's lane share * C(eff) at each of taus."""
+    return share * (LOG2E * _eps1_lanes(_separate_arguments(T, snr, taus)))
+
+
+def _separate_lane(snr: float, tau: int, share: float) -> float | None:
+    """Lane tau of _separate_values at a linear snr, bit for bit, in plain
+    floats: the operations of _effective_snr at n_t = 1, and eps_1 by the
+    path a lane of _eps1_lanes takes.  None where the lane's effective
+    SNR rounds to 0 or its argument to inf, where separate_bound raises."""
+    m = 1.0 / (1.0 + snr * tau)
+    eff = snr * (1.0 - m) / (1.0 + snr * m)
+    x = 1.0 / eff if eff > 0.0 else math.inf
+    if math.isinf(x):
+        return None
+    return share * (LOG2E * _eps_scalar(1, x))
 
 
 def _separate_arguments(T: int, snr, taus) -> np.ndarray:
@@ -175,22 +207,27 @@ _JOINT_KINDS = ("j1", "j2")
 
 
 def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
-    """Exhaustive pilot-count search for the selected joint bound.
+    """Pilot-count search for the selected joint bound, exact as an
+    exhaustive one.
 
     Searches integer tau in [0, T-1]; ties resolve to the smallest tau.
     The continuous relaxation tau* = log2(e)/C - 1/snr is reported for
     reference only (it lies in [0, 1], up to float cancellation at
     extreme SNR) and never decides the integer answer.
 
-    The j1 search sums only the pilot counts that can still win, and
-    stays exact.  j1(tau) is (1 - tau/T)*C less a penalty >= 0, and a
-    rounded subtraction of a non-negative number never exceeds the
-    number it subtracts from, so the float (1 - tau/T)*C, formed as j1
-    forms it, bounds j1(tau) bit for bit.  tau in {0, 1} are summed
-    first; a tau >= 2 whose bound does not exceed their best can be
-    neither larger nor, being later, the first maximum.  Every lane is
-    bit-equal whatever batch it runs in, so tau* and its value are
-    those of the exhaustive scan.
+    Both searches evaluate only the pilot counts that can still win, and
+    stay exact.  j1(tau) is (1 - tau/T)*C less a penalty >= 0, and j2(tau)
+    is (1 - tau/T)*C less a log2 of a ratio >= 1, also >= 0.  A rounded
+    subtraction of a non-negative number never exceeds the number it
+    subtracts from, so the float (1 - tau/T)*C, formed as the bounds form
+    it, bounds either bit for bit.  tau in {0, 1} are evaluated first; a
+    tau >= 2 whose bound does not exceed their best can be neither
+    larger nor, being later, the first maximum.  tau/T, the subtraction
+    and the product with C > 0 are each rounded monotonically, so the
+    float bound is non-increasing in tau and the tau >= 2 it keeps are a
+    prefix, found by bisecting on the bound; no length-T list is built.
+    Every lane is bit-equal whatever batch it runs in, so tau* and its
+    value are those of the exhaustive scan.
     """
     if which not in _JOINT_KINDS:
         raise ValueError(f"which must be one of {_JOINT_KINDS}, got {which!r}")
@@ -201,11 +238,9 @@ def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
     # the public bounds and the MIMO bounds (with their antenna counts) call
     # the same expressions, so the value equals joint_bound_*(tau*) bit for bit
     if which == "j1":
-        best, value = _j1_best(T, s, c)
+        best, value = _first_max(lambda lo, hi: _j1_values(np.arange(lo, hi), T, s, c), T, c)
     else:
-        values = np.array(_j2(range(T), T, s, c))
-        best = int(np.argmax(values))
-        value = float(values[best])
+        best, value = _first_max(lambda lo, hi: _j2(range(lo, hi), T, s, c), T, c)
     continuous = _tau_continuous(c, s)
     return PilotSearch(tau_star=best, value=value, tau_star_continuous=continuous)
 
@@ -214,20 +249,27 @@ def _j1_values(taus: np.ndarray, T: int, s: float, c: float) -> np.ndarray:
     return _j1(taus, T, c, LOG2E * _scaled_sums(T - taus, _j1_argument(taus, s)))
 
 
-def _j1_best(T: int, s: float, c: float) -> tuple[int, float]:
-    """(tau*, j1(tau*)), the first maximum over tau in [0, T-1], summing
-    tau >= 2 only where (1 - tau/T)*c exceeds the best of tau in {0, 1}
-    (optimize_pilots_joint says why that is exact)."""
-    values = _j1_values(np.arange(2), T, s, c)
-    best = int(np.argmax(values))
-    value = float(values[best])
-    rest = np.arange(2, T)
-    rest = rest[(1.0 - rest / T) * c > value]
-    if rest.size:
-        values = _j1_values(rest, T, s, c)
-        i = int(np.argmax(values))
-        if values[i] > value:
-            best, value = int(rest[i]), float(values[i])
+def _first_max(values, T: int, c: float) -> tuple[int, float]:
+    """(tau*, value), the first maximum over tau in [0, T-1] of a bound
+    that values(lo, hi) gives at tau = lo..hi-1 and that never exceeds
+    (1 - tau/T)*c: tau in {0, 1}, then the prefix of tau >= 2 where
+    (1 - tau/T)*c exceeds their best (optimize_pilots_joint says why
+    that is exact)."""
+    head = values(0, 2)
+    best = int(np.argmax(head))
+    value = float(head[best])
+    lo, hi = 2, T  # the prefix ends at the first tau in [lo, hi] whose bound fails
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (1.0 - mid / T) * c > value:
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo > 2:
+        rest = values(2, lo)
+        i = int(np.argmax(rest))
+        if rest[i] > value:
+            best, value = 2 + i, float(rest[i])
     return best, value
 
 
@@ -269,55 +311,155 @@ def power_advantage_at_snr(T: int, snr) -> PowerOffset:
     Strict monotonicity of the separate bound in SNR makes the root
     unique.  At small T and finite SNR the separate bound can already
     exceed the joint bound, so delta may be negative; the bisection
-    bracket is [-60, +60] dB and the root is located to 1e-6 dB.  The
-    pilot counts and their shares 1 - tau/T are built once, and each
-    step checks its SNR and the largest eps_1 argument only, so every
-    step raises what separate_bound would.
+    bracket is [-60, +60] dB and the root is located to 1e-6 dB, bit for
+    bit where scipy.optimize.bisect locates it on separate_bound.
 
-    A bisection step uses the gap only through its sign: whether
-    gap * g_lo >= 0 and whether gap == 0.  At a step SNR <= 1, where
-    every eps_1 argument 1/eff is >= 1, the step first evaluates alone,
-    by the scalar continued fraction, the pilot count that won the last
-    full separate bound, after the same checks.  Its value is one lane
-    of the full bound, bit for bit, so it bounds the full gap from
-    below.  When it exceeds the target, and its product with g_lo does
-    not round to 0, the full gap would give the same two decisions, so
-    the step is settled without the other T - 2 lanes and the root
-    keeps its bits.  Every other step, and the bracket ends, evaluate
-    the full bound.
+    The root is found first and the bisection replayed after.  The full
+    bounds at the bracket ends come first and raise what separate_bound
+    raises there.  Its checks (snr*T overflow, an effective SNR that
+    rounds to 0, an infinite eps_1 argument) are monotone in SNR, so no
+    step inside the bracket raises once both ends have passed, and the
+    exceptions keep their types and messages.
+
+    Root: tau* of the +60 dB bound names one lane of the bound,
+    share_tau * C(eff_tau).  Newton on eps_1 and the inverse of the
+    effective SNR give the dB shift r where that lane meets the target
+    (_lane_root_db).  r is a guess and decides nothing; evaluated values
+    confirm it.  At b = r + h the lane, evaluated bit for bit as the
+    full bound evaluates it, exceeds the target, so the full bound, its
+    maximum over lanes, does too.  At a = r - h a full bound falls short
+    of the target.  Where it does not and its tau* differs, that lane
+    is tried next, a bounded number of times.
+
+    Replay: _bisect runs its own step sequence and uses a gap only
+    through gap * g_lo >= 0 and gap == 0.  A step left of a - margin
+    takes the decisions of gap(a) < 0; any product of two negatives,
+    even one that underflows, is >= 0.  A step right of b + margin takes
+    those of the lane's gap at b, if its product with g_lo does not
+    round to -0.0, which would read as >= 0.  Every other step evaluates
+    the full gap.  Where the root is not confirmed, every step does.
+
+    Margin: the float bound is not proven monotone in SNR to the ulp.
+    Each lane carries at most the kernel's documented relative error of
+    1e-12 and a few roundings of its effective SNR; at low SNR the float
+    1 - mmse in the effective SNR is a staircase, but it only steps up,
+    and between its steps eff still rises as snr does.  So the float bound
+    rises, relative to itself, by at least about min(0.23, 0.33/C) per
+    dB, C in bits, and C stays below about 1000 bits below the snr*T
+    overflow guard (about 3080 dB).  Over _REPLAY_MARGIN_DB = 1e-7 dB
+    that is 3.3e-11, over ten times the 2e-12 that the errors of two
+    evaluations can take away, so a skipped step's gap lies on the side
+    of gap(a) or gap(b) that the step lies of a or b.
     """
     s = linear_snr(snr)
     p = SisoParams(T=T, tau=1, snr=SnrValue(s))
     target = joint_bound_j2(p)
     taus = np.arange(1, p.T)
     share = 1.0 - taus / p.T
-    incumbent = 1  # tau* of the last full separate bound
+
+    def bound(delta_db: float) -> SeparateBound:
+        return _separate_best(p.T, s * 10.0 ** (delta_db / 10.0), taus, share)
 
     def gap(delta_db: float) -> float:
-        nonlocal incumbent
-        best = _separate_best(p.T, s * 10.0 ** (delta_db / 10.0), taus, share)
-        incumbent = best.tau_star
-        return best.value - target
-
-    def step_gap(delta_db: float) -> float:
-        snr_d = s * 10.0 ** (delta_db / 10.0)
-        if snr_d <= 1.0:  # eff <= snr_d, so each eps_1 argument 1/eff is >= 1
-            # taus[0] = 1 rides along for the checks of the full bound
-            x = _separate_arguments(p.T, snr_d, taus[[0, incumbent - 1]])[-1]
-            lane = share[incumbent - 1] * (LOG2E * _eps_scalar_cf(1, float(x))) - target
-            if lane > 0.0 and lane * g_lo != 0.0:
-                return lane
-        return gap(delta_db)
+        return bound(delta_db).value - target
 
     lo, hi = -_OFFSET_BRACKET_DB, _OFFSET_BRACKET_DB
-    g_lo, g_hi = gap(lo), gap(hi)
+
+    def window(tau: int):
+        """(a, gap(a), b, the lane's gap at b) around the root, or None."""
+        for _ in range(_LANE_TRIES):
+            share_tau = float(share[tau - 1])
+            r = _lane_root_db(s, tau, target / share_tau / LOG2E)
+            if r is None or not lo < r < hi:
+                return None
+            h = _ROOT_HALF_WIDTH_DB + _ROOT_STAIR_DB / (s * 10.0 ** (r / 10.0) * tau)
+            a, b = r - h, r + h
+            if not lo < a < b < hi:
+                return None
+            lane = _separate_lane(s * 10.0 ** (b / 10.0), tau, share_tau)
+            if lane is None or not lane - target > 0.0:
+                return None
+            at_a = bound(a)
+            if at_a.value - target < 0.0:
+                return a, at_a.value - target, b, lane - target
+            if at_a.tau_star == tau:
+                return None
+            tau = at_a.tau_star
+        return None
+
+    g_lo = gap(lo)
+    top = bound(hi)
+    g_hi = top.value - target
     if g_lo * g_hi > 0.0:
         raise RuntimeError(
             f"offset saturated: no crossing within +/-{_OFFSET_BRACKET_DB} dB "
             f"for T={T}, snr={s!r}"
         )
+    left, g_a, right, g_b = -math.inf, None, math.inf, None
+    found = window(top.tau_star) if g_lo < 0.0 < g_hi else None
+    if found is not None:
+        a, g_a, b, g_b = found
+        left = a - _REPLAY_MARGIN_DB
+        if g_b * g_lo != 0.0:
+            right = b + _REPLAY_MARGIN_DB
+
+    def step_gap(delta_db: float) -> float:
+        if delta_db < left:
+            return g_a
+        if delta_db > right:
+            return g_b
+        return gap(delta_db)
+
     root_db = _bisect(step_gap, lo, hi, g_lo, g_hi, xtol=1e-6)
     return PowerOffset(root_db / DB_PER_UNIT)
+
+
+def _lane_root_db(s: float, tau: int, level: float) -> float | None:
+    """Estimate of the dB shift d at which eps_1(1/eff) = level, eff the
+    effective SNR of tau pilots at s * 10^(d/10); None where none is found.
+
+    Newton on eps_1(e^u) = level in u = ln x starts at x = 1/expm1(level),
+    right of the root since eps_1(x) < ln(1 + 1/x).  The slope is
+    -eps_2(x), from 1 - x*eps_1(x) at small x and from its continued
+    fraction at large x, where that form cancels.  Each step moves x by
+    a factor, so x stays positive.  eff = s^2 tau/(1 + s tau + s) is
+    then inverted in a form that does not overflow.  A guess only: it
+    neither raises nor warns.
+    """
+    if not 1e-300 < level < 700.0:  # 1/expm1(level) is finite and > 0
+        return None
+    x = 1.0 / math.expm1(level)
+    for _ in range(_NEWTON_STEPS):
+        e1 = _eps1_estimate(x)
+        step = (e1 - level) / (1.0 - x * e1 if x < 1e4 else _eps_scalar_cf(2, x))
+        if not abs(step) < 1.0:  # a NaN fails too
+            return None
+        x *= math.exp(step)
+        if not 0.0 < x < math.inf:
+            return None
+        if abs(step) <= 1e-7:  # the next step would be below 1e-14
+            break
+    else:
+        return None
+    eff = 1.0 / x
+    root = eff * ((tau + 1) + math.sqrt((tau + 1) ** 2 + 4.0 * tau / eff)) / (2.0 * tau)
+    if not 0.0 < root < math.inf:
+        return None
+    return 10.0 * (math.log10(root) - math.log10(s))
+
+
+def _eps1_estimate(x: float) -> float:
+    """eps_1(x) for _lane_root_db: the kernel's continued fraction at x >= 1,
+    below it the kernel's series by math.log and math.exp, which can
+    differ from a lane of the kernel in the last bit."""
+    if x >= 1.0:
+        return _eps_scalar_cf(1, x)
+    acc = -EULER_GAMMA - math.log(x) + x
+    term = x
+    for n in range(1, _SERIES_TERMS):
+        term *= -x * n / (n + 1.0) ** 2
+        acc += term
+    return math.exp(x) * acc
 
 
 # the step sequence, stopping rule and NaN check of scipy.optimize.bisect

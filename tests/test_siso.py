@@ -1,12 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from offset_grid import BENCH_T, outcome, scipy_offset
 
 from pilotbounds import siso
 from pilotbounds.expint import LOG2E, _scaled_sums
-from pilotbounds.params import DB_PER_UNIT, SisoParams, SnrValue
+from pilotbounds.params import SisoParams, SnrValue
 from pilotbounds.siso import (
     _bisect,
     advantage_units,
@@ -181,6 +183,32 @@ def test_j1_search_keeps_a_lane_whose_bound_exceeds_the_best_by_an_ulp(monkeypat
     assert _j1_lanes_summed(monkeypatch, 1000, SnrValue.from_db(hi)) == []
 
 
+@pytest.mark.parametrize("T", [10**4, 10**6])
+def test_j2_search_matches_the_scan_at_long_blocks(T):
+    for db in (-40.0, 0.0, 40.0):
+        s = SnrValue.from_db(db).linear
+        # the expression of joint_bound_j2 at every tau; max keeps the first maximum
+        values = siso._j2(range(T), T, s, capacity_csi(s))
+        best = max(range(T), key=values.__getitem__)
+        res = optimize_pilots_joint(T, SnrValue(s), which="j2")
+        assert (res.tau_star, res.value) == (best, values[best]), db
+
+
+def test_j2_search_at_a_huge_blocklength_evaluates_a_short_prefix(monkeypatch):
+    evaluated = []
+    j2 = siso._j2
+
+    def spy(taus, *args):
+        assert len(taus) <= 1000  # a list of T values would exhaust memory
+        evaluated.extend(taus)
+        return j2(taus, *args)
+
+    monkeypatch.setattr(siso, "_j2", spy)
+    res = optimize_pilots_joint(10**15, SnrValue.from_db(10.0), which="j2")
+    assert res.tau_star == 1
+    assert evaluated[:2] == [0, 1] and len(evaluated) < 100
+
+
 @pytest.mark.parametrize("bad_T", [0, 1, True, 10.0])
 def test_optimizer_blocklength_validation(bad_T):
     with pytest.raises(ValueError):
@@ -225,46 +253,126 @@ def test_power_advantage_finite_snr():
     assert power_advantage_at_snr(2, SnrValue.from_db(10.0)).value_db < 0.0
 
 
-def _scipy_offset(T, snr):
-    # reference: the same offset through scipy.optimize.bisect
-    from scipy import optimize
-
-    target = joint_bound_j2(SisoParams(T=T, tau=1, snr=snr))
-
-    def gap(delta_db):
-        return separate_bound(T, snr.linear * 10.0 ** (delta_db / 10.0)).value - target
-
-    return optimize.bisect(gap, -60.0, 60.0, xtol=1e-6) / DB_PER_UNIT
-
-
 # 0, 7.5, 15 and 30 dB lie on the SNR grid of the benchmark's fig2
 # sweeps.  At T = 300 and 1000 the steps below 0 dB evaluate the separate
-# bound's lanes by the continued fraction, and the bisection tries the
-# last pilot count alone first.
+# bound's lanes by the continued fraction.
 _OFFSET_DB = {
     **dict.fromkeys((2, 3, 5, 10, 40, 100), (-40.0, -20.0, 0.0, 7.5, 15.0, 20.0, 30.0, 40.0)),
     **dict.fromkeys((300, 1000), (-60.0, -40.0, -10.0, -5.0, 0.0)),
 }
+# the benchmark's blocklengths, from its lowest SNR to past its highest;
+# some of these points raise, and must raise as scipy does
+_BENCH_OFFSET_DB = (*range(-100, 41, 10), 60.0, 3000.0)
 
 
-@pytest.mark.parametrize("T", sorted(_OFFSET_DB))
+@pytest.mark.parametrize("T", sorted({*_OFFSET_DB, *BENCH_T}))
 def test_power_advantage_matches_scipy_bisect(T):
-    for db in _OFFSET_DB[T]:
+    dbs = {*_OFFSET_DB.get(T, ()), *(_BENCH_OFFSET_DB if T in BENCH_T else ())}
+    for db in sorted(dbs):
         snr = SnrValue.from_db(db)
-        assert power_advantage_at_snr(T, snr).value_3db_units == _scipy_offset(T, snr)
+        ours = outcome(lambda: power_advantage_at_snr(T, snr).value_3db_units)
+        assert ours == outcome(lambda: scipy_offset(T, snr)), db
 
 
-@pytest.mark.parametrize("T", [2, 10, 100, 1000])
+# -150 dB: the bracket's lower end is -210 dB, where the effective SNR of
+# the separate bound rounds to 0; 3020 dB: snr*T overflows at the upper
+# end; -97.5 and -92.5 dB: the gaps at both ends are negative
+_RAISING_DB = {
+    2: (-150.0, 3020.0, -97.5),
+    10: (-150.0, 3020.0, -92.5),
+    100: (-150.0, 3020.0),
+    1000: (-150.0, 3020.0),
+}
+
+
+@pytest.mark.parametrize("T", sorted(_RAISING_DB))
 def test_power_advantage_raises_as_the_public_path(T):
-    # at -150 dB the bracket's lower end is -210 dB, where the effective
-    # SNR of the separate bound rounds to 0
-    snr = SnrValue.from_db(-150.0)
-    with pytest.raises(ValueError) as ref:
-        _scipy_offset(T, snr)
-    with pytest.raises(ValueError) as ours:
-        power_advantage_at_snr(T, snr)
-    assert str(ours.value) == str(ref.value)
-    assert str(ours.value) == "effective SNR at tau=1 rounds to 0 at snr=1.0000000000000001e-21"
+    low, high, *saturated = _RAISING_DB[T]
+    for db in _RAISING_DB[T]:
+        snr = SnrValue.from_db(db)
+        ref = outcome(lambda: scipy_offset(T, snr))
+        assert isinstance(ref, tuple), db
+        assert outcome(lambda: power_advantage_at_snr(T, snr)) == ref, db
+    with pytest.raises(ValueError) as exc:
+        power_advantage_at_snr(T, SnrValue.from_db(low))
+    assert str(exc.value) == "effective SNR at tau=1 rounds to 0 at snr=1.0000000000000001e-21"
+    with pytest.raises(ValueError, match=r"^snr\*T overflows a float: snr=1e\+308, T="):
+        power_advantage_at_snr(T, SnrValue.from_db(high))
+    for db in saturated:
+        with pytest.raises(RuntimeError, match="^offset saturated"):
+            power_advantage_at_snr(T, SnrValue.from_db(db))
+
+
+def _offset_and_full_bounds(monkeypatch, T, snr):
+    """The offset at (T, snr), and how many full separate bounds it evaluated."""
+    calls = []
+    full = siso._separate_best
+    with monkeypatch.context() as m:
+        m.setattr(siso, "_separate_best", lambda *args: calls.append(args) or full(*args))
+        value = power_advantage_at_snr(T, snr).value_3db_units
+    return value, len(calls)
+
+
+@pytest.mark.parametrize("T", [10, 100, 1000])
+def test_power_advantage_evaluates_few_full_bounds(monkeypatch, T):
+    # the bracket ends, a full bound per lane tried, and the steps within
+    # the margin of the root; plain bisection evaluates about 29
+    for db in (-40.0, 0.0, 20.0):
+        snr = SnrValue.from_db(db)
+        value, full = _offset_and_full_bounds(monkeypatch, T, snr)
+        assert value == scipy_offset(T, snr), db
+        assert full <= 6, db
+
+
+@pytest.mark.parametrize("shift_db", [None, -1.0, 1.0])
+def test_power_advantage_without_a_root_estimate_bisects_in_full(monkeypatch, shift_db):
+    # no estimate, or one 1 dB off: the window is not confirmed, every
+    # step evaluates the full bound, and the root keeps its bits
+    estimate = siso._lane_root_db
+
+    def off(*args):
+        r = estimate(*args)
+        return None if shift_db is None or r is None else r + shift_db
+
+    monkeypatch.setattr(siso, "_lane_root_db", off)
+    for T in (10, 100, 1000):
+        for db in (-40.0, 0.0, 20.0):
+            snr = SnrValue.from_db(db)
+            value, full = _offset_and_full_bounds(monkeypatch, T, snr)
+            assert value == scipy_offset(T, snr), (T, db)
+            assert full > 20, (T, db)
+
+
+# below x = 1 every lane takes the series; above, up to 64 lanes the
+# scalar continued fraction and more the vector one
+@pytest.mark.parametrize(
+    "T,dbs,path",
+    [
+        (100, (15.0, 20.0, 33.3), "series"),
+        (30, (-20.0, -10.0, -3.3), "scalar CF"),
+        (1000, (-20.0, -10.0, -3.3), "vector CF"),
+    ],
+)
+def test_separate_lane_is_bit_equal_to_the_full_bound(T, dbs, path):
+    taus = np.arange(1, T)
+    share = 1.0 - taus / T
+    for db in dbs:
+        s = SnrValue.from_db(db).linear
+        x = siso._separate_arguments(T, s, taus)
+        if path == "series":
+            assert (x < 1.0).all()
+        else:
+            assert (x >= 1.0).all() and (x.size > 64) == (path == "vector CF")
+        values = siso._separate_values(T, s, taus, share)
+        lanes = [siso._separate_lane(s, tau, float(share[tau - 1])) for tau in range(1, T)]
+        assert lanes == values.tolist(), db
+
+
+def test_separate_lane_declines_where_the_bound_raises():
+    # the effective SNR of one pilot rounds to 0 at 1e-170
+    assert siso._separate_lane(1e-170, 1, 0.5) is None
+    with pytest.raises(ValueError, match="rounds to 0"):
+        separate_bound(2, 1e-170)
 
 
 @pytest.mark.parametrize(
