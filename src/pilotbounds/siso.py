@@ -30,7 +30,6 @@ from .expint import (
     _BAD_ARGUMENTS,
     _SERIES_TERMS,
     _eps1_lanes,
-    _eps_scalar,
     _eps_scalar_cf,
     _scaled_sums,
     eps1_array,  # not called here; bench/spans.py wraps siso.eps1_array
@@ -60,6 +59,9 @@ _ROOT_STAIR_DB = 2e-15
 _REPLAY_MARGIN_DB = 1e-7
 _LANE_TRIES = 5
 _NEWTON_STEPS = 40
+# the joint searches evaluate their kept pilot counts this many at a time;
+# at low SNR and huge T the prefix can run to 10^11 lanes
+_PREFIX_CHUNK = 1 << 16
 
 
 class SeparateBound(NamedTuple):
@@ -157,19 +159,6 @@ def _separate_values(T: int, snr, taus: np.ndarray, share: np.ndarray) -> np.nda
     return share * (LOG2E * _eps1_lanes(_separate_arguments(T, snr, taus)))
 
 
-def _separate_lane(snr: float, tau: int, share: float) -> float | None:
-    """Lane tau of _separate_values at a linear snr, bit for bit, in plain
-    floats: the operations of _effective_snr at n_t = 1, and eps_1 by the
-    path a lane of _eps1_lanes takes.  None where the lane's effective
-    SNR rounds to 0 or its argument to inf, where separate_bound raises."""
-    m = 1.0 / (1.0 + snr * tau)
-    eff = snr * (1.0 - m) / (1.0 + snr * m)
-    x = 1.0 / eff if eff > 0.0 else math.inf
-    if math.isinf(x):
-        return None
-    return share * (LOG2E * _eps_scalar(1, x))
-
-
 def _separate_arguments(T: int, snr, taus) -> np.ndarray:
     """The eps_1 arguments 1/eff of the separate bound at the ascending
     taus, taus[0] = 1, after every check separate_bound makes.  eff
@@ -226,6 +215,8 @@ def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
     and the product with C > 0 are each rounded monotonically, so the
     float bound is non-increasing in tau and the tau >= 2 it keeps are a
     prefix, found by bisecting on the bound; no length-T list is built.
+    At low SNR the prefix still runs to about log2(1 + snr*T)/C lanes,
+    about 10^11 at T = 10^15 and -100 dB, and its time grows with it.
     Every lane is bit-equal whatever batch it runs in, so tau* and its
     value are those of the exhaustive scan.
     """
@@ -254,7 +245,8 @@ def _first_max(values, T: int, c: float) -> tuple[int, float]:
     that values(lo, hi) gives at tau = lo..hi-1 and that never exceeds
     (1 - tau/T)*c: tau in {0, 1}, then the prefix of tau >= 2 where
     (1 - tau/T)*c exceeds their best (optimize_pilots_joint says why
-    that is exact)."""
+    that is exact), in calls of at most _PREFIX_CHUNK lanes, so memory
+    stays bounded however long the prefix."""
     head = values(0, 2)
     best = int(np.argmax(head))
     value = float(head[best])
@@ -265,11 +257,11 @@ def _first_max(values, T: int, c: float) -> tuple[int, float]:
             lo = mid + 1
         else:
             hi = mid
-    if lo > 2:
-        rest = values(2, lo)
+    for start in range(2, lo, _PREFIX_CHUNK):
+        rest = values(start, min(start + _PREFIX_CHUNK, lo))
         i = int(np.argmax(rest))
         if rest[i] > value:
-            best, value = 2 + i, float(rest[i])
+            best, value = start + i, float(rest[i])
     return best, value
 
 
@@ -325,11 +317,13 @@ def power_advantage_at_snr(T: int, snr) -> PowerOffset:
     share_tau * C(eff_tau).  Newton on eps_1 and the inverse of the
     effective SNR give the dB shift r where that lane meets the target
     (_lane_root_db).  r is a guess and decides nothing; evaluated values
-    confirm it.  At b = r + h the lane, evaluated bit for bit as the
-    full bound evaluates it, exceeds the target, so the full bound, its
-    maximum over lanes, does too.  At a = r - h a full bound falls short
-    of the target.  Where it does not and its tau* differs, that lane
-    is tried next, a bounded number of times.
+    confirm it.  At b = r + h the lane, evaluated beside lane 1 alone by
+    the full bound's own code, exceeds the target, so the full bound,
+    its maximum over lanes, does too: each lane is bit-equal whatever
+    batch it runs in, and lane 1 carries the checks, which cannot fail
+    inside the bracket.  At a = r - h a full bound falls short of the
+    target.  Where it does not and its tau* differs, that lane is tried
+    next, a bounded number of times.
 
     Replay: _bisect runs its own step sequence and uses a gap only
     through gap * g_lo >= 0 and gap == 0.  A step left of a - margin
@@ -376,8 +370,12 @@ def power_advantage_at_snr(T: int, snr) -> PowerOffset:
             a, b = r - h, r + h
             if not lo < a < b < hi:
                 return None
-            lane = _separate_lane(s * 10.0 ** (b / 10.0), tau, share_tau)
-            if lane is None or not lane - target > 0.0:
+            # lane tau of the full bound at b: each lane is bit-equal
+            # whatever its batch, and b lies strictly inside the bracket
+            # whose ends passed the checks
+            pair = [0, tau - 1]
+            lane = float(_separate_values(p.T, s * 10.0 ** (b / 10.0), taus[pair], share[pair])[-1])
+            if not lane - target > 0.0:
                 return None
             at_a = bound(a)
             if at_a.value - target < 0.0:
@@ -452,6 +450,14 @@ def _eps1_estimate(x: float) -> float:
     """eps_1(x) for _lane_root_db: the kernel's continued fraction at x >= 1,
     below it the kernel's series by math.log and math.exp, which can
     differ from a lane of the kernel in the last bit."""
+    # Below x = 1 the kernel's scalar eps_1 runs the series on a 1-element
+    # numpy array, 57-134 us a call against about 5 us here (ROADMAP
+    # item 7), and the Newton loop calls it 3-4 times per lane tried.
+    # With the kernel in the loop, siso_closed_form on a 2-vCPU VM read
+    # ops_per_cpu_s 3261 [2909, 3560] against 3701 [3278, 3852] with this
+    # copy, and cpu_p90_ms 0.68 against 0.55 ms (10 alternating 20 s
+    # pairs, medians [quartiles]).  Once the scalar seed is cheap, call
+    # _eps_scalar(1, x) instead.
     if x >= 1.0:
         return _eps_scalar_cf(1, x)
     acc = -EULER_GAMMA - math.log(x) + x

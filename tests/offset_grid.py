@@ -14,16 +14,15 @@ test_siso.py checks coarser grids through the same helpers.
 
 from __future__ import annotations
 
-import math
 import sys
+from pathlib import Path
 
 from pilotbounds.params import DB_PER_UNIT, SisoParams, SnrValue
 from pilotbounds.siso import joint_bound_j2, power_advantage_at_snr, separate_bound
 
-# the benchmark's SISO blocklengths: 23 distinct integers, log-spaced on [2, 1000]
-BENCH_T = tuple(
-    sorted({int(round(10 ** (math.log10(2.0) + i * (3.0 - math.log10(2.0)) / 23))) for i in range(24)})
-)
+sys.path.append(str(Path(__file__).resolve().parents[1]))  # the repo root, for bench
+from bench.grids import SISO_T_GRID as BENCH_T  # noqa: E402  the benchmark's SISO blocklengths
+
 GRID_T = tuple(sorted({*BENCH_T, 3, 5, 40, 100}))
 GRID_DB = (*(-100.0 + 2.5 * i for i in range(57)), -160.0, -150.0, 60.0, 3000.0)
 

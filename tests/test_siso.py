@@ -209,6 +209,48 @@ def test_j2_search_at_a_huge_blocklength_evaluates_a_short_prefix(monkeypatch):
     assert evaluated[:2] == [0, 1] and len(evaluated) < 100
 
 
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_joint_searches_are_exact_across_chunks(monkeypatch, chunk):
+    # the kept prefix in calls of `chunk` lanes gives the first maximum of
+    # one call over every tau; at T = 1000, -100 dB j2's is tau = 12,
+    # where the float values differ only by rounding
+    T = 1000
+    monkeypatch.setattr(siso, "_PREFIX_CHUNK", chunk)
+    bests = []
+    for db in (-100.0, -80.0, -20.0, 20.0):
+        s = SnrValue.from_db(db).linear
+        c = capacity_csi(s)
+        scans = {"j1": siso._j1_values(np.arange(T), T, s, c).tolist(), "j2": siso._j2(range(T), T, s, c)}
+        for which, values in scans.items():
+            best = max(range(T), key=values.__getitem__)
+            res = optimize_pilots_joint(T, SnrValue(s), which=which)
+            assert (res.tau_star, res.value) == (best, values[best]), (which, db)
+            bests.append(best)
+    assert max(bests) == 12
+
+
+def test_j2_search_at_a_huge_blocklength_and_low_snr_holds_bounded_chunks(monkeypatch):
+    # at -100 dB the kept prefix runs to about 10^11 lanes: evaluated in
+    # one call, its list would exhaust memory; stop after a few chunks
+    calls = []
+    j2 = siso._j2
+
+    class Stop(Exception):
+        pass
+
+    def spy(taus, *args):
+        assert len(taus) <= siso._PREFIX_CHUNK
+        calls.append(len(taus))
+        if len(calls) > 3:
+            raise Stop
+        return j2(taus, *args)
+
+    monkeypatch.setattr(siso, "_j2", spy)
+    with pytest.raises(Stop):
+        optimize_pilots_joint(10**15, SnrValue.from_db(-100.0), which="j2")
+    assert calls == [2, siso._PREFIX_CHUNK, siso._PREFIX_CHUNK, siso._PREFIX_CHUNK]
+
+
 @pytest.mark.parametrize("bad_T", [0, 1, True, 10.0])
 def test_optimizer_blocklength_validation(bad_T):
     with pytest.raises(ValueError):
@@ -353,7 +395,9 @@ def test_power_advantage_without_a_root_estimate_bisects_in_full(monkeypatch, sh
         (1000, (-20.0, -10.0, -3.3), "vector CF"),
     ],
 )
-def test_separate_lane_is_bit_equal_to_the_full_bound(T, dbs, path):
+def test_separate_lane_beside_lane_one_is_bit_equal_to_the_full_bound(T, dbs, path):
+    # the power offset evaluates lane tau at its window's end as lanes 1
+    # and tau of the full bound's code
     taus = np.arange(1, T)
     share = 1.0 - taus / T
     for db in dbs:
@@ -364,15 +408,9 @@ def test_separate_lane_is_bit_equal_to_the_full_bound(T, dbs, path):
         else:
             assert (x >= 1.0).all() and (x.size > 64) == (path == "vector CF")
         values = siso._separate_values(T, s, taus, share)
-        lanes = [siso._separate_lane(s, tau, float(share[tau - 1])) for tau in range(1, T)]
-        assert lanes == values.tolist(), db
-
-
-def test_separate_lane_declines_where_the_bound_raises():
-    # the effective SNR of one pilot rounds to 0 at 1e-170
-    assert siso._separate_lane(1e-170, 1, 0.5) is None
-    with pytest.raises(ValueError, match="rounds to 0"):
-        separate_bound(2, 1e-170)
+        for tau in range(1, T):
+            pair = [0, tau - 1]
+            assert siso._separate_values(T, s, taus[pair], share[pair])[-1] == values[tau - 1], (db, tau)
 
 
 @pytest.mark.parametrize(
