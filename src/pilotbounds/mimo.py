@@ -34,7 +34,8 @@ to 24 x 24 and up to 1.2 ms at 32 x 32.
 The bounds call the scalar module's expressions with the antenna
 counts, which put the per-antenna counterparts in place of T, tau and
 C(.); at n_t = n_r = 1 they are the scalar bounds, bit for bit.  Pilot
-searches reuse one capacity value, and tau* is the first argmax.  The
+searches reuse one capacity value, tau* is the first argmax, and the
+joint search skips the tau that cannot win, as the scalar one does.  The
 bounds and searches keep their cfg and workers parameters and Estimate
 results (std_error 0, samples_used 0, tie_within_margin False) so that
 callers written for sampled results, such as bench/workloads.py, run
@@ -49,6 +50,8 @@ import math
 import operator
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from . import montecarlo as mc
 # expint_scaled_sum is unused here; bench/spans.py traces the kernel through mimo's name
 from .expint import (
@@ -56,7 +59,7 @@ from .expint import (
 )
 from .montecarlo import Estimate, McConfig
 from .params import MimoParams, PowerOffset, _check_int, _check_snr_blocklength, linear_snr
-from .siso import _effective_snr, _j1, _j1_argument, _j2, _tau_continuous, advantage_units
+from .siso import _effective_snr, _first_max, _j1, _j1_argument, _j2, _tau_continuous, advantage_units
 
 _TIE_MARGIN_SE = 4.0
 # Largest cancellation ratio kappa of the float Laguerre sum that is
@@ -120,8 +123,9 @@ def _laguerre_weights(m: int, d: int) -> tuple[tuple[int, ...], int, tuple[float
     tails = list(itertools.accumulate(reversed([ci * f(d + i) for i, ci in enumerate(c)])))[::-1]
     num = (tails[0],) * (d + 1) + tuple(tails[1:])
     den = f(m - 1 + d) * top * top
-    digits = 20 + math.ceil(math.log10(sum(map(abs, num)) / den))
-    return num, den, tuple(n / den for n in num), digits
+    # the d + 1 head terms are one integer (W_k = m): divide and sum it once
+    digits = 20 + math.ceil(math.log10(((d + 1) * abs(tails[0]) + sum(map(abs, tails[1:]))) / den))
+    return num, den, (tails[0] / den,) * (d + 1) + tuple(n / den for n in tails[1:]), digits
 
 
 def _ctr_value(t: int, r: int, x: float) -> float:
@@ -194,11 +198,6 @@ def mimo_joint_j2(p: MimoParams, cfg: McConfig | None = None, workers: int = 1) 
     return Estimate(_j2((p.tau,), p.T, p.snr.linear, c1, p.n_t, p.n_r)[0], 0.0, 0)
 
 
-def _scan_candidates(values: Sequence[float]) -> int:
-    """The first argmax: an exact tie goes to the smaller tau."""
-    return max(range(len(values)), key=values.__getitem__)
-
-
 def mimo_separate(
     n_t: int, n_r: int, T: int, snr, cfg: McConfig | None = None, workers: int = 1
 ) -> MimoSeparateResult:
@@ -206,8 +205,8 @@ def mimo_separate(
     per antenna: tau_bar = tau/n_t pilot uses, effective SNR from the
     per-antenna MMSE, capacity through C_{n_t,n_r}.
 
-    Searches integer tau in [n_t, T-1]; every candidate is exact, so
-    tau* is the first argmax and tie_within_margin is False.  cfg and
+    Searches every integer tau in [n_t, T-1]; every candidate is exact,
+    so tau* is the first argmax and tie_within_margin is False.  cfg and
     workers as in capacity_ctr.
     """
     n_t = _check_int("n_t", n_t, 1)
@@ -222,20 +221,24 @@ def mimo_separate(
         (1.0 - tau / T) * _ctr_value(n_t, n_r, n_t / eff)
         for tau, eff in zip(taus, _effective_snr(s, taus, n_t).tolist())
     ]
-    idx = _scan_candidates(values)
+    idx = int(np.argmax(values))
     return MimoSeparateResult(Estimate(values[idx], 0.0, 0), taus[idx], False)
 
 
 def mimo_optimize_pilots(
     n: int, T: int, snr, cfg: McConfig | None = None, workers: int = 1
 ) -> MimoPilotSearch:
-    """Exhaustive pilot search of the joint bound for n_t = n_r = n over
-    tau in {0} U [n, T-1].
+    """Pilot search of the joint bound for n_t = n_r = n over tau in
+    {0} U [n, T-1], exact as an exhaustive one: siso._first_max with
+    first = n, since j1 is (1 - tau/T)*c1 less a penalty that is > 0
+    (_ctr_value's float sum needs a total > 0, and its decimal one sums
+    a positive quantity).
 
-    One capacity value is shared by every candidate; every candidate is
-    exact, so tau* is the first argmax and tie_within_margin is False.
-    The continuous relaxation n * (log2(e)/(C_{n,n}/n) - 1/snr) is
-    reported for reference.  cfg and workers as in capacity_ctr.
+    One capacity value c1 = C_{n,n}(snr) is shared by every candidate;
+    every candidate is exact, so tau* is the first argmax and
+    tie_within_margin is False.  The continuous relaxation
+    n * (log2(e)/(C_{n,n}/n) - 1/snr) is reported for reference.  cfg
+    and workers as in capacity_ctr.
     """
     n = _check_int("n", n, 1)
     T = _check_int("T", T, 2)
@@ -243,11 +246,8 @@ def mimo_optimize_pilots(
     s = linear_snr(snr)
     _check_snr_blocklength(s, T)
     c1 = _ctr_value(n, n, n / s)
-    taus = [0] + list(range(n, T))
-    values = [_j1_candidate(n, n, T, tau, s, c1) for tau in taus]
-    idx = _scan_candidates(values)
-    value = Estimate(values[idx], 0.0, 0)
-    return MimoPilotSearch(taus[idx], value, _tau_continuous(c1, s, n), False)
+    best, value = _first_max(lambda taus: [_j1_candidate(n, n, T, t, s, c1) for t in taus], T, c1, n)
+    return MimoPilotSearch(best, Estimate(value, 0.0, 0), _tau_continuous(c1, s, n), False)
 
 
 def mimo_power_advantage_asymptotic(n: int, T: int) -> PowerOffset:

@@ -204,21 +204,12 @@ def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
     reference only (it lies in [0, 1], up to float cancellation at
     extreme SNR) and never decides the integer answer.
 
-    Both searches evaluate only the pilot counts that can still win, and
-    stay exact.  j1(tau) is (1 - tau/T)*C less a penalty >= 0, and j2(tau)
-    is (1 - tau/T)*C less a log2 of a ratio >= 1, also >= 0.  A rounded
-    subtraction of a non-negative number never exceeds the number it
-    subtracts from, so the float (1 - tau/T)*C, formed as the bounds form
-    it, bounds either bit for bit.  tau in {0, 1} are evaluated first; a
-    tau >= 2 whose bound does not exceed their best can be neither
-    larger nor, being later, the first maximum.  tau/T, the subtraction
-    and the product with C > 0 are each rounded monotonically, so the
-    float bound is non-increasing in tau and the tau >= 2 it keeps are a
-    prefix, found by bisecting on the bound; no length-T list is built.
-    At low SNR the prefix still runs to about log2(1 + snr*T)/C lanes,
+    Both searches evaluate only the pilot counts that can still win
+    (_first_max), and stay exact.  j1(tau) is (1 - tau/T)*C less a
+    penalty >= 0, and j2(tau) is (1 - tau/T)*C less a log2 of a ratio
+    >= 1, also >= 0, so (1 - tau/T)*C bounds either bit for bit.  At low
+    SNR the kept prefix still runs to about log2(1 + snr*T)/C lanes,
     about 10^11 at T = 10^15 and -100 dB, and its time grows with it.
-    Every lane is bit-equal whatever batch it runs in, so tau* and its
-    value are those of the exhaustive scan.
     """
     if which not in _JOINT_KINDS:
         raise ValueError(f"which must be one of {_JOINT_KINDS}, got {which!r}")
@@ -229,9 +220,9 @@ def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
     # the public bounds and the MIMO bounds (with their antenna counts) call
     # the same expressions, so the value equals joint_bound_*(tau*) bit for bit
     if which == "j1":
-        best, value = _first_max(lambda lo, hi: _j1_values(np.arange(lo, hi), T, s, c), T, c)
+        best, value = _first_max(lambda taus: _j1_values(np.asarray(taus), T, s, c), T, c, 1)
     else:
-        best, value = _first_max(lambda lo, hi: _j2(range(lo, hi), T, s, c), T, c)
+        best, value = _first_max(lambda taus: _j2(taus, T, s, c), T, c, 1)
     continuous = _tau_continuous(c, s)
     return PilotSearch(tau_star=best, value=value, tau_star_continuous=continuous)
 
@@ -240,25 +231,34 @@ def _j1_values(taus: np.ndarray, T: int, s: float, c: float) -> np.ndarray:
     return _j1(taus, T, c, LOG2E * _scaled_sums(T - taus, _j1_argument(taus, s)))
 
 
-def _first_max(values, T: int, c: float) -> tuple[int, float]:
-    """(tau*, value), the first maximum over tau in [0, T-1] of a bound
-    that values(lo, hi) gives at tau = lo..hi-1 and that never exceeds
-    (1 - tau/T)*c: tau in {0, 1}, then the prefix of tau >= 2 where
-    (1 - tau/T)*c exceeds their best (optimize_pilots_joint says why
-    that is exact), in calls of at most _PREFIX_CHUNK lanes, so memory
-    stays bounded however long the prefix."""
-    head = values(0, 2)
-    best = int(np.argmax(head))
-    value = float(head[best])
-    lo, hi = 2, T  # the prefix ends at the first tau in [lo, hi] whose bound fails
+def _first_max(values, T: int, c: float, first: int) -> tuple[int, float]:
+    """(tau*, value), the first maximum over tau in {0} U [first, T-1]
+    of a bound that values(taus) gives at each tau of a range and that is
+    (1 - tau/T)*c, c > 0, less a number >= 0, formed as the callers form
+    it.  A rounded subtraction of a non-negative number never exceeds
+    what it subtracts from, so the float (1 - tau/T)*c bounds it bit for
+    bit.  The head {0, first} (only 0 when first >= T) comes first; a
+    later tau whose float bound does not exceed the head's best can be
+    neither larger nor, being later, the first maximum.  tau/T, the
+    subtraction and the product with c are each rounded monotonically,
+    so the float bound is non-increasing in tau, and the tau > first
+    kept are a prefix, found by bisection and evaluated in calls of at
+    most _PREFIX_CHUNK lanes, so memory stays bounded.  Each lane is
+    bit-equal whatever its batch, and np.argmax and the strict > give
+    ties to the smaller tau, so the result is the exhaustive scan's."""
+    taus = range(0, min(first + 1, T), first)
+    head = values(taus)
+    i = int(np.argmax(head))
+    best, value = taus[i], float(head[i])
+    lo, hi = first + 1, T  # the prefix ends at the first tau in [lo, hi] whose bound fails
     while lo < hi:
         mid = (lo + hi) // 2
         if (1.0 - mid / T) * c > value:
             lo = mid + 1
         else:
             hi = mid
-    for start in range(2, lo, _PREFIX_CHUNK):
-        rest = values(start, min(start + _PREFIX_CHUNK, lo))
+    for start in range(first + 1, lo, _PREFIX_CHUNK):
+        rest = values(range(start, min(start + _PREFIX_CHUNK, lo)))
         i = int(np.argmax(rest))
         if rest[i] > value:
             best, value = start + i, float(rest[i])

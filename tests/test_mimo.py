@@ -5,13 +5,13 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from pilotbounds import mimo, montecarlo
+from pilotbounds import mimo, montecarlo, siso
 from pilotbounds.expint import LOG2E, expint_scaled_sum
 from pilotbounds.mimo import (
     _ctr_decimal,
     _ctr_value,
     _laguerre_weights,
-    _scan_candidates,
+    MimoPilotSearch,
     capacity_ctr,
     mimo_joint_j1,
     mimo_joint_j2,
@@ -183,11 +183,39 @@ def test_joint_bound_ordering_twelve_by_twelve(no_sampling):
         assert j2 == pytest.approx(ref_j2, rel=1e-12, abs=0.0)
 
 
-def test_scan_candidates_resolves_ties_toward_fewer_pilots():
-    # tau* is the first argmax: an exact tie goes to the smaller tau
-    assert _scan_candidates([1.0, 2.0, 2.0]) == 1
-    assert _scan_candidates([3.0, 1.0, 3.0]) == 0
-    assert _scan_candidates([1.0, 1.1, 1.05]) == 1
+# j1 values patched in by tau (0 elsewhere), tying exactly in the head
+# {0, 2}, between the head and the prefix, inside the prefix, and between
+# neighbours that chunks of one lane put in different calls; at n = 2,
+# T = 20 and 10 dB every tau <= 6 has a bound (1 - tau/T)*C above 3.8
+_PATCHED_TIES = [
+    ({0: 1.0, 2: 1.0}, 0),
+    ({2: 1.0, 3: 1.0}, 2),
+    ({0: 0.5, 2: 0.5, 4: 1.0, 6: 1.0}, 4),
+    ({5: 1.0, 6: 1.0}, 5),
+]
+
+
+@pytest.mark.parametrize("chunk", [1, siso._PREFIX_CHUNK])
+@pytest.mark.parametrize("patched,tau_star", _PATCHED_TIES)
+def test_pilot_search_resolves_exact_ties_toward_fewer_pilots(monkeypatch, chunk, patched, tau_star):
+    monkeypatch.setattr(siso, "_PREFIX_CHUNK", chunk)
+    monkeypatch.setattr(mimo, "_j1_candidate", lambda n_t, n_r, T, tau, s, c1: patched.get(tau, 0.0))
+    res = mimo_optimize_pilots(2, 20, SnrValue(10.0))
+    assert (res.tau_star, res.value.mean) == (tau_star, 1.0)
+
+
+@pytest.mark.parametrize("patched,tau_star", [({}, 2), ({4: 2.0, 8: 3.0}, 4), ({8: 2.0, 12: 4.0}, 8)])
+def test_separate_search_resolves_exact_ties_toward_fewer_pilots(monkeypatch, patched, tau_star):
+    # C_{2,2}(eff) patched in by tau (0 elsewhere); at T = 16 the shares
+    # 1 - tau/16 of tau = 4, 8, 12 are exact, so the products tie exactly
+    s, T = 10.0, 16
+    taus = range(2, T)
+    effs = mimo._effective_snr(s, taus, 2).tolist()
+    by_argument = {2 / eff: patched.get(tau, 0.0) for tau, eff in zip(taus, effs)}
+    monkeypatch.setattr(mimo, "_ctr_value", lambda t, r, x: by_argument[x])
+    res = mimo_separate(2, 2, T, SnrValue(s))
+    assert res.tau_star == tau_star
+    assert res.value.mean == (1.0 - tau_star / T) * patched.get(tau_star, 0.0)
 
 
 def test_optimizer_square_two_by_two():
@@ -457,18 +485,55 @@ def test_exact_separate_search(n_t, n_r, T, db):
     assert res.tie_within_margin is False
 
 
-@pytest.mark.parametrize("n,T", [(2, 12), (3, 16), (4, 20)])
-@pytest.mark.parametrize("db", [-10.0, 10.0, 30.0])
+def _outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _j1_scan(n, T, snr):
+    """The first maximum of mimo_joint_j1 over every tau in {0} U [n, T-1]."""
+    taus = [0] + list(range(n, T))
+    values = [mimo_joint_j1(MimoParams(n_t=n, n_r=n, T=T, tau=tau, snr=snr), CFG).mean for tau in taus]
+    best = _first_argmax(values)
+    return taus[best], values[best]
+
+
+# -3080 dB: n/snr overflows for n >= 2, and at n = 1 j1 is 0 or subnormal
+@pytest.mark.parametrize(
+    "n,T", [(n, T) for n in range(1, 5) for T in range(n + 1, 21)] + [(2, 100), (2, 300)]
+)
+@pytest.mark.parametrize("db", [-3080.0, -400.0, -200.0, -60.0, -10.0, 10.0, 30.0, 40.0])
 def test_exact_pilot_search(n, T, db):
     snr = SnrValue.from_db(db)
-    taus = [0] + list(range(n, T))
-    values = [
-        mimo_joint_j1(MimoParams(n_t=n, n_r=n, T=T, tau=tau, snr=snr), CFG).mean
-        for tau in taus
-    ]
-    best = _first_argmax(values)
-    res = mimo_optimize_pilots(n, T, snr, McConfig(samples=100, seed=1))
-    assert res == mimo_optimize_pilots(n, T, snr, McConfig(samples=5000, seed=2))
-    assert res.tau_star == taus[best] and res.value.mean == values[best]
-    assert res.value.std_error == 0.0 and res.value.samples_used == 0
-    assert res.tie_within_margin is False
+    res = _outcome(mimo_optimize_pilots, n, T, snr, McConfig(samples=100, seed=1))
+    assert res == _outcome(mimo_optimize_pilots, n, T, snr, McConfig(samples=5000, seed=2))
+    ref = _outcome(_j1_scan, n, T, snr)
+    if isinstance(res, MimoPilotSearch):
+        assert (res.tau_star, res.value.mean) == ref
+        assert res.value.std_error == 0.0 and res.value.samples_used == 0
+        assert res.tie_within_margin is False
+    else:
+        assert res == ref
+
+
+@pytest.mark.parametrize("n,T,db", [(2, 1000, 10.0), (3, 300, -10.0)])
+def test_pilot_search_evaluates_only_the_candidates_that_can_win(monkeypatch, n, T, db):
+    # the tau > n whose bound (1 - tau/T)*C_{n,n} exceeds the best j1 at tau in {0, n}
+    snr = SnrValue.from_db(db)
+    best = max(mimo_joint_j1(MimoParams(n_t=n, n_r=n, T=T, tau=tau, snr=snr)).mean for tau in (0, n))
+    c1 = capacity_ctr(n, n, snr).mean
+    kept = [tau for tau in range(n + 1, T) if (1.0 - tau / T) * c1 > best]
+    evaluated = []
+    candidate = mimo._j1_candidate
+
+    def spy(n_t, n_r, T, tau, s, c1):
+        evaluated.append(tau)
+        return candidate(n_t, n_r, T, tau, s, c1)
+
+    monkeypatch.setattr(mimo, "_j1_candidate", spy)
+    mimo_optimize_pilots(n, T, snr)
+    assert evaluated == [0, n] + kept
+    assert 0 < len(kept) < T - n - 1  # some kept, some pruned
