@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -49,6 +50,9 @@ def _add_output_flags(sub, default_format: str) -> None:
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
+# built on the first main call, not at import, and reused: parse_args
+# leaves the parser as it found it
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pilotbounds",

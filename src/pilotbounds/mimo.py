@@ -102,12 +102,14 @@ def _laguerre_weights(m: int, d: int) -> tuple[tuple[int, ...], int, tuple[float
     D = (m-1+d)! ((m-1)!)^2, in which every term is an integer; W holds
     each W_k rounded once to float, and digits is the decimal precision
     20 + ceil(log10 sum_k |W_k|)."""
-    f = math.factorial
-    top = f(m - 1)
+    # i! for i < m and (d+i)! for i < 2m-1, each list one running product
+    f = list(itertools.accumulate(range(1, m), operator.mul, initial=1))
+    fd = list(itertools.accumulate(range(d + 1, d + 2 * m - 1), operator.mul, initial=math.factorial(d)))
+    top = f[m - 1]
     c = [0] * (2 * m - 1)  # D times the coefficients of lam^i
     for k in range(m):
         # (m-1)! L_k^(d)(lam) = sum_i (-1)^i C(k+d, k-i) (m-1)!/i! lam^i
-        lag = [(-1) ** i * math.comb(k + d, k - i) * (top // f(i)) for i in range(k + 1)]
+        lag = [(-1) ** i * math.comb(k + d, k - i) * (top // f[i]) for i in range(k + 1)]
         # the square of the polynomial: the squares, plus twice each
         # a < b cross term
         sq = [0] * (2 * k + 1)
@@ -116,13 +118,13 @@ def _laguerre_weights(m: int, d: int) -> tuple[tuple[int, ...], int, tuple[float
             twice = 2 * la
             for b, lb in enumerate(lag[a + 1 :], a + 1):
                 sq[a + b] += twice * lb
-        scale = f(m - 1 + d) // f(k + d) * f(k)
+        scale = fd[m - 1] // fd[k] * f[k]
         for i, v in enumerate(sq):
             c[i] += scale * v
     # D w_j at index j - d, and its tail sums
-    tails = list(itertools.accumulate(reversed([ci * f(d + i) for i, ci in enumerate(c)])))[::-1]
+    tails = list(itertools.accumulate(reversed(list(map(operator.mul, c, fd)))))[::-1]
     num = (tails[0],) * (d + 1) + tuple(tails[1:])
-    den = f(m - 1 + d) * top * top
+    den = fd[m - 1] * top * top
     # the d + 1 head terms are one integer (W_k = m): divide and sum it once
     digits = 20 + math.ceil(math.log10(((d + 1) * abs(tails[0]) + sum(map(abs, tails[1:]))) / den))
     return num, den, (tails[0] / den,) * (d + 1) + tuple(n / den for n in tails[1:]), digits

@@ -14,6 +14,15 @@ sums are reduced in block order.  Worker threads only change which
 thread computes a block, never the draws or the reduction order, so
 results are bit-identical across worker counts.
 
+Only the matrix samplers (sample_ctr, sample_delta_mimo and the Gram
+check) hand blocks to threads: their blocks are batched complex linear
+algebra, and on two CPUs a second thread cut the wall time of an 8x8
+sample_ctr by half.  The scalar samplers (sample_capacity_siso and the
+penalty terms) check workers and draw every block in the calling
+thread.  Their blocks are a few vectorized calls: there a second thread
+raised the CPU time by a quarter to a half, and saved no wall time at
+65536 samples and up to a quarter of it at 10^6.
+
 Estimates that can share draws share them (common random numbers): one
 block's draw may return k rows, one per estimate, as the penalty term
 at several SNRs of one (T, tau) and the Gram penalty at several pilot
@@ -152,14 +161,16 @@ def sample_capacity_siso(snr, cfg: McConfig, workers: int = 1) -> Estimate:
     Args:
         snr: linear SNR (SnrValue or positive float).
         cfg: sampling configuration.
-        workers: thread count; does not affect the result bits.
+        workers: checked (>= 1) and otherwise unused; every block is
+            drawn in the calling thread (module docstring).
     """
     s = linear_snr(snr)
+    _check_int("workers", workers, 1)
 
     def draw(rng, count):
         return np.log2(1.0 + s * rng.standard_exponential(count))
 
-    return _mean_estimate(cfg, draw, workers)[0]
+    return _mean_estimate(cfg, draw, 1)[0]
 
 
 def sample_penalty_term(T: int, tau: int, snr, cfg: McConfig, workers: int = 1) -> Estimate:
@@ -170,6 +181,8 @@ def sample_penalty_term(T: int, tau: int, snr, cfg: McConfig, workers: int = 1) 
     log2(e) * sum_{k=1}^{T-tau} eps_k(tau + 1/snr).  S ~ Gamma(T-tau, 1)
     is drawn directly, one variate per sample (numpy's standard_gamma,
     Marsaglia & Tsang 2000), so a sample costs O(1) whatever T-tau is.
+    workers is checked (>= 1) and otherwise unused; every block is drawn
+    in the calling thread (module docstring).
     """
     return _sample_penalty_terms(T, tau, (snr,), cfg, workers)[0]
 
@@ -183,6 +196,7 @@ def _sample_penalty_terms(
     T = _check_int("T", T, tau + 1)
     m = T - tau
     scales = [s / (1.0 + s * tau) for s in map(linear_snr, snrs)]
+    _check_int("workers", workers, 1)
 
     def draw(rng, count):
         g = rng.standard_gamma(m, count)
@@ -194,7 +208,7 @@ def _sample_penalty_terms(
             np.log2(row, out=row)
         return out
 
-    return _mean_estimate(cfg, draw, workers)
+    return _mean_estimate(cfg, draw, 1)
 
 
 def sample_ctr(t: int, r: int, rho, cfg: McConfig, workers: int = 1) -> Estimate:

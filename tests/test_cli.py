@@ -342,6 +342,22 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
+def test_parser_is_built_once_and_reused(capsys):
+    # the first main call builds the parser, not the import
+    code = "import pilotbounds.cli as c; print(c._build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "0\n", proc.stderr
+    # a call that exits 2 leaves the parser as a fresh one for the next call
+    good = ("bound", "--kind", "c", "--snr-db", "10", "--format", "json")
+    cli._build_parser.cache_clear()
+    alone = run_cli(capsys, *good)
+    cli._build_parser.cache_clear()
+    for bad in (("bound", "--kind", "c", "--snr-db", "nan"), ("validate", "--workers", "x"), ("sweep",)):
+        assert run_cli(capsys, *bad)[0] == 2
+    assert run_cli(capsys, *good) == alone
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_failed_computation_exit_code(capsys):
     # the separate bound crosses the joint bound nowhere within +/-60 dB
     rc, out, err = run_cli(

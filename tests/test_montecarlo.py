@@ -202,13 +202,33 @@ class _RecordingPool:
     ],
 )
 def test_worker_count_is_capped(monkeypatch, samples, workers, cpus, pool_size):
+    # the matrix samplers are the ones that hand blocks to threads
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
     cfg = McConfig(samples=samples, seed=9)
-    est = sample_capacity_siso(SnrValue(1.0), cfg, workers)
+    est = sample_ctr(1, 1, SnrValue(1.0), cfg, workers)
     assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
-    assert est == sample_capacity_siso(SnrValue(1.0), cfg, 1)
+    assert est == sample_ctr(1, 1, SnrValue(1.0), cfg, 1)
+
+
+class _RefusingPool:
+    def __init__(self, max_workers):
+        raise AssertionError(f"a scalar sampler started {max_workers} threads")
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+def test_scalar_samplers_draw_in_the_calling_thread(monkeypatch, workers):
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _RefusingPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
+    cfg = McConfig(samples=3 * 16384, seed=9)
+    snrs = (SnrValue(0.5), SnrValue(10.0))
+    for fn, args in (
+        (sample_capacity_siso, (SnrValue(1.0), cfg)),
+        (sample_penalty_term, (10, 1, SnrValue(1.0), cfg)),
+        (_sample_penalty_terms, (20, 2, snrs, cfg)),
+    ):
+        assert fn(*args, workers) == fn(*args, 1)
 
 
 @pytest.mark.parametrize("workers", [0, -1])
