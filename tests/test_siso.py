@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from offset_grid import BENCH_T, outcome, scipy_offset
 
 from pilotbounds import siso
-from pilotbounds.expint import LOG2E, _scaled_sums
+from pilotbounds.expint import LOG2E, _scaled_sums, expint_scaled_sum
 from pilotbounds.params import SisoParams, SnrValue
 from pilotbounds.siso import (
     _bisect,
@@ -110,7 +110,7 @@ def test_optimizer_j2_variant():
 # exactly at tau = 0 and 1, so a last-maximum argmax returns 1; at
 # T=100, -37 dB j2 is the only point of a 0.5 dB grid over the T below
 # and -100..40 dB where np.log2 in place of math.log2 changes tau*'s value.
-# At T=1000 from -10 to 10 dB the pruned j1 search sums 0-49 of the
+# At T=1000 from -10 to 10 dB the pruned j1 search sums 0-4 of the
 # tau >= 2.
 _SCAN_EXTRA_DB = {
     (2, "j1"): (-145.0,),
@@ -150,13 +150,25 @@ def _j1_lanes_summed(monkeypatch, T, snr):
 
 
 def _j1_lanes_that_can_win(T, snr):
-    # the tau >= 2 whose bound (1 - tau/T)*C exceeds the best j1 at tau <= 1
+    # the tau >= 2 whose bound (1 - tau/T)*C, less the floor on the penalty,
+    # exceeds the best j1 at tau <= 1; the floor is log2(e)*log1p(n/(x + 1))
+    # with n = T - tau, x = tau + 1/snr, lowered by 1e-9 + 1e-15*n relative,
+    # over T, in the search's operations (np.log1p, which can differ from
+    # math.log1p in the last bit)
     best = max(joint_bound_j1(SisoParams(T=T, tau=tau, snr=snr)) for tau in (0, 1))
     c = capacity_csi(snr)
-    return [tau for tau in range(2, T) if (1.0 - tau / T) * c > best]
+    kept = []
+    for tau in range(2, T):
+        n, x = T - tau, tau + 1 / snr.linear
+        floor = LOG2E * np.log1p(n / (x + 1.0)) * (1.0 - (1e-9 + 1e-15 * n)) / T
+        if (1.0 - tau / T) * c - floor > best:
+            kept.append(tau)
+    return kept
 
 
-@pytest.mark.parametrize("db,kept", [(-10.0, 49), (0.0, 10), (40.0, 0)])
+# at T = 1000 the bound (1 - tau/T)*C alone keeps 998 / 994 / 49 / 10 / 0
+# of the tau >= 2 at these SNRs
+@pytest.mark.parametrize("db,kept", [(-100.0, 134), (-50.0, 30), (-10.0, 4), (0.0, 1), (40.0, 0)])
 def test_j1_search_sums_only_the_lanes_that_can_win(monkeypatch, db, kept):
     snr = SnrValue.from_db(db)
     lanes = _j1_lanes_summed(monkeypatch, 1000, snr)
@@ -165,11 +177,11 @@ def test_j1_search_sums_only_the_lanes_that_can_win(monkeypatch, db, kept):
 
 
 def test_j1_search_keeps_a_lane_whose_bound_exceeds_the_best_by_an_ulp(monkeypatch):
-    # bisect in dB for the last SNR at which tau = 2's bound still exceeds
-    # the best j1 at tau <= 1 (at 30 dB it does, at 40 dB it does not):
-    # there the margin is a few ulps, and any relative pruning margin
+    # bisect in dB for the last SNR at which tau = 2's floored bound still
+    # exceeds the best j1 at tau <= 1 (at 0 dB it does, at 10 dB it does
+    # not): there the margin is a few ulps, and any relative pruning margin
     # above that drops the lane
-    lo, hi = 30.0, 40.0
+    lo, hi = 0.0, 10.0
     assert _j1_lanes_that_can_win(1000, SnrValue.from_db(lo))[:1] == [2]
     while True:
         mid = 0.5 * (lo + hi)
@@ -181,6 +193,26 @@ def test_j1_search_keeps_a_lane_whose_bound_exceeds_the_best_by_an_ulp(monkeypat
             hi = mid
     assert _j1_lanes_summed(monkeypatch, 1000, SnrValue.from_db(lo)) == [2]
     assert _j1_lanes_summed(monkeypatch, 1000, SnrValue.from_db(hi)) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 10**3, 10**4, 10**5])
+def test_j1_penalty_floor_lies_below_the_float_sum(n):
+    # eps_k(x) > 1/(x + k), so the exact sum exceeds log1p(n/(x + 1)); at
+    # n = 10^5, x = 10^15 the float sum falls below it, and only the
+    # floor's margin keeps the floor under the float penalty
+    for x in [10.0**k for k in range(-3, 16)]:
+        assert LOG2E * expint_scaled_sum(n, x) >= siso._penalty_floor(n, x), x
+
+
+@pytest.mark.parametrize("T", [2000, 10**4])
+def test_j1_search_matches_the_unpruned_scan_at_long_blocks(T):
+    for db in (-100.0, -60.0, -40.0, -20.0, 0.0, 20.0):
+        s = SnrValue.from_db(db).linear
+        # the expression of joint_bound_j1 at every tau; np.argmax keeps the first maximum
+        values = siso._j1_values(np.arange(T), T, s, capacity_csi(s))
+        best = int(np.argmax(values))
+        res = optimize_pilots_joint(T, SnrValue(s), which="j1")
+        assert (res.tau_star, res.value) == (best, values[best]), db
 
 
 @pytest.mark.parametrize("T", [10**4, 10**6])
