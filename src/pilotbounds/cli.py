@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import mimo, siso, sweeps
 from .montecarlo import DEFAULT_SCALAR_SAMPLES, McConfig
-from .params import MimoParams, SisoParams, SnrValue
+from .params import MimoParams, SisoParams, SnrValue, _check_int
 
 
 def _parse_int_list(text: str) -> tuple:
@@ -288,7 +288,9 @@ def _cmd_sweep(args) -> _Report:
 
 def _cmd_validate(args) -> _Report:
     cfg = McConfig(samples=args.samples, seed=args.seed)
-    report = sweeps.validate_all(cfg, workers=args.workers)
+    # checked for callers that pass it; the samplers choose their own threads
+    _check_int("workers", args.workers, 1)
+    report = sweeps.validate_all(cfg)
     meta = {"passed": report.passed, "max_abs_z": report.max_abs_z}
     return _Report(sweeps.ValidationCell._fields, report.cells, report.render(), meta,
                    0 if report.passed else 3)

@@ -260,10 +260,7 @@ def mimo_power_advantage_asymptotic(n: int, T: int) -> PowerOffset:
 
 
 def pilot_gram_optimality_check(
-    p: MimoParams,
-    perturbations: Sequence[Sequence[float]],
-    cfg: McConfig,
-    workers: int = 1,
+    p: MimoParams, perturbations: Sequence[Sequence[float]], cfg: McConfig
 ) -> GramOptimalityReport:
     """Check that the uniform pilot Gram diag(tau, ..., tau) minimizes the
     estimation penalty against the supplied diagonal perturbations.
@@ -279,7 +276,7 @@ def pilot_gram_optimality_check(
     """
     uniform = (float(p.tau),) * p.n_t
     diagonals = [tuple(float(v) for v in diag) for diag in perturbations]
-    base, *estimates = mc._sample_delta_mimo_rows(p, [uniform] + diagonals, cfg, workers)
+    base, *estimates = mc._sample_delta_mimo_rows(p, [uniform] + diagonals, cfg)
     rows = []
     all_ok = True
     for diag_t, est in zip(diagonals, estimates):

@@ -10,18 +10,16 @@ Reproducibility contract: an estimate is a pure function of
 (seed, stream_id, samples).  Draws are generated in fixed blocks of
 16384 samples, each block from its own Philox generator keyed by
 SeedSequence([seed, stream_id, block_index]), and per-block partial
-sums are reduced in block order.  Worker threads only change which
-thread computes a block, never the draws or the reduction order, so
-results are bit-identical across worker counts.
+sums are reduced in block order.  Threads only change which thread
+computes a block, never the draws or the reduction order, so results
+are bit-identical however many threads run.
 
-Only the matrix samplers (sample_ctr, sample_delta_mimo and the Gram
-check) hand blocks to threads: their blocks are batched complex linear
-algebra, and on two CPUs a second thread cut the wall time of an 8x8
-sample_ctr by half.  The scalar samplers (sample_capacity_siso and the
-penalty terms) check workers and draw every block in the calling
-thread.  Their blocks are a few vectorized calls: there a second thread
-raised the CPU time by a quarter to a half, and saved no wall time at
-65536 samples and up to a quarter of it at 10^6.
+The samplers choose their own threads.  Only sample_ctr (Gram side
+min(t, r)), sample_delta_mimo and the Gram check (side n_t) hand blocks
+to a pool, one thread per block and per CPU, and only at a side of at
+least _POOL_MIN_SIDE with two blocks or more: there a block is batched
+linear algebra that a second thread runs 40-45% faster.  Every other
+estimate, all of validate's among them, runs in the calling thread.
 
 Estimates that can share draws share them (common random numbers): one
 block's draw may return k rows, one per estimate, as the penalty term
@@ -35,7 +33,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
@@ -46,6 +43,16 @@ from .params import MimoParams, _check_int, linear_snr
 _BLOCK = 16384
 _SQRT_HALF = math.sqrt(0.5)
 _MASK64 = (1 << 64) - 1
+# The smallest Gram side whose blocks go to a thread pool.  sample_ctr
+# n x n at 10 dB, 10^5 samples (7 blocks), serial -> two threads on a
+# 2-vCPU x86 host, median ms of 12 alternating pairs:
+#
+#   side   wall            CPU            pool faster (wall)
+#   2x2     59.7 ->  60.4   58.7 ->  60.3   5 of 12
+#   3x3    154.7 ->  89.7  154.7 -> 149.2  11 of 12
+#   4x4    230.1 -> 138.0  229.9 -> 265.7  12 of 12
+#   8x8    804.5 -> 443.3  803.3 -> 835.3  12 of 12
+_POOL_MIN_SIDE = 3
 
 # The default sample count puts standard errors near 1e-3 bits/s/Hz.
 DEFAULT_SCALAR_SAMPLES = 1_000_000
@@ -100,27 +107,29 @@ def _block_rng(cfg: McConfig, block_index: int) -> np.random.Generator:
 def _mean_estimate(
     cfg: McConfig,
     draw: Callable[[np.random.Generator, int], np.ndarray],
-    workers: int = 1,
+    side: int = 1,
 ) -> list[Estimate]:
     """Reduce per-block partial sums of draw(rng, count) in block order.
 
     draw returns k rows of count values, shape (k, count), or one row of
-    shape (count,); each row gives one Estimate.  At most one thread per
-    block and per CPU runs; a single one runs in the calling thread.
+    shape (count,); each row gives one Estimate.  side is the side of
+    draw's Gram matrices, 1 for the scalar samplers (module docstring).
     """
     n = cfg.samples
     n_blocks = (n + _BLOCK - 1) // _BLOCK
-    workers = min(_check_int("workers", workers, 1), n_blocks, os.cpu_count() or 1)
+    threads = min(n_blocks, os.cpu_count() or 1) if side >= _POOL_MIN_SIDE else 1
 
     def one_block(b: int) -> list[tuple[float, float]]:
         count = min(_BLOCK, n - b * _BLOCK)
         rows = np.asarray(draw(_block_rng(cfg, b), count), dtype=float).reshape(-1, count)
         return [(float(v.sum()), float((v * v).sum())) for v in rows]
 
-    if workers == 1:
+    if threads == 1:
         parts = [one_block(b) for b in range(n_blocks)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
+        from concurrent.futures import ThreadPoolExecutor  # first use only: off the import path
+
+        with ThreadPoolExecutor(threads) as ex:
             parts = list(ex.map(one_block, range(n_blocks)))
 
     estimates = []
@@ -155,25 +164,22 @@ def _log2_det(g: np.ndarray, label: str) -> np.ndarray:
     return 2.0 * np.log2(np.einsum("nii->ni", ell).real).sum(axis=1)
 
 
-def sample_capacity_siso(snr, cfg: McConfig, workers: int = 1) -> Estimate:
+def sample_capacity_siso(snr, cfg: McConfig) -> Estimate:
     """Monte Carlo E[log2(1 + snr*|H|^2)] with |H|^2 unit-mean exponential.
 
     Args:
         snr: linear SNR (SnrValue or positive float).
         cfg: sampling configuration.
-        workers: checked (>= 1) and otherwise unused; every block is
-            drawn in the calling thread (module docstring).
     """
     s = linear_snr(snr)
-    _check_int("workers", workers, 1)
 
     def draw(rng, count):
         return np.log2(1.0 + s * rng.standard_exponential(count))
 
-    return _mean_estimate(cfg, draw, 1)[0]
+    return _mean_estimate(cfg, draw)[0]
 
 
-def sample_penalty_term(T: int, tau: int, snr, cfg: McConfig, workers: int = 1) -> Estimate:
+def sample_penalty_term(T: int, tau: int, snr, cfg: McConfig) -> Estimate:
     """Monte Carlo E[log2(1 + snr*S/(1 + snr*tau))], S a sum of T-tau
     unit-mean exponentials.
 
@@ -181,22 +187,17 @@ def sample_penalty_term(T: int, tau: int, snr, cfg: McConfig, workers: int = 1) 
     log2(e) * sum_{k=1}^{T-tau} eps_k(tau + 1/snr).  S ~ Gamma(T-tau, 1)
     is drawn directly, one variate per sample (numpy's standard_gamma,
     Marsaglia & Tsang 2000), so a sample costs O(1) whatever T-tau is.
-    workers is checked (>= 1) and otherwise unused; every block is drawn
-    in the calling thread (module docstring).
     """
-    return _sample_penalty_terms(T, tau, (snr,), cfg, workers)[0]
+    return _sample_penalty_terms(T, tau, (snr,), cfg)[0]
 
 
-def _sample_penalty_terms(
-    T: int, tau: int, snrs: Sequence, cfg: McConfig, workers: int = 1
-) -> list[Estimate]:
+def _sample_penalty_terms(T: int, tau: int, snrs: Sequence, cfg: McConfig) -> list[Estimate]:
     """sample_penalty_term at each of snrs from one Gamma(T-tau) draw per
     block: row i is bit-equal to sample_penalty_term(T, tau, snrs[i], cfg)."""
     tau = _check_int("tau", tau, 0)
     T = _check_int("T", T, tau + 1)
     m = T - tau
     scales = [s / (1.0 + s * tau) for s in map(linear_snr, snrs)]
-    _check_int("workers", workers, 1)
 
     def draw(rng, count):
         g = rng.standard_gamma(m, count)
@@ -208,10 +209,10 @@ def _sample_penalty_terms(
             np.log2(row, out=row)
         return out
 
-    return _mean_estimate(cfg, draw, 1)
+    return _mean_estimate(cfg, draw)
 
 
-def sample_ctr(t: int, r: int, rho, cfg: McConfig, workers: int = 1) -> Estimate:
+def sample_ctr(t: int, r: int, rho, cfg: McConfig) -> Estimate:
     """Monte Carlo E[log2 det(I + (rho/t) Z Z†)] for IID complex
     Gaussian Z of shape r x t with unit-variance entries.
 
@@ -230,14 +231,11 @@ def sample_ctr(t: int, r: int, rho, cfg: McConfig, workers: int = 1) -> Estimate
             gram = np.einsum("nij,nkj->nik", z, z.conj())
         return _log2_det((s / t) * gram, f"t={t}, r={r}, rho={s!r}")
 
-    return _mean_estimate(cfg, draw, workers)[0]
+    return _mean_estimate(cfg, draw, min(t, r))[0]
 
 
 def sample_delta_mimo(
-    params: MimoParams,
-    pilot_gram_diagonal: Sequence[float],
-    cfg: McConfig,
-    workers: int = 1,
+    params: MimoParams, pilot_gram_diagonal: Sequence[float], cfg: McConfig
 ) -> Estimate:
     """Monte Carlo estimate of the estimation-penalty term
 
@@ -247,14 +245,11 @@ def sample_delta_mimo(
     X of shape n_t x (T - tau).  Used to check numerically that the
     uniform Gram d = (tau, ..., tau) minimizes the penalty.
     """
-    return _sample_delta_mimo_rows(params, (pilot_gram_diagonal,), cfg, workers)[0]
+    return _sample_delta_mimo_rows(params, (pilot_gram_diagonal,), cfg)[0]
 
 
 def _sample_delta_mimo_rows(
-    params: MimoParams,
-    diagonals: Sequence[Sequence[float]],
-    cfg: McConfig,
-    workers: int = 1,
+    params: MimoParams, diagonals: Sequence[Sequence[float]], cfg: McConfig
 ) -> list[Estimate]:
     """sample_delta_mimo at each of diagonals from one draw of X per
     block: row i is bit-equal to sample_delta_mimo(params, diagonals[i], cfg).
@@ -289,4 +284,4 @@ def _sample_delta_mimo_rows(
             row[:] = n_r * _log2_det(sym, label)
         return out
 
-    return _mean_estimate(cfg, draw, workers)
+    return _mean_estimate(cfg, draw, n_t)

@@ -137,8 +137,13 @@ def _j2(taus, T: int, s: float, c: float, n_t: int = 1, n_r: int = 1) -> list[fl
 
 
 def _tau_continuous(c: float, s: float, n: int = 1) -> float:
-    """Continuous relaxation of the pilot search for n_t = n_r = n."""
-    return n * (LOG2E / (c / n) - 1.0 / s)
+    """Continuous relaxation n * (log2(e)/(c/n) - 1/snr) of the pilot
+    search for n_t = n_r = n.  At n = 1 and x = 1/snr >= 1, where the
+    difference cancels, it is eps_2(x)/eps_1(x) = log2(e)*eps_2(x)/c."""
+    x = 1.0 / s
+    if n == 1 and x >= 1.0:
+        return LOG2E * _eps_scalar_cf(2, x) / c
+    return n * (LOG2E / (c / n) - x)
 
 
 def separate_bound(T: int, snr) -> SeparateBound:

@@ -46,7 +46,6 @@ class ValidationCell(NamedTuple):
 
 class ValidationReport(NamedTuple):
     config: McConfig
-    workers: int
     cells: tuple[ValidationCell, ...]
     max_abs_z: float
     passed: bool
@@ -54,8 +53,7 @@ class ValidationReport(NamedTuple):
     def render(self) -> str:
         lines = [
             "closed-form vs Monte Carlo validation",
-            f"seed={self.config.seed} stream_id={self.config.stream_id} "
-            f"samples={self.config.samples} workers={self.workers}",
+            f"seed={self.config.seed} stream_id={self.config.stream_id} samples={self.config.samples}",
             f"{'name':44s} {'reference':>14s} {'estimate':>14s} {'std_error':>12s} {'z':>8s}",
         ]
         for c in self.cells:
@@ -173,7 +171,7 @@ _VALIDATE_GRAM = MimoParams(n_t=2, n_r=2, T=6, tau=2, snr=SnrValue(10.0))
 _VALIDATE_PERTURBATIONS = ((2.5, 1.5), (3.0, 1.0), (4.0, 0.0))
 
 
-def validate_all(cfg: McConfig, workers: int = 1) -> ValidationReport:
+def validate_all(cfg: McConfig) -> ValidationReport:
     """Run every closed-form-vs-sampler pairing on the standard grid.
 
     Cells: perfect-CSI capacity, the joint-bound penalty expectation,
@@ -202,7 +200,7 @@ def validate_all(cfg: McConfig, workers: int = 1) -> ValidationReport:
     for db in _VALIDATE_SNR_DB:
         snr = SnrValue.from_db(db)
         closed = siso.capacity_csi(snr)
-        est = mc.sample_capacity_siso(snr, next_cfg(cfg.samples), workers)
+        est = mc.sample_capacity_siso(snr, next_cfg(cfg.samples))
         add_two_sided(f"capacity[snr_db={db:g}]", closed, est)
 
     # One Gamma draw serves the four SNRs of a (T, tau) group.  Group j
@@ -211,7 +209,7 @@ def validate_all(cfg: McConfig, workers: int = 1) -> ValidationReport:
     snrs = [SnrValue.from_db(db) for db in _VALIDATE_SNR_DB]
     groups = [(T, tau) for T in _VALIDATE_T for tau in _VALIDATE_TAU if tau < T]
     penalty = [
-        mc._sample_penalty_terms(T, tau, snrs, next_cfg(cfg.samples), workers)
+        mc._sample_penalty_terms(T, tau, snrs, next_cfg(cfg.samples))
         for T, tau in groups
     ]
     stream += len(groups) * (len(snrs) - 1)
@@ -224,7 +222,7 @@ def validate_all(cfg: McConfig, workers: int = 1) -> ValidationReport:
         for db in (0.0, 10.0):
             rho = SnrValue.from_db(db)
             closed = mimo.capacity_ctr(t, r, rho).mean
-            est = mc.sample_ctr(t, r, rho, next_cfg(cfg.samples // 10), workers)
+            est = mc.sample_ctr(t, r, rho, next_cfg(cfg.samples // 10))
             add_two_sided(f"ctr_rank1[t={t},r={r},rho_db={db:g}]", closed, est)
 
     for db in (0.0, 10.0):
@@ -241,9 +239,7 @@ def validate_all(cfg: McConfig, workers: int = 1) -> ValidationReport:
             add_two_sided(f"reduction_{label}[T=10,tau=2,snr_db={db:g}]", siso_fn(sp), reduced)
 
     gram_cfg = next_cfg(cfg.samples // 10)
-    report = mimo.pilot_gram_optimality_check(
-        _VALIDATE_GRAM, _VALIDATE_PERTURBATIONS, gram_cfg, workers
-    )
+    report = mimo.pilot_gram_optimality_check(_VALIDATE_GRAM, _VALIDATE_PERTURBATIONS, gram_cfg)
     for row in report.rows:
         # One-sided: only the uniform Gram exceeding the perturbation
         # by more than the margin counts against minimality.
@@ -263,7 +259,6 @@ def validate_all(cfg: McConfig, workers: int = 1) -> ValidationReport:
     max_abs_z = max(abs(c.z) for c in cells)
     return ValidationReport(
         config=cfg,
-        workers=workers,
         cells=tuple(cells),
         max_abs_z=max_abs_z,
         passed=max_abs_z <= _Z_LIMIT,

@@ -147,8 +147,8 @@ def test_validate_reruns_byte_identical(capsys):
 
 def test_validate_failure_exit_code(capsys, monkeypatch):
     original = sweeps.validate_all
-    def corrupted(cfg, workers=1):
-        report = original(cfg, workers=workers)
+    def corrupted(cfg):
+        report = original(cfg)
         return report._replace(passed=False)
     monkeypatch.setattr(sweeps, "validate_all", corrupted)
     rc, _, _ = run_cli(capsys, "validate", "--samples", "2000")
@@ -226,9 +226,9 @@ def test_report_formats(capsys, monkeypatch, command):
     # one emitter serves every command; this checks what differs per command
     calls = []
 
-    def small_validate(cfg, workers=1):
+    def small_validate(cfg):
         # the resolved cfg is recorded; the run itself uses few samples
-        calls.append((cfg, original(replace(cfg, samples=2000), workers=workers)))
+        calls.append((cfg, original(replace(cfg, samples=2000))))
         return calls[-1][1]
 
     original = sweeps.validate_all
@@ -309,7 +309,8 @@ def test_huge_blocklength_exit_code(capsys, argv):
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_worker_count_exit_code(capsys, workers):
-    # validate is the one command that samples, and so takes --workers
+    # validate is the one command that samples; it checks --workers,
+    # which changes nothing (the samplers choose their own threads)
     rc, out, err = run_cli(capsys, "validate", "--samples", "2000", "--workers", workers)
     assert rc == 2 and out == "" and err == f"error: workers must be >= 1, got {workers}\n"
 
@@ -340,6 +341,14 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_cli_import_loads_no_thread_pool():
+    # the Monte Carlo layer imports concurrent.futures when it first pools
+    code = "import sys, pilotbounds.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_parser_is_built_once_and_reused(capsys):

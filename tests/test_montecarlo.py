@@ -1,11 +1,13 @@
+import concurrent.futures
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from pilotbounds import montecarlo
+from pilotbounds import montecarlo, sweeps
 from pilotbounds.expint import LOG2E, expint_scaled_sum
+from pilotbounds.mimo import pilot_gram_optimality_check
 from pilotbounds.montecarlo import (
     Estimate,
     McConfig,
@@ -71,25 +73,29 @@ def test_penalty_sampler_matches_closed_form(T, tau, s):
 _ROW_SNRS = tuple(SnrValue.from_db(db) for db in (-10.0, 0.0, 10.0, 20.0))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+# sample counts that fill one block, and that spill into a second
+_BLOCK_SAMPLES = {1: 12_000, 2: 20_000}
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
 @pytest.mark.parametrize(
     "T,tau", [(2, 0), (2, 1), (10, 0), (10, 1), (10, 2), (1000, 0), (1000, 1), (1000, 2)]
 )
-def test_penalty_rows_match_single_calls(T, tau, workers):
+def test_penalty_rows_match_single_calls(T, tau, blocks):
     # one Gamma draw per block serves every SNR; each row keeps the
     # bits of its own one-row call
-    cfg = McConfig(samples=40_000, seed=17)
-    rows = _sample_penalty_terms(T, tau, _ROW_SNRS, cfg, workers)
-    assert rows == [sample_penalty_term(T, tau, snr, cfg, 1) for snr in _ROW_SNRS]
+    cfg = McConfig(samples=_BLOCK_SAMPLES[blocks], seed=17)
+    rows = _sample_penalty_terms(T, tau, _ROW_SNRS, cfg)
+    assert rows == [sample_penalty_term(T, tau, snr, cfg) for snr in _ROW_SNRS]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_delta_rows_match_single_calls(workers):
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_delta_rows_match_single_calls(blocks):
     p = MimoParams(n_t=2, n_r=2, T=6, tau=2, snr=SnrValue(10.0))
-    cfg = McConfig(samples=20_000, seed=11)
+    cfg = McConfig(samples=_BLOCK_SAMPLES[blocks], seed=11)
     diagonals = [(2.0, 2.0), (2.5, 1.5), (4.0, 0.0)]
-    rows = _sample_delta_mimo_rows(p, diagonals, cfg, workers)
-    assert rows == [sample_delta_mimo(p, d, cfg, 1) for d in diagonals]
+    rows = _sample_delta_mimo_rows(p, diagonals, cfg)
+    assert rows == [sample_delta_mimo(p, d, cfg) for d in diagonals]
 
 
 def test_delta_rows_check_every_diagonal_before_drawing(monkeypatch):
@@ -161,16 +167,40 @@ def test_ctr_transpose_symmetry():
     assert abs(a.mean - b.mean) < 5.0 * combined
 
 
-def test_worker_count_does_not_change_results():
-    for fn, args in (
-        (sample_capacity_siso, (SnrValue(1.0),)),
-        (sample_penalty_term, (10, 1, SnrValue(1.0))),
-        (sample_ctr, (2, 2, SnrValue(10.0))),
-    ):
-        one = fn(*args, McConfig(samples=50_000, seed=9), 1)
-        two = fn(*args, McConfig(samples=50_000, seed=9), 2)
-        eight = fn(*args, McConfig(samples=50_000, seed=9), 8)
-        assert one == two == eight
+class _SpyPool(concurrent.futures.ThreadPoolExecutor):
+    """A real ThreadPoolExecutor that records its thread count."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers)
+
+
+# Samplers whose Gram side is at least _POOL_MIN_SIDE, at two blocks
+_P4 = MimoParams(n_t=4, n_r=2, T=8, tau=4, snr=SnrValue(10.0))
+_POOLED = (
+    (sample_ctr, (4, 4, SnrValue(10.0))),
+    (sample_ctr, (6, 3, SnrValue(1.0))),
+    (sample_delta_mimo, (_P4, (4.0, 4.0, 4.0, 4.0))),
+    (_sample_delta_mimo_rows, (_P4, [(4.0,) * 4, (5.0, 3.0, 4.0, 4.0), (16.0, 0.0, 0.0, 0.0)])),
+)
+
+
+def test_worker_count_does_not_change_results(monkeypatch):
+    # at and above the pool side, with two blocks, the pooled estimate
+    # equals the serial one bit for bit
+    assert montecarlo._POOL_MIN_SIDE == 3
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _SpyPool)
+    cfg = McConfig(samples=20_000, seed=9)
+    for fn, args in _POOLED:
+        runs = {}
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(_SpyPool, "sizes", [])
+            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+            runs[cpus] = fn(*args, cfg)
+            assert _SpyPool.sizes == ([] if cpus == 1 else [2]), (fn.__name__, cpus)
+        assert runs[1] == runs[2] == runs[8], fn.__name__
 
 
 class _RecordingPool:
@@ -192,49 +222,62 @@ class _RecordingPool:
 
 
 @pytest.mark.parametrize(
-    "samples,workers,cpus,pool_size",
+    "samples,side,cpus,pool_size",
     [
-        (6553, 2, 2, None),  # one block runs in the calling thread
+        (6553, 8, 2, None),  # one block runs in the calling thread
         (3 * 16384, 8, 64, 3),  # one thread per block
         (3 * 16384, 8, 2, 2),  # one thread per CPU
-        (3 * 16384, 2, None, None),  # unknown CPU count: serial
-        (5 * 16384, 4, 8, 4),
+        (3 * 16384, 8, None, None),  # unknown CPU count: serial
+        (3 * 16384, 2, 64, None),  # below the pool side: serial
+        (5 * 16384, 3, 4, 4),  # at the pool side
     ],
 )
-def test_worker_count_is_capped(monkeypatch, samples, workers, cpus, pool_size):
-    # the matrix samplers are the ones that hand blocks to threads
+def test_worker_count_is_capped(monkeypatch, samples, side, cpus, pool_size):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
     cfg = McConfig(samples=samples, seed=9)
-    est = sample_ctr(1, 1, SnrValue(1.0), cfg, workers)
+    est = sample_ctr(side, side, SnrValue(1.0), cfg)
     assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
-    assert est == sample_ctr(1, 1, SnrValue(1.0), cfg, 1)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 1)
+    assert est == sample_ctr(side, side, SnrValue(1.0), cfg)
 
 
 class _RefusingPool:
     def __init__(self, max_workers):
-        raise AssertionError(f"a scalar sampler started {max_workers} threads")
+        raise AssertionError(f"a sampler started {max_workers} threads")
 
 
-@pytest.mark.parametrize("workers", [2, 8])
-def test_scalar_samplers_draw_in_the_calling_thread(monkeypatch, workers):
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _RefusingPool)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_scalar_samplers_draw_in_the_calling_thread(monkeypatch, cpus):
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RefusingPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
     cfg = McConfig(samples=3 * 16384, seed=9)
     snrs = (SnrValue(0.5), SnrValue(10.0))
-    for fn, args in (
-        (sample_capacity_siso, (SnrValue(1.0), cfg)),
-        (sample_penalty_term, (10, 1, SnrValue(1.0), cfg)),
-        (_sample_penalty_terms, (20, 2, snrs, cfg)),
-    ):
-        assert fn(*args, workers) == fn(*args, 1)
+    sample_capacity_siso(SnrValue(1.0), cfg)
+    sample_penalty_term(10, 1, SnrValue(1.0), cfg)
+    _sample_penalty_terms(20, 2, snrs, cfg)
 
 
-@pytest.mark.parametrize("workers", [0, -1])
-def test_worker_count_validation(workers):
-    with pytest.raises(ValueError):
-        sample_capacity_siso(SnrValue(1.0), McConfig(samples=1000, seed=9), workers)
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_samplers_below_the_pool_side_draw_in_the_calling_thread(monkeypatch, cpus):
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RefusingPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    cfg = McConfig(samples=3 * 16384, seed=9)
+    p = MimoParams(n_t=2, n_r=4, T=6, tau=2, snr=SnrValue(10.0))
+    sample_ctr(2, 2, SnrValue(10.0), cfg)
+    sample_ctr(1, 8, SnrValue(10.0), cfg)
+    sample_ctr(8, 2, SnrValue(10.0), cfg)
+    sample_delta_mimo(p, (2.0, 2.0), cfg)
+    pilot_gram_optimality_check(p, [(2.5, 1.5), (4.0, 0.0)], cfg)
+
+
+def test_validate_starts_no_thread(monkeypatch):
+    # validate's matrices are rank 1 and 2 x 2: at 262144 samples its
+    # matrix cells have two blocks each, and still run serially
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RefusingPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+    assert sweeps.validate_all(McConfig(samples=262_144, seed=7)).passed
 
 
 def test_same_config_reproduces_different_seed_does_not():

@@ -296,6 +296,21 @@ def test_continuous_pilot_fraction_in_unit_interval(log_snr):
     assert 0.0 < res.tau_star_continuous < 1.0 + 1e-9
 
 
+def test_continuous_pilot_count_against_mpmath():
+    # tau_c = log2(e)/C - 1/snr = eps_2(x)/eps_1(x) at x = 1/snr; below
+    # 0 dB the difference cancels, which read 1.002 at -130 dB and 0.0 at
+    # -160 dB before the ratio was taken from the continued fraction
+    mpmath = pytest.importorskip("mpmath")
+    for db in np.arange(-200.0, 40.5, 1.0):
+        snr = SnrValue.from_db(float(db))
+        with mpmath.workdps(40):
+            x = 1 / mpmath.mpf(snr.linear)
+            ref = float(mpmath.expint(2, x) / mpmath.expint(1, x))
+        got = optimize_pilots_joint(4, snr).tau_star_continuous
+        assert got == pytest.approx(ref, rel=2e-14, abs=0.0), db
+        assert 0.0 < got <= 1.0, db
+
+
 def test_asymptote_reference_values():
     assert asymptote_j1(10) == pytest.approx(0.3618888094727708, rel=REL)
     assert asymptote_j2(10) == pytest.approx(0.3691031216541514, rel=0)
