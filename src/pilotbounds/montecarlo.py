@@ -3,8 +3,8 @@
 These samplers are the independent oracle behind validate and the
 pilot-Gram check.  None of them evaluates eps_k: the joint-bound
 penalty draws its sum of T-tau unit exponentials as one Gamma(T-tau, 1)
-variate per sample, and the scalar capacity one standard exponential
-per sample.
+variate per sample (or thins it from the sum of a smaller pilot count),
+and the scalar capacity one standard exponential per sample.
 
 Reproducibility contract: an estimate is a pure function of
 (seed, stream_id, samples).  Draws are generated in fixed blocks of
@@ -22,11 +22,16 @@ linear algebra that a second thread runs 40-45% faster.  Every other
 estimate, all of validate's among them, runs in the calling thread.
 
 Estimates that can share draws share them (common random numbers): one
-block's draw may return k rows, one per estimate, as the penalty term
-at several SNRs of one (T, tau) and the Gram penalty at several pilot
-diagonals do.  Each row is reduced exactly as a lone estimate is, so
-each row is still a pure function of McConfig and equals the one-row
-call bit for bit.
+block's draw may return k rows, one per estimate, each reduced exactly as
+a lone estimate is, so each row is still a pure function of McConfig.
+The rows forms of the capacity, C_{t,r} and Gram-penalty samplers draw
+what their one-row calls draw, so each row equals the one-row call at its
+SNR or diagonal bit for bit.  A penalty group of several pilot counts of
+one T draws Gamma(T - tau_min) as the one-row call at tau_min does, and
+its tau_min rows equal those calls bit for bit.  Each further pilot thins
+that draw by an independent Beta(m, 1) factor, which takes a Gamma(m + 1)
+sum to a Gamma(m) sum exactly (beta-gamma algebra), so the other rows
+have the law of their one-row calls but not their bits.
 """
 
 from __future__ import annotations
@@ -148,7 +153,8 @@ def _mean_estimate(
 def _complex_gaussian(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """IID circular complex Gaussians of unit variance, from one real draw."""
     a = rng.standard_normal(shape + (2,))
-    return (a[..., 0] + 1j * a[..., 1]) * _SQRT_HALF
+    a *= _SQRT_HALF
+    return a.view(np.complex128)[..., 0]
 
 
 def _log2_det(g: np.ndarray, label: str) -> np.ndarray:
@@ -164,6 +170,16 @@ def _log2_det(g: np.ndarray, label: str) -> np.ndarray:
     return 2.0 * np.log2(np.einsum("nii->ni", ell).real).sum(axis=1)
 
 
+def _log2_one_plus(x: np.ndarray, scales: Sequence[float], out: np.ndarray) -> np.ndarray:
+    """Fill row i of out with log2(1 + scales[i]*x), in place: the same
+    roundings as np.log2(1.0 + scales[i] * x), no temporaries."""
+    for row, scale in zip(out, scales):
+        np.multiply(x, scale, out=row)
+        row += 1.0
+        np.log2(row, out=row)
+    return out
+
+
 def sample_capacity_siso(snr, cfg: McConfig) -> Estimate:
     """Monte Carlo E[log2(1 + snr*|H|^2)] with |H|^2 unit-mean exponential.
 
@@ -171,12 +187,18 @@ def sample_capacity_siso(snr, cfg: McConfig) -> Estimate:
         snr: linear SNR (SnrValue or positive float).
         cfg: sampling configuration.
     """
-    s = linear_snr(snr)
+    return _sample_capacity_rows((snr,), cfg)[0]
+
+
+def _sample_capacity_rows(snrs: Sequence, cfg: McConfig) -> list[Estimate]:
+    """sample_capacity_siso at each of snrs from one exponential draw per
+    block: row i is bit-equal to sample_capacity_siso(snrs[i], cfg)."""
+    scales = [linear_snr(s) for s in snrs]
 
     def draw(rng, count):
-        return np.log2(1.0 + s * rng.standard_exponential(count))
+        return _log2_one_plus(rng.standard_exponential(count), scales, np.empty((len(scales), count)))
 
-    return _mean_estimate(cfg, draw)[0]
+    return _mean_estimate(cfg, draw)
 
 
 def sample_penalty_term(T: int, tau: int, snr, cfg: McConfig) -> Estimate:
@@ -188,25 +210,57 @@ def sample_penalty_term(T: int, tau: int, snr, cfg: McConfig) -> Estimate:
     is drawn directly, one variate per sample (numpy's standard_gamma,
     Marsaglia & Tsang 2000), so a sample costs O(1) whatever T-tau is.
     """
-    return _sample_penalty_terms(T, tau, (snr,), cfg)[0]
+    return _sample_penalty_terms(T, (tau,), (snr,), cfg)[0]
 
 
-def _sample_penalty_terms(T: int, tau: int, snrs: Sequence, cfg: McConfig) -> list[Estimate]:
-    """sample_penalty_term at each of snrs from one Gamma(T-tau) draw per
-    block: row i is bit-equal to sample_penalty_term(T, tau, snrs[i], cfg)."""
-    tau = _check_int("tau", tau, 0)
-    T = _check_int("T", T, tau + 1)
-    m = T - tau
-    scales = [s / (1.0 + s * tau) for s in map(linear_snr, snrs)]
+def _gamma_sums(rng: np.random.Generator, T: int, taus: Sequence[int], count: int):
+    """Yield (tau, S) for each tau of the increasing taus, S holding count
+    Gamma(T - tau, 1) variates, the sums of T - tau unit exponentials.
+
+    S starts as one standard_gamma(T - taus[0]) draw, and each further
+    pilot thins it in place: Gamma(m + 1) times an independent Beta(m, 1)
+    is Gamma(m) (beta-gamma algebra, Devroye 1986, IX.3), and Beta(m, 1)
+    is exp(-E/m) for a fresh standard exponential E.  The next step
+    overwrites S, so use it before resuming.
+    """
+    tau = taus[0]
+    s = rng.standard_gamma(T - tau, count)
+    e = np.empty(count)
+    for want in taus:
+        while tau < want:
+            tau += 1
+            rng.standard_exponential(out=e)
+            e *= -1.0 / (T - tau)
+            np.exp(e, out=e)
+            s *= e
+        yield tau, s
+
+
+def _sample_penalty_terms(
+    T: int, taus: int | Sequence[int], snrs: Sequence, cfg: McConfig
+) -> list[Estimate]:
+    """sample_penalty_term at every (tau, snr) of taus x snrs, tau-major,
+    from one Gamma(T - taus[0]) draw per block (_gamma_sums).
+
+    taus is one pilot count or a strictly increasing sequence of them.
+    The rows of taus[0] are bit-equal to the one-row calls
+    sample_penalty_term(T, taus[0], snr, cfg).  The rows of a later tau
+    use that draw thinned: they have the law of their one-row calls,
+    not their bits.
+    """
+    taus = tuple(taus) if isinstance(taus, Sequence) else (taus,)
+    if not taus:
+        raise ValueError("need at least one pilot count")
+    taus = tuple(_check_int("tau", tau, 0) for tau in taus)
+    if any(b <= a for a, b in zip(taus, taus[1:])):
+        raise ValueError(f"pilot counts must be strictly increasing, got {taus}")
+    T = _check_int("T", T, taus[-1] + 1)
+    snrs = [linear_snr(s) for s in snrs]
 
     def draw(rng, count):
-        g = rng.standard_gamma(m, count)
-        out = np.empty((len(scales), count))
-        for row, scale in zip(out, scales):
-            # log2(1 + scale*g) in place: the same roundings, one buffer
-            np.multiply(g, scale, out=row)
-            row += 1.0
-            np.log2(row, out=row)
+        out = np.empty((len(taus), len(snrs), count))
+        for rows, (tau, s) in zip(out, _gamma_sums(rng, T, taus, count)):
+            _log2_one_plus(s, [snr / (1.0 + snr * tau) for snr in snrs], rows)
         return out
 
     return _mean_estimate(cfg, draw)
@@ -219,9 +273,15 @@ def sample_ctr(t: int, r: int, rho, cfg: McConfig) -> Estimate:
     The determinant is computed on the smaller-side Gram matrix (the
     two sides agree exactly) via Cholesky factorization.
     """
+    return _sample_ctr_rows(t, r, (rho,), cfg)[0]
+
+
+def _sample_ctr_rows(t: int, r: int, rhos: Sequence, cfg: McConfig) -> list[Estimate]:
+    """sample_ctr at each of rhos from one draw of Z per block: row i is
+    bit-equal to sample_ctr(t, r, rhos[i], cfg)."""
     t = _check_int("t", t, 1)
     r = _check_int("r", r, 1)
-    s = linear_snr(rho)
+    rhos = [linear_snr(rho) for rho in rhos]
 
     def draw(rng, count):
         z = _complex_gaussian(rng, (count, r, t))
@@ -229,9 +289,12 @@ def sample_ctr(t: int, r: int, rho, cfg: McConfig) -> Estimate:
             gram = np.einsum("nij,nik->njk", z.conj(), z)
         else:
             gram = np.einsum("nij,nkj->nik", z, z.conj())
-        return _log2_det((s / t) * gram, f"t={t}, r={r}, rho={s!r}")
+        out = np.empty((len(rhos), count))
+        for row, s in zip(out, rhos):
+            row[:] = _log2_det((s / t) * gram, f"t={t}, r={r}, rho={s!r}")
+        return out
 
-    return _mean_estimate(cfg, draw, min(t, r))[0]
+    return _mean_estimate(cfg, draw, min(t, r))
 
 
 def sample_delta_mimo(

@@ -192,37 +192,45 @@ def validate_all(cfg: McConfig) -> ValidationReport:
             z = diff / est.std_error
         cells.append(ValidationCell(name, reference, est.mean, est.std_error, z))
 
-    def next_cfg(samples: int) -> McConfig:
+    # Substreams are numbered as if each cell drew alone: capacity 1-4,
+    # penalty (T, tau) groups 5-15 and 33 for their other SNRs, rank-1
+    # 49-54, one per reduction SNR, Gram 57.  A shared draw takes the
+    # substream of the first cell it serves and skips the others', so a
+    # cell that draws first keeps its draws: one exponential draw serves
+    # the four capacity SNRs (stream 1), one Gamma draw per T every
+    # (tau, SNR) penalty cell of that T (the stream of its (T, 0) cell:
+    # 5, 7, 10, 13), and one Z draw both SNRs of a rank-1 size (49, 51,
+    # 53).  The Gram check takes 57; new cells append after it.
+    def next_cfg(samples: int, skip: int = 0) -> McConfig:
         nonlocal stream
         stream += 1
-        return replace(cfg.substream(stream), samples=max(100, samples))
+        sub = replace(cfg.substream(stream), samples=max(100, samples))
+        stream += skip
+        return sub
 
-    for db in _VALIDATE_SNR_DB:
-        snr = SnrValue.from_db(db)
-        closed = siso.capacity_csi(snr)
-        est = mc.sample_capacity_siso(snr, next_cfg(cfg.samples))
-        add_two_sided(f"capacity[snr_db={db:g}]", closed, est)
-
-    # One Gamma draw serves the four SNRs of a (T, tau) group.  Group j
-    # takes the substream of its first-SNR cell, and the counter then
-    # skips the streams of all the penalty cells.
     snrs = [SnrValue.from_db(db) for db in _VALIDATE_SNR_DB]
-    groups = [(T, tau) for T in _VALIDATE_T for tau in _VALIDATE_TAU if tau < T]
-    penalty = [
-        mc._sample_penalty_terms(T, tau, snrs, next_cfg(cfg.samples))
-        for T, tau in groups
-    ]
-    stream += len(groups) * (len(snrs) - 1)
+    capacity = mc._sample_capacity_rows(snrs, next_cfg(cfg.samples, skip=len(snrs) - 1))
+    for db, snr, est in zip(_VALIDATE_SNR_DB, snrs, capacity):
+        add_two_sided(f"capacity[snr_db={db:g}]", siso.capacity_csi(snr), est)
+
+    penalty = {}  # (T, tau) -> one estimate per SNR
+    for T in _VALIDATE_T:
+        taus = [tau for tau in _VALIDATE_TAU if tau < T]
+        rows = mc._sample_penalty_terms(T, taus, snrs, next_cfg(cfg.samples, skip=len(taus) - 1))
+        for i, tau in enumerate(taus):
+            penalty[T, tau] = rows[i * len(snrs):(i + 1) * len(snrs)]
+    stream += len(penalty) * (len(snrs) - 1)
     for i, (db, snr) in enumerate(zip(_VALIDATE_SNR_DB, snrs)):
-        for (T, tau), ests in zip(groups, penalty):
+        for (T, tau), ests in penalty.items():
             closed = LOG2E * expint_scaled_sum(T - tau, siso._j1_argument(tau, snr.linear))
             add_two_sided(f"penalty_term[T={T},tau={tau},snr_db={db:g}]", closed, ests[i])
 
+    rank1_dbs = (0.0, 10.0)
+    rhos = [SnrValue.from_db(db) for db in rank1_dbs]
     for t, r in _VALIDATE_RANK1:
-        for db in (0.0, 10.0):
-            rho = SnrValue.from_db(db)
+        ests = mc._sample_ctr_rows(t, r, rhos, next_cfg(cfg.samples // 10, skip=len(rhos) - 1))
+        for db, rho, est in zip(rank1_dbs, rhos, ests):
             closed = mimo.capacity_ctr(t, r, rho).mean
-            est = mc.sample_ctr(t, r, rho, next_cfg(cfg.samples // 10))
             add_two_sided(f"ctr_rank1[t={t},r={r},rho_db={db:g}]", closed, est)
 
     for db in (0.0, 10.0):

@@ -11,6 +11,8 @@ from pilotbounds.mimo import pilot_gram_optimality_check
 from pilotbounds.montecarlo import (
     Estimate,
     McConfig,
+    _sample_capacity_rows,
+    _sample_ctr_rows,
     _sample_delta_mimo_rows,
     _sample_penalty_terms,
     derive_stream,
@@ -87,6 +89,66 @@ def test_penalty_rows_match_single_calls(T, tau, blocks):
     cfg = McConfig(samples=_BLOCK_SAMPLES[blocks], seed=17)
     rows = _sample_penalty_terms(T, tau, _ROW_SNRS, cfg)
     assert rows == [sample_penalty_term(T, tau, snr, cfg) for snr in _ROW_SNRS]
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_capacity_rows_match_single_calls(blocks):
+    cfg = McConfig(samples=_BLOCK_SAMPLES[blocks], seed=17)
+    rows = _sample_capacity_rows(_ROW_SNRS, cfg)
+    assert rows == [sample_capacity_siso(snr, cfg) for snr in _ROW_SNRS]
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("t,r", [(1, 1), (1, 4), (4, 1), (2, 3)])
+def test_ctr_rows_match_single_calls(t, r, blocks):
+    cfg = McConfig(samples=_BLOCK_SAMPLES[blocks], seed=17)
+    rows = _sample_ctr_rows(t, r, _ROW_SNRS, cfg)
+    assert rows == [sample_ctr(t, r, snr, cfg) for snr in _ROW_SNRS]
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("T,taus", [(2, (0, 1)), (20, (0, 1, 2)), (20, (1, 2)), (1000, (0, 2))])
+def test_penalty_group_first_rows_match_single_calls(T, taus, blocks):
+    # the rows of the smallest pilot count draw exactly as a one-row
+    # call does; the later ones are thinned from that draw
+    cfg = McConfig(samples=_BLOCK_SAMPLES[blocks], seed=17)
+    rows = _sample_penalty_terms(T, taus, _ROW_SNRS, cfg)
+    assert len(rows) == len(taus) * len(_ROW_SNRS)
+    assert rows[: len(_ROW_SNRS)] == [sample_penalty_term(T, taus[0], snr, cfg) for snr in _ROW_SNRS]
+
+
+def test_penalty_group_argument_validation():
+    snrs = (SnrValue(1.0),)
+    for taus in ((), (1, 1), (2, 1), (0, -1)):
+        with pytest.raises(ValueError):
+            _sample_penalty_terms(10, taus, snrs, CFG)
+    with pytest.raises(ValueError):
+        _sample_penalty_terms(2, (0, 1, 2), snrs, CFG)  # T must exceed every tau
+
+
+@pytest.mark.parametrize("T,tau", [(2, 1), (20, 1), (20, 2)])
+def test_thinned_gamma_sums_have_gamma_moments(T, tau):
+    # a sum thinned from Gamma(T) to Gamma(T - tau) has the mean and
+    # variance m = T - tau of Gamma(m, 1), within 5 standard errors
+    n = 2**18
+    rng = np.random.Generator(np.random.Philox(2024))
+    sums = {t: s.copy() for t, s in montecarlo._gamma_sums(rng, T, range(tau + 1), n)}
+    assert sorted(sums) == list(range(tau + 1))
+    m = T - tau
+    s = sums[tau]
+    assert abs(s.mean() - m) < 5.0 * math.sqrt(m / n)
+    # Var of the sample variance: (mu4 - sigma^4)/n, mu4 = 3m^2 + 6m
+    assert abs(s.var(ddof=1) - m) < 5.0 * math.sqrt((2.0 * m * m + 6.0 * m) / n)
+
+
+@pytest.mark.parametrize("shape", [(64, 4, 1), (64, 1, 4), (64, 2, 4)])
+def test_complex_gaussian_is_the_scaled_pair_sum(shape):
+    # the in-place view keeps the bits of the two-temporary expression
+    z = montecarlo._complex_gaussian(np.random.Generator(np.random.Philox(5)), shape)
+    a = np.random.Generator(np.random.Philox(5)).standard_normal(shape + (2,))
+    expect = (a[..., 0] + 1j * a[..., 1]) * montecarlo._SQRT_HALF
+    assert z.shape == shape and z.dtype == np.complex128
+    assert np.array_equal(z.view(np.uint64), expect.view(np.uint64))
 
 
 @pytest.mark.parametrize("blocks", [1, 2])

@@ -4,7 +4,15 @@ from dataclasses import replace
 import pytest
 
 from pilotbounds import mimo
-from pilotbounds.montecarlo import McConfig, sample_capacity_siso, sample_ctr, sample_penalty_term
+from pilotbounds.montecarlo import (
+    McConfig,
+    _sample_capacity_rows,
+    _sample_ctr_rows,
+    _sample_penalty_terms,
+    sample_capacity_siso,
+    sample_ctr,
+    sample_penalty_term,
+)
 from pilotbounds.params import MimoParams, SisoParams, SnrValue
 from pilotbounds.sweeps import (
     CONVERGENCE_DEFAULT_T_GRID,
@@ -121,12 +129,14 @@ def test_validate_all_catches_corrupted_reduction(monkeypatch):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_validate_all_stream_map(seed):
-    # Every sampled cell equals a direct sampler call on the substream it
-    # has always had: capacity 1-4, penalty (T, tau) group j at 5 + j
-    # (the stream of its -10 dB cell; its other SNRs share the draw),
-    # rank-1 49-54 after the 44 penalty streams, Gram 57.
+    # Cells that draw alone, or first in a shared draw, equal a direct
+    # one-row call on the substream they have always had: capacity at
+    # -10 dB on 1, the tau=0 penalty cells of T on 5, 7, 10, 13, the 0 dB
+    # rank-1 cells on 49, 51, 53, Gram 57.  The others share those draws:
+    # each equals its row of the rows sampler on that substream.
     cfg = replace(SMALL_CFG, seed=seed)
-    cells = {c.name: c for c in validate_all(cfg).cells}
+    report = validate_all(cfg)
+    cells = {c.name: c for c in report.cells}
 
     def sub(index, samples=cfg.samples):
         return replace(cfg.substream(index), samples=samples)
@@ -135,23 +145,32 @@ def test_validate_all_stream_map(seed):
         assert (cells[name].estimate, cells[name].std_error) == (est.mean, est.std_error), name
 
     dbs = (-10.0, 0.0, 10.0, 20.0)
-    for i, db in enumerate(dbs):
-        check(f"capacity[snr_db={db:g}]", sample_capacity_siso(SnrValue.from_db(db), sub(1 + i)))
+    snrs = [SnrValue.from_db(db) for db in dbs]
+    names = [f"capacity[snr_db={db:g}]" for db in dbs]
+    check(names[0], sample_capacity_siso(snrs[0], sub(1)))
+    for name, est in zip(names, _sample_capacity_rows(snrs, sub(1))):
+        check(name, est)
     groups = [(T, tau) for T in (2, 6, 10, 20) for tau in (0, 1, 2) if tau < T]
-    for j, (T, tau) in enumerate(groups):
-        for db in dbs:
-            est = sample_penalty_term(T, tau, SnrValue.from_db(db), sub(5 + j))
-            check(f"penalty_term[T={T},tau={tau},snr_db={db:g}]", est)
-    k = 49
-    for t, r in ((1, 1), (1, 4), (4, 1)):
-        for db in (0.0, 10.0):
-            est = sample_ctr(t, r, SnrValue.from_db(db), sub(k, 2000))
-            check(f"ctr_rank1[t={t},r={r},rho_db={db:g}]", est)
-            k += 1
+    names += [f"penalty_term[T={T},tau={tau},snr_db={db:g}]" for db in dbs for T, tau in groups]
+    for T, k in ((2, 5), (6, 7), (10, 10), (20, 13)):
+        for snr, db in zip(snrs, dbs):
+            check(f"penalty_term[T={T},tau=0,snr_db={db:g}]", sample_penalty_term(T, 0, snr, sub(k)))
+        taus = [tau for tau in (0, 1, 2) if tau < T]
+        rows = iter(_sample_penalty_terms(T, taus, snrs, sub(k)))
+        for tau in taus:
+            for db in dbs:
+                check(f"penalty_term[T={T},tau={tau},snr_db={db:g}]", next(rows))
+    rhos = (SnrValue.from_db(0.0), SnrValue.from_db(10.0))
+    for (t, r), k in (((1, 1), 49), ((1, 4), 51), ((4, 1), 53)):
+        check(f"ctr_rank1[t={t},r={r},rho_db=0]", sample_ctr(t, r, rhos[0], sub(k, 2000)))
+        for db, est in zip((0.0, 10.0), _sample_ctr_rows(t, r, rhos, sub(k, 2000))):
+            names.append(f"ctr_rank1[t={t},r={r},rho_db={db:g}]")
+            check(names[-1], est)
     for db in (0.0, 10.0):
         sp = SisoParams(T=10, tau=2, snr=SnrValue.from_db(db))
         for label, fn in (("j1", siso.joint_bound_j1), ("j2", siso.joint_bound_j2)):
-            cell = cells[f"reduction_{label}[T=10,tau=2,snr_db={db:g}]"]
+            names.append(f"reduction_{label}[T=10,tau=2,snr_db={db:g}]")
+            cell = cells[names[-1]]
             assert cell.estimate == cell.reference == fn(sp)
     gram = mimo.pilot_gram_optimality_check(
         MimoParams(n_t=2, n_r=2, T=6, tau=2, snr=SnrValue(10.0)),
@@ -159,8 +178,10 @@ def test_validate_all_stream_map(seed):
         sub(57, 2000),
     )
     for row in gram.rows:
-        cell = cells[f"gram_minimal[diag={row.diagonal!r}]"]
+        names.append(f"gram_minimal[diag={row.diagonal!r}]")
+        cell = cells[names[-1]]
         assert (cell.reference, cell.estimate, cell.std_error) == (
             gram.uniform.mean, row.estimate.mean, row.combined_std_error
         )
+    assert [c.name for c in report.cells] == names
     assert len(cells) == 61
