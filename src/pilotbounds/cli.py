@@ -2,8 +2,9 @@
 
 Subcommands: bound, optimize-pilots, offset, sweep, validate.  Output
 formats are text (default for scalars), csv (default for sweeps), and
-json; json embeds a meta block echoing the fully resolved arguments so
-a saved file identifies its own run.  dB-valued columns are rounded to
+json; json embeds a meta block echoing the fully resolved arguments
+(for validate, with the bit generator its seed keys) so a saved file
+identifies its own run.  dB-valued columns are rounded to
 4 decimals at serialization only; a sweep's text is its csv.  Exit
 codes: 0 success, 2 bad arguments (among them a flag the chosen kind
 does not use and an empty grid), a failed computation or an
@@ -22,7 +23,7 @@ import sys
 from typing import NamedTuple, Optional, Sequence
 
 from . import mimo, siso, sweeps
-from .montecarlo import DEFAULT_SCALAR_SAMPLES, McConfig
+from .montecarlo import BIT_GENERATOR, DEFAULT_SCALAR_SAMPLES, McConfig
 from .params import MimoParams, SisoParams, SnrValue, _check_int
 
 
@@ -291,7 +292,9 @@ def _cmd_validate(args) -> _Report:
     # checked for callers that pass it; the samplers choose their own threads
     _check_int("workers", args.workers, 1)
     report = sweeps.validate_all(cfg)
-    meta = {"passed": report.passed, "max_abs_z": report.max_abs_z}
+    # the seed keys the draws only together with the bit generator
+    meta = {"passed": report.passed, "max_abs_z": report.max_abs_z,
+            "bit_generator": BIT_GENERATOR}
     return _Report(sweeps.ValidationCell._fields, report.cells, report.render(), meta,
                    0 if report.passed else 3)
 

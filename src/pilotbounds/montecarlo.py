@@ -3,23 +3,24 @@
 These samplers are the independent oracle behind validate and the
 pilot-Gram check.  None of them evaluates eps_k: the joint-bound
 penalty draws its sum of T-tau unit exponentials as one Gamma(T-tau, 1)
-variate per sample (or thins it from the sum of a smaller pilot count),
-and the scalar capacity one standard exponential per sample.
+variate per sample (or adds to the sum of a larger pilot count), and
+the scalar capacity one standard exponential per sample.
 
 Reproducibility contract: an estimate is a pure function of
 (seed, stream_id, samples).  Draws are generated in fixed blocks of
-16384 samples, each block from its own Philox generator keyed by
-SeedSequence([seed, stream_id, block_index]), and per-block partial
-sums are reduced in block order.  Threads only change which thread
-computes a block, never the draws or the reduction order, so results
-are bit-identical however many threads run.
+16384 samples, each block from its own SFC64 generator (BIT_GENERATOR)
+keyed by SeedSequence([seed, stream_id, block_index]), and per-block
+partial sums are reduced in block order.  Threads only change which
+thread computes a block, never the draws or the reduction order, so
+results are bit-identical however many threads run.
 
 The samplers choose their own threads.  Only sample_ctr (Gram side
 min(t, r)), sample_delta_mimo and the Gram check (side n_t) hand blocks
 to a pool, one thread per block and per CPU, and only at a side of at
 least _POOL_MIN_SIDE with two blocks or more: there a block is batched
-linear algebra that a second thread runs 40-45% faster.  Every other
-estimate, all of validate's among them, runs in the calling thread.
+Cholesky factorization that a second thread runs 35-55% faster.  Below
+that side the log-det has a closed form.  Every other estimate, all of
+validate's among them, runs in the calling thread.
 
 Estimates that can share draws share them (common random numbers): one
 block's draw may return k rows, one per estimate, each reduced exactly as
@@ -27,11 +28,11 @@ a lone estimate is, so each row is still a pure function of McConfig.
 The rows forms of the capacity, C_{t,r} and Gram-penalty samplers draw
 what their one-row calls draw, so each row equals the one-row call at its
 SNR or diagonal bit for bit.  A penalty group of several pilot counts of
-one T draws Gamma(T - tau_min) as the one-row call at tau_min does, and
-its tau_min rows equal those calls bit for bit.  Each further pilot thins
-that draw by an independent Beta(m, 1) factor, which takes a Gamma(m + 1)
-sum to a Gamma(m) sum exactly (beta-gamma algebra), so the other rows
-have the law of their one-row calls but not their bits.
+one T draws Gamma(T - tau_max) as the one-row call at tau_max does, and
+its tau_max rows equal those calls bit for bit.  Each smaller pilot count
+adds one fresh standard exponential per pilot it drops, in place: a
+Gamma(m) sum plus an independent unit exponential is a Gamma(m + 1) sum,
+so the other rows have the law of their one-row calls but not their bits.
 """
 
 from __future__ import annotations
@@ -50,17 +51,28 @@ _SQRT_HALF = math.sqrt(0.5)
 _MASK64 = (1 << 64) - 1
 # The smallest Gram side whose blocks go to a thread pool.  sample_ctr
 # n x n at 10 dB, 10^5 samples (7 blocks), serial -> two threads on a
-# 2-vCPU x86 host, median ms of 12 alternating pairs:
+# 2-vCPU x86 host shared with other work, median ms of 12 alternating
+# pairs (2x2: the medians of 11 such runs, pool faster in 8-12 of 12):
 #
 #   side   wall            CPU            pool faster (wall)
-#   2x2     59.7 ->  60.4   58.7 ->  60.3   5 of 12
-#   3x3    154.7 ->  89.7  154.7 -> 149.2  11 of 12
-#   4x4    230.1 -> 138.0  229.9 -> 265.7  12 of 12
-#   8x8    804.5 -> 443.3  803.3 -> 835.3  12 of 12
+#   2x2     33.8 ->  22.3   33.9 ->  33.7  8-12 of 12
+#   3x3    108.4 ->  71.8  107.5 -> 119.8  11 of 12
+#   4x4    174.7 -> 109.7  173.7 -> 193.0  12 of 12
+#   8x8    805.9 -> 381.0  805.8 -> 694.1  12 of 12
+#
+# Below side 3 the log-det is closed form (_log2_det).  A 2x2 block is
+# then its draws and its Gram product, and a second thread cuts its wall
+# time when a second CPU is free, at about the same CPU time; moving the
+# pool down to side 2 is left open.
 _POOL_MIN_SIDE = 3
 
 # The default sample count puts standard errors near 1e-3 bits/s/Hz.
 DEFAULT_SCALAR_SAMPLES = 1_000_000
+
+# The numpy bit generator under every block's draws: the seed identifies
+# a run only together with it, so validate's JSON meta names it.  Looked
+# up by name at the first draw, since numpy imports numpy.random lazily.
+BIT_GENERATOR = "SFC64"
 
 
 def derive_stream(stream_id: int, index: int) -> int:
@@ -106,7 +118,7 @@ class Estimate(NamedTuple):
 
 def _block_rng(cfg: McConfig, block_index: int) -> np.random.Generator:
     seq = np.random.SeedSequence([cfg.seed, cfg.stream_id, block_index])
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(getattr(np.random, BIT_GENERATOR)(seq))
 
 
 def _mean_estimate(
@@ -127,7 +139,8 @@ def _mean_estimate(
     def one_block(b: int) -> list[tuple[float, float]]:
         count = min(_BLOCK, n - b * _BLOCK)
         rows = np.asarray(draw(_block_rng(cfg, b), count), dtype=float).reshape(-1, count)
-        return [(float(v.sum()), float((v * v).sum())) for v in rows]
+        sums = rows.sum(axis=1)
+        return list(zip(sums.tolist(), np.square(rows, out=rows).sum(axis=1).tolist()))
 
     if threads == 1:
         parts = [one_block(b) for b in range(n_blocks)]
@@ -157,17 +170,38 @@ def _complex_gaussian(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return a.view(np.complex128)[..., 0]
 
 
+def _not_positive_definite(side: int, label: str) -> RuntimeError:
+    return RuntimeError(
+        f"log-det failed on a {side}x{side} Gram batch ({label}); "
+        "input should be positive definite"
+    )
+
+
 def _log2_det(g: np.ndarray, label: str) -> np.ndarray:
-    """log2 det(I + g) over a batch of Hermitian g with I + g positive definite."""
+    """log2 det(I + g) over a batch of Hermitian g with I + g positive definite.
+
+    Sides 1 and 2 take the determinant in closed form, 1 + g00 and
+    (1 + g00)(1 + g11) - |g01|^2; larger sides factor I + g by Cholesky.
+    A non-positive or NaN determinant or pivot raises RuntimeError.
+    """
     side = g.shape[-1]
-    try:
-        ell = np.linalg.cholesky(np.eye(side) + g)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"Cholesky failed on a {side}x{side} Gram batch "
-            f"({label}); input should be positive definite"
-        ) from exc
-    return 2.0 * np.log2(np.einsum("nii->ni", ell).real).sum(axis=1)
+    if side > 2:
+        try:
+            ell = np.linalg.cholesky(np.eye(side) + g)
+        except np.linalg.LinAlgError as exc:
+            raise _not_positive_definite(side, label) from exc
+        pivots = np.einsum("nii->ni", ell).real
+        if not (pivots > 0.0).all():  # a NaN batch factors without an error
+            raise _not_positive_definite(side, label)
+        return 2.0 * np.log2(pivots).sum(axis=1)
+    det = 1.0 + g[:, 0, 0].real
+    if side == 2:
+        b = g[:, 0, 1]
+        det *= 1.0 + g[:, 1, 1].real
+        det -= b.real * b.real + b.imag * b.imag
+    if not (det > 0.0).all():  # NaN fails the test too
+        raise _not_positive_definite(side, label)
+    return np.log2(det, out=det)
 
 
 def _log2_one_plus(x: np.ndarray, scales: Sequence[float], out: np.ndarray) -> np.ndarray:
@@ -214,25 +248,21 @@ def sample_penalty_term(T: int, tau: int, snr, cfg: McConfig) -> Estimate:
 
 
 def _gamma_sums(rng: np.random.Generator, T: int, taus: Sequence[int], count: int):
-    """Yield (tau, S) for each tau of the increasing taus, S holding count
-    Gamma(T - tau, 1) variates, the sums of T - tau unit exponentials.
+    """Yield (tau, S) for each tau of the increasing taus, largest first,
+    S holding count Gamma(T - tau, 1) variates, the sums of T - tau unit
+    exponentials.
 
-    S starts as one standard_gamma(T - taus[0]) draw, and each further
-    pilot thins it in place: Gamma(m + 1) times an independent Beta(m, 1)
-    is Gamma(m) (beta-gamma algebra, Devroye 1986, IX.3), and Beta(m, 1)
-    is exp(-E/m) for a fresh standard exponential E.  The next step
-    overwrites S, so use it before resuming.
+    S starts as one standard_gamma(T - taus[-1]) draw, and each smaller
+    pilot count adds to it in place one fresh standard exponential per
+    pilot it drops.  The next step overwrites S, so use it before resuming.
     """
-    tau = taus[0]
+    tau = taus[-1]
     s = rng.standard_gamma(T - tau, count)
     e = np.empty(count)
-    for want in taus:
-        while tau < want:
-            tau += 1
-            rng.standard_exponential(out=e)
-            e *= -1.0 / (T - tau)
-            np.exp(e, out=e)
-            s *= e
+    for want in reversed(taus):
+        while tau > want:
+            tau -= 1
+            s += rng.standard_exponential(out=e)
         yield tau, s
 
 
@@ -240,13 +270,13 @@ def _sample_penalty_terms(
     T: int, taus: int | Sequence[int], snrs: Sequence, cfg: McConfig
 ) -> list[Estimate]:
     """sample_penalty_term at every (tau, snr) of taus x snrs, tau-major,
-    from one Gamma(T - taus[0]) draw per block (_gamma_sums).
+    from one Gamma(T - taus[-1]) draw per block (_gamma_sums).
 
     taus is one pilot count or a strictly increasing sequence of them.
-    The rows of taus[0] are bit-equal to the one-row calls
-    sample_penalty_term(T, taus[0], snr, cfg).  The rows of a later tau
-    use that draw thinned: they have the law of their one-row calls,
-    not their bits.
+    The rows of taus[-1] are bit-equal to the one-row calls
+    sample_penalty_term(T, taus[-1], snr, cfg).  The rows of a smaller
+    tau add exponentials to that draw: they have the law of their
+    one-row calls, not their bits.
     """
     taus = tuple(taus) if isinstance(taus, Sequence) else (taus,)
     if not taus:
@@ -259,7 +289,7 @@ def _sample_penalty_terms(
 
     def draw(rng, count):
         out = np.empty((len(taus), len(snrs), count))
-        for rows, (tau, s) in zip(out, _gamma_sums(rng, T, taus, count)):
+        for rows, (tau, s) in zip(out[::-1], _gamma_sums(rng, T, taus, count)):
             _log2_one_plus(s, [snr / (1.0 + snr * tau) for snr in snrs], rows)
         return out
 
@@ -271,7 +301,8 @@ def sample_ctr(t: int, r: int, rho, cfg: McConfig) -> Estimate:
     Gaussian Z of shape r x t with unit-variance entries.
 
     The determinant is computed on the smaller-side Gram matrix (the
-    two sides agree exactly) via Cholesky factorization.
+    two sides agree exactly): in closed form at side 1 or 2, via
+    Cholesky factorization above.
     """
     return _sample_ctr_rows(t, r, (rho,), cfg)[0]
 

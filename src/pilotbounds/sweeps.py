@@ -195,12 +195,15 @@ def validate_all(cfg: McConfig) -> ValidationReport:
     # Substreams are numbered as if each cell drew alone: capacity 1-4,
     # penalty (T, tau) groups 5-15 and 33 for their other SNRs, rank-1
     # 49-54, one per reduction SNR, Gram 57.  A shared draw takes the
-    # substream of the first cell it serves and skips the others', so a
-    # cell that draws first keeps its draws: one exponential draw serves
-    # the four capacity SNRs (stream 1), one Gamma draw per T every
-    # (tau, SNR) penalty cell of that T (the stream of its (T, 0) cell:
-    # 5, 7, 10, 13), and one Z draw both SNRs of a rank-1 size (49, 51,
-    # 53).  The Gram check takes 57; new cells append after it.
+    # substream of its lowest-numbered cell and skips the others': one
+    # exponential draw serves the four capacity SNRs (stream 1), one
+    # Gamma draw per T every (tau, SNR) penalty cell of that T (the
+    # stream of its (T, 0) cell: 5, 7, 10, 13), and one Z draw both SNRs
+    # of a rank-1 size (49, 51, 53).  Cells equal a lone call on that
+    # substream where the draw is the lone call's: the capacity and rank-1
+    # cells at their first SNR, and the penalty cells of T's largest tau,
+    # whose Gamma(T - tau) the draw takes before any exponential is added.
+    # The Gram check takes 57; new cells append after it.
     def next_cfg(samples: int, skip: int = 0) -> McConfig:
         nonlocal stream
         stream += 1

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotbounds import cli, sweeps
-from pilotbounds.montecarlo import DEFAULT_SCALAR_SAMPLES
+from pilotbounds.montecarlo import BIT_GENERATOR, DEFAULT_SCALAR_SAMPLES
 
 
 def run_cli(capsys, *argv):
@@ -248,9 +248,11 @@ def test_report_formats(capsys, monkeypatch, command):
         cfg, report = calls[0]
         assert cfg.samples == samples and cfg.seed == 3
         assert meta["passed"] is report.passed and meta["max_abs_z"] == report.max_abs_z
+        # a saved run names the generator its seed keys
+        assert meta["bit_generator"] == BIT_GENERATOR == "SFC64"
         assert outs["text"] == report.render()
     else:
-        assert not calls and "passed" not in meta
+        assert not calls and "passed" not in meta and "bit_generator" not in meta
 
 
 @pytest.mark.filterwarnings("error")
@@ -346,6 +348,15 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_no_thread_pool():
     # the Monte Carlo layer imports concurrent.futures when it first pools
     code = "import sys, pilotbounds.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_cli_import_loads_no_numpy_random():
+    # numpy imports numpy.random lazily (about 14 ms); the samplers look
+    # their bit generator up by name at the first draw
+    code = "import sys, pilotbounds.cli; print('numpy.random' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"

@@ -55,6 +55,12 @@ def test_substreams_are_distinct():
     assert derive_stream(0, 4) != derive_stream(1, 4)
 
 
+def test_blocks_draw_from_the_named_bit_generator():
+    # validate's JSON meta reports BIT_GENERATOR as the generator its seed keys
+    rng = montecarlo._block_rng(McConfig(samples=1000, seed=3), 0)
+    assert type(rng.bit_generator).__name__ == montecarlo.BIT_GENERATOR == "SFC64"
+
+
 def test_capacity_sampler_matches_closed_form():
     for snr in (SnrValue(0.1), SnrValue(1.0), SnrValue(10.0)):
         est = sample_capacity_siso(snr, CFG)
@@ -109,12 +115,12 @@ def test_ctr_rows_match_single_calls(t, r, blocks):
 @pytest.mark.parametrize("blocks", [1, 2])
 @pytest.mark.parametrize("T,taus", [(2, (0, 1)), (20, (0, 1, 2)), (20, (1, 2)), (1000, (0, 2))])
 def test_penalty_group_first_rows_match_single_calls(T, taus, blocks):
-    # the rows of the smallest pilot count draw exactly as a one-row
-    # call does; the later ones are thinned from that draw
+    # the rows of the largest pilot count, drawn first, draw exactly as a
+    # one-row call does; the smaller ones add exponentials to that draw
     cfg = McConfig(samples=_BLOCK_SAMPLES[blocks], seed=17)
     rows = _sample_penalty_terms(T, taus, _ROW_SNRS, cfg)
     assert len(rows) == len(taus) * len(_ROW_SNRS)
-    assert rows[: len(_ROW_SNRS)] == [sample_penalty_term(T, taus[0], snr, cfg) for snr in _ROW_SNRS]
+    assert rows[-len(_ROW_SNRS):] == [sample_penalty_term(T, taus[-1], snr, cfg) for snr in _ROW_SNRS]
 
 
 def test_penalty_group_argument_validation():
@@ -128,17 +134,18 @@ def test_penalty_group_argument_validation():
 
 @pytest.mark.parametrize("T,tau", [(2, 1), (20, 1), (20, 2)])
 def test_thinned_gamma_sums_have_gamma_moments(T, tau):
-    # a sum thinned from Gamma(T) to Gamma(T - tau) has the mean and
-    # variance m = T - tau of Gamma(m, 1), within 5 standard errors
+    # the Gamma(T - tau) draw and the sums that add exponentials to it,
+    # up to Gamma(T), each have the mean and variance m = T - t of
+    # Gamma(m, 1) at their pilot count t, within 5 standard errors
     n = 2**18
-    rng = np.random.Generator(np.random.Philox(2024))
+    rng = np.random.Generator(np.random.SFC64(2024))
     sums = {t: s.copy() for t, s in montecarlo._gamma_sums(rng, T, range(tau + 1), n)}
-    assert sorted(sums) == list(range(tau + 1))
-    m = T - tau
-    s = sums[tau]
-    assert abs(s.mean() - m) < 5.0 * math.sqrt(m / n)
-    # Var of the sample variance: (mu4 - sigma^4)/n, mu4 = 3m^2 + 6m
-    assert abs(s.var(ddof=1) - m) < 5.0 * math.sqrt((2.0 * m * m + 6.0 * m) / n)
+    assert list(sums) == list(range(tau, -1, -1))
+    for t, s in sums.items():
+        m = T - t
+        assert abs(s.mean() - m) < 5.0 * math.sqrt(m / n), t
+        # Var of the sample variance: (mu4 - sigma^4)/n, mu4 = 3m^2 + 6m
+        assert abs(s.var(ddof=1) - m) < 5.0 * math.sqrt((2.0 * m * m + 6.0 * m) / n), t
 
 
 @pytest.mark.parametrize("shape", [(64, 4, 1), (64, 1, 4), (64, 2, 4)])
@@ -170,14 +177,14 @@ def test_delta_rows_check_every_diagonal_before_drawing(monkeypatch):
         _sample_delta_mimo_rows(p, [(2.0, 2.0), (4.0, 1.0)], CFG)
 
 
-# (mean, std_error) of one-row calls, recorded before estimates shared
-# draws as rows; the one-row path must keep these bits.
+# (mean, std_error) of one-row calls on SFC64 blocks; the one-row path,
+# alone or as a row of a shared draw, must keep these bits.
 @pytest.mark.parametrize(
     "T,tau,db,seed,mean,se",
     [
-        (2, 0, 0.0, 1, "0x1.70742851526a8p+0", "0x1.9eff9f5b347d9p-9"),
-        (10, 1, 10.0, 2, "0x1.91b1c2edd30aap+1", "0x1.1b1a7810b72cdp-9"),
-        (1000, 2, -10.0, 3, "0x1.993c87ae3caf6p+2", "0x1.dac15bd6441fap-13"),
+        pytest.param(2, 0, 0.0, 1, "0x1.71c7487d3d953p+0", "0x1.9f057bb07fac0p-9", id="T2-tau0-seed1"),
+        pytest.param(10, 1, 10.0, 2, "0x1.911e0a4e0533cp+1", "0x1.1b164615c29cdp-9", id="T10-tau1-seed2"),
+        pytest.param(1000, 2, -10.0, 3, "0x1.993d7bb572b12p+2", "0x1.d7e1ddb36d5f1p-13", id="T1000-tau2-seed3"),
     ],
 )
 def test_penalty_sampler_pinned_bits(T, tau, db, seed, mean, se):
@@ -188,9 +195,9 @@ def test_penalty_sampler_pinned_bits(T, tau, db, seed, mean, se):
 @pytest.mark.parametrize(
     "diagonal,seed,mean,se",
     [
-        ((2.0, 2.0), 1, "0x1.598b627708ae0p+2", "0x1.173af83139709p-7"),
-        ((3.0, 1.0), 2, "0x1.7d07d29efcb52p+2", "0x1.276bd273849b0p-7"),
-        ((4.0, 0.0), 3, "0x1.3e56b1c1d0843p+3", "0x1.6a75b9fa943b7p-7"),
+        pytest.param((2.0, 2.0), 1, "0x1.59c9c740c6ea8p+2", "0x1.19c414a634a57p-7", id="uniform-seed1"),
+        pytest.param((3.0, 1.0), 2, "0x1.7e80384d7872dp+2", "0x1.2800340035860p-7", id="skewed-seed2"),
+        pytest.param((4.0, 0.0), 3, "0x1.3ea423fab9230p+3", "0x1.687837b81abecp-7", id="rank1-seed3"),
     ],
 )
 def test_delta_sampler_pinned_bits(diagonal, seed, mean, se):
@@ -388,14 +395,56 @@ def test_delta_sampler_validation():
 
 def test_cholesky_failure_raises_runtime_error(monkeypatch):
     # both matrix samplers share one log-det, so a failed factorization
-    # surfaces as the same RuntimeError from either
+    # surfaces as the same RuntimeError from either; sides 1 and 2 take
+    # the closed form and never factor
     def fail(m):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", fail)
     cfg = McConfig(samples=200, seed=1)
-    with pytest.raises(RuntimeError, match="Cholesky failed on a 2x2 Gram batch"):
-        sample_ctr(2, 3, SnrValue(10.0), cfg)
-    p = MimoParams(n_t=2, n_r=2, T=6, tau=2, snr=SnrValue(10.0))
-    with pytest.raises(RuntimeError, match="Cholesky failed on a 2x2 Gram batch"):
-        sample_delta_mimo(p, (2.0, 2.0), cfg)
+    with pytest.raises(RuntimeError, match="log-det failed on a 3x3 Gram batch"):
+        sample_ctr(3, 4, SnrValue(10.0), cfg)
+    p = MimoParams(n_t=3, n_r=2, T=9, tau=3, snr=SnrValue(10.0))
+    with pytest.raises(RuntimeError, match="log-det failed on a 3x3 Gram batch"):
+        sample_delta_mimo(p, (3.0, 3.0, 3.0), cfg)
+    assert sample_ctr(2, 3, SnrValue(10.0), cfg).std_error > 0.0
+
+
+def _cholesky_log2_det(g):
+    ell = np.linalg.cholesky(np.eye(g.shape[-1]) + g)
+    return 2.0 * np.log2(np.einsum("nii->ni", ell).real).sum(axis=1)
+
+
+def _gram_batch(rng, rank, side, n=4096):
+    z = montecarlo._complex_gaussian(rng, (n, rank, side))
+    return np.einsum("nij,nik->njk", z.conj(), z)
+
+
+@pytest.mark.parametrize("side,rank", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 5)])
+def test_closed_form_log_det_matches_cholesky(side, rank):
+    # Below the pool side the log-det is closed form.  The two forms
+    # round differently: at rank 1 and 40 dB, (1 + g00)(1 + g11) and
+    # |g01|^2 cancel from about 1e8-1e10 (7e-13 relative seen), and at
+    # -10 dB 1 + g rounds to a few ulp of a log-det near 0 (2e-11 of
+    # it seen).  The bound, 1e-10 of max(1, |log2 det|), holds both.
+    rng = np.random.Generator(np.random.SFC64(7))
+    gram = _gram_batch(rng, rank, side)
+    for db in range(-10, 41, 10):
+        g = 10.0 ** (db / 10.0) * gram
+        ref = _cholesky_log2_det(g)
+        got = montecarlo._log2_det(g, "test")
+        assert got.shape == ref.shape
+        err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+        assert err.max() <= 1e-10, (db, err.max())
+
+
+@pytest.mark.parametrize("side", [1, 2, 3])
+@pytest.mark.parametrize("bad", ["negative", "nan"])
+def test_log_det_rejects_non_positive_definite_and_nan(side, bad):
+    # one matrix of a batch with det(I + g) <= 0, or a NaN entry, raises
+    # the same RuntimeError at the closed-form sides and at Cholesky's
+    g = _gram_batch(np.random.Generator(np.random.SFC64(3)), side, side, n=8)
+    g[5] = 0.0 if bad == "negative" else np.nan
+    g[5, 0, 0] -= 2.0  # I + g[5] = diag(-1, 1, ...) where not NaN
+    with pytest.raises(RuntimeError, match=f"log-det failed on a {side}x{side} Gram batch \\(x\\)"):
+        montecarlo._log2_det(g, "x")

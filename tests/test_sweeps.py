@@ -130,10 +130,11 @@ def test_validate_all_catches_corrupted_reduction(monkeypatch):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_validate_all_stream_map(seed):
     # Cells that draw alone, or first in a shared draw, equal a direct
-    # one-row call on the substream they have always had: capacity at
-    # -10 dB on 1, the tau=0 penalty cells of T on 5, 7, 10, 13, the 0 dB
-    # rank-1 cells on 49, 51, 53, Gram 57.  The others share those draws:
-    # each equals its row of the rows sampler on that substream.
+    # one-row call on the substream of their group: capacity at -10 dB
+    # on 1, the penalty cells of T's largest tau on 5, 7, 10, 13 (the
+    # substreams of the tau=0 cells), the 0 dB rank-1 cells on 49, 51,
+    # 53, Gram 57.  The others share those draws: each equals its row of
+    # the rows sampler on that substream.
     cfg = replace(SMALL_CFG, seed=seed)
     report = validate_all(cfg)
     cells = {c.name: c for c in report.cells}
@@ -153,9 +154,10 @@ def test_validate_all_stream_map(seed):
     groups = [(T, tau) for T in (2, 6, 10, 20) for tau in (0, 1, 2) if tau < T]
     names += [f"penalty_term[T={T},tau={tau},snr_db={db:g}]" for db in dbs for T, tau in groups]
     for T, k in ((2, 5), (6, 7), (10, 10), (20, 13)):
-        for snr, db in zip(snrs, dbs):
-            check(f"penalty_term[T={T},tau=0,snr_db={db:g}]", sample_penalty_term(T, 0, snr, sub(k)))
         taus = [tau for tau in (0, 1, 2) if tau < T]
+        for snr, db in zip(snrs, dbs):
+            est = sample_penalty_term(T, taus[-1], snr, sub(k))
+            check(f"penalty_term[T={T},tau={taus[-1]},snr_db={db:g}]", est)
         rows = iter(_sample_penalty_terms(T, taus, snrs, sub(k)))
         for tau in taus:
             for db in dbs:
