@@ -29,6 +29,7 @@ from .expint import (
     LOG2E,
     _BAD_ARGUMENTS,
     _SERIES_TERMS,
+    _check_argument,
     _eps1_lanes,
     _eps_scalar_cf,
     _scaled_sums,
@@ -59,6 +60,12 @@ _ROOT_STAIR_DB = 2e-15
 _REPLAY_MARGIN_DB = 1e-7
 _LANE_TRIES = 5
 _NEWTON_STEPS = 40
+# power_advantage_at_snr raises its bound on the lanes at -60 dB by the
+# relative margin _END_MARGIN, and lets a certified bracket end's sign
+# stand for its gap only where the target and the certificate's margin
+# reach _SIGN_GUARD
+_END_MARGIN = 1e-9
+_SIGN_GUARD = 2.0**-480
 # the joint searches evaluate their kept pilot counts this many at a time;
 # at low SNR and huge T the prefix can run to 10^11 lanes
 _PREFIX_CHUNK = 1 << 16
@@ -351,24 +358,56 @@ def power_advantage_at_snr(T: int, snr) -> PowerOffset:
     bracket is [-60, +60] dB and the root is located to 1e-6 dB, bit for
     bit where scipy.optimize.bisect locates it on separate_bound.
 
-    The root is found first and the bisection replayed after.  The full
-    bounds at the bracket ends come first and raise what separate_bound
-    raises there.  Its checks (snr*T overflow, an effective SNR that
-    rounds to 0, an infinite eps_1 argument) are monotone in SNR, so no
-    step inside the bracket raises once both ends have passed, and the
-    exceptions keep their types and messages.
+    The bracket ends are certified, the root found first, and the
+    bisection replayed.  An offset evaluates one full separate bound per
+    lane tried, in one kernel call with a single lane, and one per replay
+    step near the root; each lane is bit-equal whatever its batch, so
+    every value is the full bound's.
 
-    Root: tau* of the +60 dB bound names one lane of the bound,
-    share_tau * C(eff_tau).  Newton on eps_1 and the inverse of the
-    effective SNR give the dB shift r where that lane meets the target
-    (_lane_root_db).  r is a guess and decides nothing; evaluated values
-    confirm it.  At b = r + h the lane, evaluated beside lane 1 alone by
-    the full bound's own code, exceeds the target, so the full bound,
-    its maximum over lanes, does too: each lane is bit-equal whatever
-    batch it runs in, and lane 1 carries the checks, which cannot fail
-    inside the bracket.  At a = r - h a full bound falls short of the
-    target.  Where it does not and its tau* differs, that lane is tried
-    next, a bounded number of times.
+    Checks: the target's checks come first, then lane 1 of the separate
+    bound runs _separate_arguments at -60 and then at +60 dB.  Those are
+    every check separate_bound makes (snr*T overflow, an effective SNR
+    that rounds to 0, an infinite eps_1 argument), and they are monotone
+    in SNR, so no SNR inside the bracket raises once both ends have
+    passed, and the exceptions keep their types, messages and order.
+    Every argument is then finite and > 0, where the kernel returns
+    finite values, so no gap is NaN.
+
+    Ends: at -60 dB, every float lane share * LOG2E * eps_1(x) lies below
+    LOG2E * log1p(1/x_min), x_min the argument of lane T-1: share <= 1,
+    eps_1(x) < ln(1 + 1/x) (A&S 5.1.20), and x does not grow with tau,
+    since the float effective SNR is formed by monotone roundings and so
+    does not decrease in tau.  Raised by the relative margin
+    _END_MARGIN = 1e-9, which covers the kernel's 1e-12 and a few
+    roundings, that bound below the target proves g_lo < 0 with no
+    kernel call.  At +60 dB, lane 1 above the target proves g_hi > 0,
+    since the bound is its largest lane; that lane shares one kernel
+    call with the target's eps_1.  Where a certificate fails, the end's
+    full bound is evaluated, as it is where the guard below fails.
+
+    Signs for gaps: _bisect and the saturation test use g_hi only through
+    g_lo * g_hi > 0, fb == 0 and a NaN test, and g_lo through those and
+    through gap * g_lo >= 0 at each step.  A certified end passes -1.0 or
+    +1.0 for its gap.  That reads the same in every test unless a product
+    of the true gap with another nonzero gap g would round to zero.  With
+    target > 0 of exponent e, |g| >= target * 2^-54: if |value| >= 2^(e-1)
+    both terms of g = value - target are multiples of 2^(e-53), and
+    otherwise |g| > target/2.  A certified gap is at least its margin in
+    magnitude (target less the low certificate, or lane 1 less the
+    target), as rounding is monotone.  The guard asks the target and the
+    margin to reach _SIGN_GUARD = 2^-480, so each such product is at
+    least 2^-1014 in magnitude: a normal float of the sign of its factors.
+
+    Root: the start lane, the argmax of share * log1p(eff) at snr in one
+    numpy pass, guesses tau* at the root.  Newton on eps_1 and the
+    inverse of the effective SNR give the dB shift r where that lane
+    meets the target (_lane_root_db).  Both are guesses and decide
+    nothing; evaluated values confirm them.  One kernel call evaluates
+    the full bound at a = r - h and the lane at b = r + h.  The lane must
+    exceed the target, so the full bound, its largest lane, does too,
+    and the full bound at a must fall short of it.  Where it does not
+    and its tau* differs, that lane is tried next, a bounded number of
+    times.
 
     Replay: _bisect runs its own step sequence and uses a gap only
     through gap * g_lo >= 0 and gap == 0.  A step left of a - margin
@@ -392,17 +431,35 @@ def power_advantage_at_snr(T: int, snr) -> PowerOffset:
     """
     s = linear_snr(snr)
     p = SisoParams(T=T, tau=1, snr=SnrValue(s))
-    target = joint_bound_j2(p)
+    x_c = _check_argument(1.0 / s)  # capacity_csi's check, before the bracket's
     taus = np.arange(1, p.T)
     share = 1.0 - taus / p.T
+    lo, hi = -_OFFSET_BRACKET_DB, _OFFSET_BRACKET_DB
 
-    def bound(delta_db: float) -> SeparateBound:
-        return _separate_best(p.T, s * 10.0 ** (delta_db / 10.0), taus, share)
+    def at(delta_db: float) -> float:
+        return s * 10.0 ** (delta_db / 10.0)
 
     def gap(delta_db: float) -> float:
-        return bound(delta_db).value - target
+        return _separate_best(p.T, at(delta_db), taus, share).value - target
 
-    lo, hi = -_OFFSET_BRACKET_DB, _OFFSET_BRACKET_DB
+    # lane 1 carries the checks; lane T-1 has the least argument at -60 dB
+    x_lo = _separate_arguments(p.T, at(lo), taus[[0, -1]])
+    x_hi = _separate_arguments(p.T, at(hi), taus[:1])
+    eps = _eps1_lanes(np.array([x_c, x_hi[0]]))
+    target = _j2((1,), p.T, s, LOG2E * float(eps[0]))[0]  # joint_bound_j2, bit for bit
+    lane_hi = float(share[0] * (LOG2E * eps[1]))
+    cert_lo = LOG2E * math.log1p(1.0 / float(x_lo[-1])) * (1.0 + _END_MARGIN)
+    g_lo = _end_sign(-1.0, target - cert_lo, target)
+    if g_lo is None:
+        g_lo = gap(lo)
+    g_hi = _end_sign(1.0, lane_hi - target, target)
+    if g_hi is None:
+        g_hi = gap(hi)
+    if g_lo * g_hi > 0.0:
+        raise RuntimeError(
+            f"offset saturated: no crossing within +/-{_OFFSET_BRACKET_DB} dB "
+            f"for T={T}, snr={s!r}"
+        )
 
     def window(tau: int):
         """(a, gap(a), b, the lane's gap at b) around the root, or None."""
@@ -415,31 +472,25 @@ def power_advantage_at_snr(T: int, snr) -> PowerOffset:
             a, b = r - h, r + h
             if not lo < a < b < hi:
                 return None
-            # lane tau of the full bound at b: each lane is bit-equal
-            # whatever its batch, and b lies strictly inside the bracket
-            # whose ends passed the checks
-            pair = [0, tau - 1]
-            lane = float(_separate_values(p.T, s * 10.0 ** (b / 10.0), taus[pair], share[pair])[-1])
-            if not lane - target > 0.0:
+            # the full bound at a and lane tau at b in one kernel call; a
+            # and b lie strictly inside the bracket whose ends passed the checks
+            x_b = _separate_arguments(p.T, at(b), taus[[0, tau - 1]])
+            e = LOG2E * _eps1_lanes(np.append(_separate_arguments(p.T, at(a), taus), x_b[-1]))
+            g_b = float(share_tau * e[-1]) - target
+            if not g_b > 0.0:
                 return None
-            at_a = bound(a)
-            if at_a.value - target < 0.0:
-                return a, at_a.value - target, b, lane - target
-            if at_a.tau_star == tau:
+            values = share * e[:-1]
+            best = int(np.argmax(values))
+            g_a = float(values[best]) - target
+            if g_a < 0.0:
+                return a, g_a, b, g_b
+            if best + 1 == tau:
                 return None
-            tau = at_a.tau_star
+            tau = best + 1
         return None
 
-    g_lo = gap(lo)
-    top = bound(hi)
-    g_hi = top.value - target
-    if g_lo * g_hi > 0.0:
-        raise RuntimeError(
-            f"offset saturated: no crossing within +/-{_OFFSET_BRACKET_DB} dB "
-            f"for T={T}, snr={s!r}"
-        )
     left, g_a, right, g_b = -math.inf, None, math.inf, None
-    found = window(top.tau_star) if g_lo < 0.0 < g_hi else None
+    found = window(_start_lane(s, taus, share)) if g_lo < 0.0 < g_hi else None
     if found is not None:
         a, g_a, b, g_b = found
         left = a - _REPLAY_MARGIN_DB
@@ -455,6 +506,23 @@ def power_advantage_at_snr(T: int, snr) -> PowerOffset:
 
     root_db = _bisect(step_gap, lo, hi, g_lo, g_hi, xtol=1e-6)
     return PowerOffset(root_db / DB_PER_UNIT)
+
+
+def _start_lane(s: float, taus: np.ndarray, share: np.ndarray) -> int:
+    """A guess of the separate bound's tau* near snr s: the argmax of
+    share * log1p(eff), with the upper bound ln(1 + eff) on eps_1(1/eff)
+    in place of each lane.  Lane 1 has passed its checks at -60 dB, so
+    eff at s does not round to 0."""
+    return int(np.argmax(share * np.log1p(_effective_snr(s, taus)))) + 1
+
+
+def _end_sign(sign: float, margin: float, target: float) -> float | None:
+    """sign, to stand for a bracket end's gap that has that sign by at
+    least margin, where the guard keeps its products with other gaps
+    normal; None where the end's full bound must be evaluated."""
+    if margin >= _SIGN_GUARD and target >= _SIGN_GUARD:
+        return sign
+    return None
 
 
 def _lane_root_db(s: float, tau: int, level: float) -> float | None:

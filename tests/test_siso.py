@@ -1,4 +1,6 @@
+import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -393,24 +395,27 @@ def test_power_advantage_raises_as_the_public_path(T):
 
 
 def _offset_and_full_bounds(monkeypatch, T, snr):
-    """The offset at (T, snr), and how many full separate bounds it evaluated."""
-    calls = []
-    full = siso._separate_best
+    """The offset at (T, snr), and the full separate bounds it evaluated:
+    the kernel calls of at least T - 1 lanes, alone or batched with a
+    lane at the window's upper end."""
+    lanes = []
+    kernel = siso._eps1_lanes
     with monkeypatch.context() as m:
-        m.setattr(siso, "_separate_best", lambda *args: calls.append(args) or full(*args))
+        m.setattr(siso, "_eps1_lanes", lambda x: lanes.append(len(x)) or kernel(x))
         value = power_advantage_at_snr(T, snr).value_3db_units
-    return value, len(calls)
+    return value, sum(n >= T - 1 for n in lanes)
 
 
 @pytest.mark.parametrize("T", [10, 100, 1000])
 def test_power_advantage_evaluates_few_full_bounds(monkeypatch, T):
-    # the bracket ends, a full bound per lane tried, and the steps within
-    # the margin of the root; plain bisection evaluates about 29
+    # no full bound at the certified bracket ends, one per lane tried
+    # (batched with the lane at the window's upper end), and one per step
+    # within the margin of the root; plain bisection evaluates about 29
     for db in (-40.0, 0.0, 20.0):
         snr = SnrValue.from_db(db)
         value, full = _offset_and_full_bounds(monkeypatch, T, snr)
         assert value == scipy_offset(T, snr), db
-        assert full <= 6, db
+        assert full <= 3, db
 
 
 @pytest.mark.parametrize("shift_db", [None, -1.0, 1.0])
@@ -430,6 +435,98 @@ def test_power_advantage_without_a_root_estimate_bisects_in_full(monkeypatch, sh
             value, full = _offset_and_full_bounds(monkeypatch, T, snr)
             assert value == scipy_offset(T, snr), (T, db)
             assert full > 20, (T, db)
+
+
+@functools.cache
+def _scipy_offset_at(T, db):
+    return outcome(lambda: scipy_offset(T, SnrValue.from_db(db)))
+
+
+def _offsets_match_scipy_over_offset_db():
+    for T, dbs in _OFFSET_DB.items():
+        for db in dbs:
+            ours = outcome(lambda: power_advantage_at_snr(T, SnrValue.from_db(db)).value_3db_units)
+            assert ours == _scipy_offset_at(T, db), (T, db)
+
+
+def _full_bound_snrs(monkeypatch):
+    """Records the SNR of every full separate bound evaluated."""
+    snrs = []
+    full = siso._separate_best
+    monkeypatch.setattr(siso, "_separate_best", lambda T, snr, *rest: snrs.append(snr) or full(T, snr, *rest))
+    return snrs
+
+
+@pytest.mark.parametrize("end", ["low", "high"])
+def test_power_advantage_without_an_end_certificate_evaluates_it(monkeypatch, end):
+    # a certificate that fails (a margin of 0) leaves the end's full bound
+    # to decide, and every offset keeps its bits
+    certified = siso._end_sign
+    fail = -1.0 if end == "low" else 1.0
+    monkeypatch.setattr(
+        siso, "_end_sign", lambda sign, margin, target: certified(sign, 0.0 if sign == fail else margin, target)
+    )
+    snrs = _full_bound_snrs(monkeypatch)
+    _offsets_match_scipy_over_offset_db()
+    s = SnrValue.from_db(0.0).linear
+    snrs.clear()
+    power_advantage_at_snr(100, s)
+    assert s * 10.0 ** (-6.0 if end == "low" else 6.0) in snrs
+    assert s * 10.0 ** (6.0 if end == "low" else -6.0) not in snrs
+
+
+def test_power_advantage_certifies_both_ends_without_their_full_bounds(monkeypatch):
+    snrs = _full_bound_snrs(monkeypatch)
+    for T, dbs in _OFFSET_DB.items():
+        for db in dbs:
+            s = SnrValue.from_db(db).linear
+            snrs.clear()
+            power_advantage_at_snr(T, s)
+            assert not {s * 10.0**-6.0, s * 10.0**6.0} & set(snrs), (T, db)
+
+
+def test_power_advantage_with_the_sign_guard_failing_evaluates_both_ends(monkeypatch):
+    monkeypatch.setattr(siso, "_SIGN_GUARD", math.inf)
+    snrs = _full_bound_snrs(monkeypatch)
+    _offsets_match_scipy_over_offset_db()
+    s = SnrValue.from_db(0.0).linear
+    snrs.clear()
+    power_advantage_at_snr(100, s)
+    assert {s * 10.0**-6.0, s * 10.0**6.0} <= set(snrs)
+
+
+def test_end_sign_guard_keeps_products_with_other_gaps_normal():
+    g = siso._SIGN_GUARD
+    # a nonzero gap is at least target * 2^-54; its product with a
+    # certified gap of magnitude >= g is then a normal float
+    assert g * (g * 2.0**-54) >= sys.float_info.min
+    assert siso._end_sign(-1.0, g, g) == -1.0
+    assert siso._end_sign(1.0, 1.0, 1.0) == 1.0
+    for margin, target in ((g / 2, 1.0), (1.0, g / 2), (0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan)):
+        assert siso._end_sign(-1.0, margin, target) is None, (margin, target)
+
+
+@pytest.mark.parametrize("T", [2, 3, 10, 100, 1000])
+def test_low_end_certificate_bounds_every_lane(T):
+    # every float lane at an SNR lies below LOG2E * log1p(1/x) with x the
+    # argument of lane T-1, by more than the certificate's margin needs
+    taus = np.arange(1, T)
+    share = 1.0 - taus / T
+    for db in np.arange(-160.0, 100.0, 2.5):
+        s = SnrValue.from_db(db).linear
+        try:
+            x = siso._separate_arguments(T, s, taus)
+        except ValueError:
+            continue
+        lanes = siso._separate_values(T, s, taus, share)
+        ceiling = LOG2E * math.log1p(1.0 / float(x[-1]))
+        assert lanes.max() < ceiling * (1.0 + 1e-11), db
+
+
+@pytest.mark.parametrize("lane", ["first", "last"])
+def test_power_advantage_from_a_wrong_start_lane_keeps_its_bits(monkeypatch, lane):
+    monkeypatch.setattr(siso, "_start_lane", lambda s, taus, share: 1 if lane == "first" else len(taus))
+    _offsets_match_scipy_over_offset_db()
 
 
 # below x = 1 every lane takes the series; above, up to 64 lanes the
