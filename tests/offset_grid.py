@@ -60,9 +60,9 @@ def outcome(f):
         return type(exc).__name__, str(exc)
 
 
-def differences(Ts, dbs, work: Counter | None = None) -> list[tuple]:
+def differences(Ts, dbs, work: Counter) -> list[tuple]:
     """(T, dB, ours, scipy's) at every point where the outcomes differ;
-    adds the work of power_advantage_at_snr to work, if given."""
+    adds the work of power_advantage_at_snr to work."""
     found = []
     for T in Ts:
         for db in dbs:
@@ -76,12 +76,9 @@ def differences(Ts, dbs, work: Counter | None = None) -> list[tuple]:
 
 
 @contextmanager
-def counting(work: Counter | None):
+def counting(work: Counter):
     """Counts one offset, and the kernel calls, lanes and lane tries made
     within, into work, through wrappers on the names siso calls them by."""
-    if work is None:
-        yield
-        return
     wrappers = {
         "_eps1_lanes": lambda f: lambda x: work.update(kernel_calls=1, lanes=len(x)) or f(x),
         "expint_scaled": lambda f: lambda k, x: work.update(kernel_calls=1, lanes=1) or f(k, x),
