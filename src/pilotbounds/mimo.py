@@ -134,25 +134,47 @@ def _ctr_value(t: int, r: int, x: float) -> float:
     """C_{t,r} at the sum argument x = t/rho (the penalty term passes
     tau + n_t/snr, with fewer roundings): the float Laguerre sum where
     the cancellation guard admits it, else the decimal one."""
-    m, d = min(t, r), abs(t - r)
+    return _ctr_from_orders(min(t, r), abs(t - r), x, _scaled_orders(t + r - 1, _check_argument(x)))
+
+
+def _ctr_from_orders(m: int, d: int, x: float, orders) -> float:
+    """_ctr_value from orders = _scaled_orders(2m + d - 1, x), or from
+    a longer list with the same seed order, whose first 2m + d - 1
+    entries are the same floats."""
     _, _, weights, digits = _laguerre_weights(m, d)
-    k0, eps = _scaled_orders(t + r - 1, _check_argument(x))
+    total = _guarded_sum(weights, orders)
+    return _ctr_decimal(m, d, x, digits) if total is None else total
+
+
+def _guarded_sum(weights: tuple[float, ...], orders) -> float | None:
+    """log2(e) * sum_k weights[k-1] eps_k(x) over k = 1..len(weights),
+    from orders = (k0, [eps_1(x), ...]) as _scaled_orders gives them,
+    added in expint_scaled_sum's order; None where the sum is not > 0
+    or its cancellation ratio kappa exceeds _KAPPA_MAX (module
+    docstring)."""
+    k0, eps = orders
     terms = [w * e for w, e in zip(weights, eps)]
     total = _sum_in_order(k0, terms)
     if total > 0.0 and sum(map(abs, terms)) <= _KAPPA_MAX * total:
         return LOG2E * total
-    return _ctr_decimal(m, d, x, digits)
+    return None
 
 
 def _ctr_decimal(m: int, d: int, x: float, digits: int) -> float:
     """The Laguerre sum at x in decimal at digits significant digits,
     with the exact weights, rounded once to float."""
+    num, den, _, _ = _laguerre_weights(m, d)
+    return _decimal_sum(num, den, x, digits)
+
+
+def _decimal_sum(num: tuple[int, ...], den: int, x: float, digits: int) -> float:
+    """log2(e) * sum_k (num[k-1]/den) eps_k(x) over k = 1..len(num), in
+    decimal at digits significant digits, rounded once to float."""
     import decimal  # first use only: off the import path
 
-    num, den, _, _ = _laguerre_weights(m, d)
     with decimal.localcontext() as ctx:
         ctx.prec = digits
-        _, eps = _decimal_orders(2 * m + d - 1, x)
+        _, eps = _decimal_orders(len(num), x)
         return float(sum(map(operator.mul, num, eps)) / den / decimal.Decimal(2).ln())
 
 
@@ -239,7 +261,8 @@ def mimo_optimize_pilots(
     One capacity value c1 = C_{n,n}(snr) is shared by every candidate;
     every candidate is exact, so tau* is the first argmax and
     tie_within_margin is False.  The continuous relaxation
-    n * (log2(e)/(C_{n,n}/n) - 1/snr) is reported for reference.  cfg
+    n * (log2(e)/(C_{n,n}/n) - 1/snr) is reported for reference, in a
+    form that does not cancel at low SNR (_square_capacity).  cfg
     and workers as in capacity_ctr.
     """
     n = _check_int("n", n, 1)
@@ -247,9 +270,50 @@ def mimo_optimize_pilots(
     _check_int("workers", workers, 1)
     s = linear_snr(snr)
     _check_snr_blocklength(s, T)
-    c1 = _ctr_value(n, n, n / s)
+    c1, continuous = _square_capacity(n, s)
     best, value = _first_max(lambda taus: [_j1_candidate(n, n, T, t, s, c1) for t in taus], T, c1, n)
-    return MimoPilotSearch(best, Estimate(value, 0.0, 0), _tau_continuous(c1, s, n), False)
+    return MimoPilotSearch(best, Estimate(value, 0.0, 0), continuous, False)
+
+
+def _square_capacity(n: int, s: float) -> tuple[float, float]:
+    """(c1, tau_c): c1 = C_{n,n}(snr), _ctr_value(n, n, n/snr) bit for
+    bit, and the continuous relaxation n * (log2(e)/(c1/n) - 1/snr) of
+    the n x n pilot search, without its cancellation.
+
+    With x = n/snr and S = c1/log2(e) = sum_k W_k eps_k(x), tau_c is
+    (n^2 - x S)/S.  sum_k W_k = n^2 exactly (as x grows, eps_k(x) ~ 1/x
+    and C_{t,r} ~ log2(e) (rho/t) E tr Z Z† = log2(e) r rho, so
+    sum_k W_k = t r), and x eps_k = 1 - k eps_{k+1}, so
+    n^2 - x S = sum_k k W_k eps_{k+1}(x), with nothing subtracted.
+    That numerator cancels as the Laguerre sum does (sum_k |k W_k| /
+    sum_k k W_k is 1 / 2.8 / 11.5 / 323 at n = 2 / 3 / 4 / 6), so it
+    takes the same guard and decimal fallback, with the exact weights
+    k N_k/D.  Its 2n orders share c1's seed where their seed order
+    min(2n, ceil x) lies below 2n, x <= 2n - 1: c1's 2n - 1 orders are
+    then their first 2n - 1.  Above, the numerator takes one more seed.
+    n = 1 keeps siso's relaxation and its bits."""
+    x = _check_argument(n / s)
+    if n == 1:
+        c1 = _ctr_value(1, 1, x)
+        return c1, _tau_continuous(c1, s)
+    orders = _scaled_orders(2 * n, x)
+    c1 = _ctr_from_orders(n, 0, x, orders if orders[0] < 2 * n else _scaled_orders(2 * n - 1, x))
+    num, den, weights, digits = _continuous_weights(n)
+    top = _guarded_sum(weights, orders)
+    if top is None:
+        top = _decimal_sum(num, den, x, digits)
+    return c1, top / c1
+
+
+@functools.lru_cache(maxsize=None)
+def _continuous_weights(n: int) -> tuple[tuple[int, ...], int, tuple[float, ...], int]:
+    """(N', D, W', digits) as _laguerre_weights gives them, for the
+    numerator of _square_capacity's relaxation: N'_1 = 0 and
+    N'_{k+1} = k N_k on the orders 2..2n, over the same D."""
+    num, den, _, _ = _laguerre_weights(n, 0)
+    top = (0, *(k * v for k, v in enumerate(num, 1)))
+    digits = 20 + math.ceil(math.log10(sum(map(abs, top)) / den))
+    return top, den, tuple(v / den for v in top), digits
 
 
 def mimo_power_advantage_asymptotic(n: int, T: int) -> PowerOffset:

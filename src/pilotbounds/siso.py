@@ -72,7 +72,7 @@ _PREFIX_CHUNK = 1 << 16
 # relative margin _FLOOR_MARGIN + _FLOOR_MARGIN_PER_ORDER * n by which the
 # j1 search lowers its floor on a sum of n orders: the kernel documents its
 # summed error as <= 1e-10 only up to n = 10^4, and at n = 10^5, x = 10^15
-# the float sum lies 8.3e-14 below log1p(n/(x + 1))
+# the float sum lies 8.3e-14 below the floor's unlowered bound
 _FLOOR_MARGIN = 1e-9
 _FLOOR_MARGIN_PER_ORDER = 1e-15
 
@@ -143,14 +143,14 @@ def _j2(taus, T: int, s: float, c: float, n_t: int = 1, n_r: int = 1) -> list[fl
     return [(1.0 - tau / T) * c - dims * math.log2(top / (1.0 + s * tau / n_t)) / T for tau in taus]
 
 
-def _tau_continuous(c: float, s: float, n: int = 1) -> float:
-    """Continuous relaxation n * (log2(e)/(c/n) - 1/snr) of the pilot
-    search for n_t = n_r = n.  At n = 1 and x = 1/snr >= 1, where the
-    difference cancels, it is eps_2(x)/eps_1(x) = log2(e)*eps_2(x)/c."""
+def _tau_continuous(c: float, s: float) -> float:
+    """Continuous relaxation log2(e)/c - 1/snr of the pilot search.  At
+    x = 1/snr >= 1, where the difference cancels, it is
+    eps_2(x)/eps_1(x) = log2(e)*eps_2(x)/c."""
     x = 1.0 / s
-    if n == 1 and x >= 1.0:
+    if x >= 1.0:
         return LOG2E * _eps_scalar_cf(2, x) / c
-    return n * (LOG2E / (c / n) - x)
+    return LOG2E / c - x
 
 
 def separate_bound(T: int, snr) -> SeparateBound:
@@ -229,14 +229,17 @@ def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
     SNR the kept prefix still runs to about log2(1 + snr*T)/C lanes,
     about 10^11 at T = 10^15 and -100 dB, and its time grows with it.
 
-    j1 also passes a floor on its penalty: with n = T - tau and
-    x = tau + 1/snr, eps_k(x) > 1/(x + k) (A&S 5.1.19), so
-    sum_{k=1}^{n} eps_k(x) > integral_1^{n+1} dt/(x + t) = log1p(n/(x + 1)).
+    j1 also passes a floor on its penalty (_penalty_floor, with its
+    proof): with n = T - tau and x = tau + 1/snr, the continued
+    fraction's second approximant bounds each eps_k(x) from below, and a
+    trapezoid and a midpoint rule sum those bounds in closed form.
     Lowered by the relative margin 1e-9 + 1e-15*n, which covers the
     kernel's summation error, and divided by T, it bounds the float
     penalty from below.  Only the prefix lanes whose bound less that
-    floor exceeds the best are summed: at T = 1000, 134 / 30 / 4 / 1 of
-    998 / 994 / 49 / 10 at -100 / -50 / -10 / 0 dB.
+    floor exceeds the best are summed: at T = 1000, 131 / 43 / 7 / 0 of
+    998 / 998 / 998 / 994 at -100 / -90 / -75 / -50 dB, and none from
+    -60 dB up in 2.5 dB steps; at T = 10^6 and -40 dB, 1.  From -90 dB
+    down the margin, not the bound, limits the pruning.
     """
     if which not in _JOINT_KINDS:
         raise ValueError(f"which must be one of {_JOINT_KINDS}, got {which!r}")
@@ -266,9 +269,47 @@ def _j1_values(taus: np.ndarray, T: int, s: float, c: float) -> np.ndarray:
 
 def _penalty_floor(n, x):
     """A floor on the j1 penalty LOG2E * expint_scaled_sum(n, x) at arrays
-    of n >= 1 and x > 0: LOG2E * log1p(n/(x + 1)), lowered by the margin
-    for the kernel's summation error."""
-    return LOG2E * np.log1p(n / (x + 1.0)) * (1.0 - (_FLOOR_MARGIN + _FLOOR_MARGIN_PER_ORDER * n))
+    of n >= 1 and x > 0, lowered by the relative margin
+    _FLOOR_MARGIN + _FLOOR_MARGIN_PER_ORDER * n for the kernel's
+    summation error.  With u_k = x + k, the exact sum exceeds
+
+        log1p((n - 1)/(x + 1)) + (1/(x + 1) + 1/(x + n))/2
+            + max(0, (x + 2)/4 * (P(1) + P(2)) - x/2 * P(1/2)),
+
+    P(a) = n/((x + a)(x + n + a)).  The proof has three steps, and a
+    fourth on floats.
+
+    Second approximant: the approximants of the J-fraction (A&S 5.1.22)
+    eps_k(x) = 1/(u_k - k/(u_k + 2 - 2(k + 1)/(u_k + 4 - ...))) approach
+    eps_k from below, and the first is 1/u_k (A&S 5.1.19).  So
+    eps_k(x) > 1/(u_k - k/(u_k + 2)), and as 1/(A - e) >= 1/A + e/A^2
+    for 0 <= e < A, eps_k(x) > 1/u_k + h_k, h_k = k/(u_k^2 (u_k + 2)).
+
+    Trapezoid: 1/(x + t) is convex in t, so the trapezoid rule on [1, n]
+    overestimates its integral, and sum_{k=1}^{n} 1/u_k >=
+    log1p((n - 1)/(x + 1)) + (1/(x + 1) + 1/(x + n))/2.
+
+    Partial fractions: h_k = (x + 2)/4 * (1/u_k - 1/(u_k + 2)) - x/2/u_k^2.
+    The first part telescopes to (x + 2)/4 * (P(1) + P(2)).  1/(x + t)^2
+    is convex too, so the midpoint rule underestimates its integral over
+    [1/2, n + 1/2], and sum_k 1/u_k^2 <= P(1/2).  Their difference is a
+    floor on sum_k h_k > 0, so clamping it at 0 keeps it one.
+
+    Floats: the difference cancels, to about n^2/(2x^3) from two terms
+    near n/(2x) at large x.  Formed from the products P(a), not from
+    differences such as 1/(x + 1) - 1/(x + n + 1), each term carries a
+    few roundings relative to itself, so the clamped difference is off
+    by under ulp(n/(2x)), far inside the margin.  A subtracted form lay
+    above the float sum from about x = 6.5e7 up, at every n tested.
+
+    At large x the bound falls short of the exact sum by about 1/(4x^2)
+    relative (2.9e-9 at x = 10^4, n = 100), where log1p(n/(x + 1))
+    alone falls short by 1/(2x); from x of about 3*10^4 on, the margin
+    is most of the gap."""
+    xa, xb, xc = x + 0.5, x + 1.0, x + 2.0
+    h_floor = xc / 4.0 * (n / (xb * (xb + n)) + n / (xc * (xc + n))) - x / 2.0 * (n / (xa * (xa + n)))
+    total = np.log1p((n - 1) / xb) + (1.0 / xb + 1.0 / (x + n)) / 2.0 + np.maximum(h_floor, 0.0)
+    return LOG2E * total * (1.0 - (_FLOOR_MARGIN + _FLOOR_MARGIN_PER_ORDER * n))
 
 
 def _first_max(values, T: int, c: float, first: int, floor=None) -> tuple[int, float]:

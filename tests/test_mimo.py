@@ -225,6 +225,36 @@ def test_optimizer_square_two_by_two():
     assert 0.0 < res.tau_star_continuous < 2.0
 
 
+def _mp_continuous_pilots(n, s):
+    """n^2/S - x at x = n/s, S = sum_k W_k eps_k(x) with the exact
+    weights, in mpmath: eps_1 from mp.e1, the rest by the forward
+    recurrence at enough digits to absorb its growth x/k per step and
+    the cancellation of n^2/S - x."""
+    num, den, _, _ = _laguerre_weights(n, 0)
+    with mp.workdps(40 + int(2 * n * max(math.log10(n / s), 1.0))):
+        x = n / mp.mpf(s)
+        eps, total = mp.exp(x) * mp.e1(x), 0
+        for k, v in enumerate(num, 1):
+            total += v * eps
+            eps = (1 - x * eps) / k
+        return float(n * n / (total / den) - x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 12])
+def test_continuous_pilot_count_against_mpmath(n):
+    # n*(log2(e)/(C/n) - 1/snr) subtracts numbers of order 1/snr; formed
+    # so, n = 2 read 2.000004 at -100 dB and 0.0 at -200 dB against the
+    # limit n.  At n = 12 the numerator takes the decimal sum.
+    num, den, _, _ = _laguerre_weights(n, 0)
+    assert sum(num) == n * n * den  # the identity the stable form rests on
+    for db in range(-200, 41, 5):
+        snr = SnrValue.from_db(float(db))
+        got = mimo_optimize_pilots(n, n + 2, snr).tau_star_continuous
+        assert got == pytest.approx(_mp_continuous_pilots(n, snr.linear), rel=2e-14, abs=0.0), db
+        # the capacity that shares the relaxation's seed keeps its bits
+        assert mimo._square_capacity(n, snr.linear)[0] == _ctr_value(n, n, n / snr.linear), db
+
+
 def _check_vanishing_snr(n, T):
     # C ~ r * rho * log2(e) at -400 dB
     res = mimo_optimize_pilots(n, T, SnrValue(1e-40), McConfig(samples=100))
@@ -378,6 +408,9 @@ def test_decimal_digits_match_thirty_more(t, r):
     for db in (-30.0, 0.0, 30.0):
         x = t / SnrValue.from_db(db).linear
         assert _ctr_decimal(m, d, x, digits) == _ctr_decimal(m, d, x, digits + 30)
+        if d == 0:  # and the numerator of the square search's continuous relaxation
+            num, den, _, top = mimo._continuous_weights(m)
+            assert mimo._decimal_sum(num, den, x, top) == mimo._decimal_sum(num, den, x, top + 30)
 
 
 def _fraction_weights(m, d):

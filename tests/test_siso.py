@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from offset_grid import BENCH_T, outcome, scipy_offset
 
 from pilotbounds import siso
-from pilotbounds.expint import LOG2E, _scaled_sums, expint_scaled_sum
+from pilotbounds.expint import LOG2E, _scaled_sums
 from pilotbounds.params import SisoParams, SnrValue
 from pilotbounds.siso import (
     _bisect,
@@ -152,25 +152,22 @@ def _j1_lanes_summed(monkeypatch, T, snr):
 
 
 def _j1_lanes_that_can_win(T, snr):
-    # the tau >= 2 whose bound (1 - tau/T)*C, less the floor on the penalty,
-    # exceeds the best j1 at tau <= 1; the floor is log2(e)*log1p(n/(x + 1))
-    # with n = T - tau, x = tau + 1/snr, lowered by 1e-9 + 1e-15*n relative,
-    # over T, in the search's operations (np.log1p, which can differ from
-    # math.log1p in the last bit)
+    # the tau >= 2 whose bound (1 - tau/T)*C, less the floor on the penalty
+    # over T, exceeds the best j1 at tau <= 1, in the search's operations
     best = max(joint_bound_j1(SisoParams(T=T, tau=tau, snr=snr)) for tau in (0, 1))
     c = capacity_csi(snr)
-    kept = []
-    for tau in range(2, T):
-        n, x = T - tau, tau + 1 / snr.linear
-        floor = LOG2E * np.log1p(n / (x + 1.0)) * (1.0 - (1e-9 + 1e-15 * n)) / T
-        if (1.0 - tau / T) * c - floor > best:
-            kept.append(tau)
-    return kept
+    taus = np.arange(2, T)
+    floor = siso._penalty_floor(T - taus, siso._j1_argument(taus, snr.linear)) / T
+    return taus[(1.0 - taus / T) * c - floor > best].tolist()
 
 
-# at T = 1000 the bound (1 - tau/T)*C alone keeps 998 / 994 / 49 / 10 / 0
-# of the tau >= 2 at these SNRs
-@pytest.mark.parametrize("db,kept", [(-100.0, 134), (-50.0, 30), (-10.0, 4), (0.0, 1), (40.0, 0)])
+# at T = 1000 the bound (1 - tau/T)*C alone keeps 998 / 998 / 998 / 994 /
+# 451 / 49 / 10 / 0 of the tau >= 2 at these SNRs; from -90 dB down the
+# floor's margin, not its bound, limits the pruning
+@pytest.mark.parametrize(
+    "db,kept",
+    [(-100.0, 131), (-90.0, 43), (-75.0, 7), (-50.0, 0), (-25.0, 0), (-10.0, 0), (0.0, 0), (40.0, 0)],
+)
 def test_j1_search_sums_only_the_lanes_that_can_win(monkeypatch, db, kept):
     snr = SnrValue.from_db(db)
     lanes = _j1_lanes_summed(monkeypatch, 1000, snr)
@@ -180,11 +177,12 @@ def test_j1_search_sums_only_the_lanes_that_can_win(monkeypatch, db, kept):
 
 def test_j1_search_keeps_a_lane_whose_bound_exceeds_the_best_by_an_ulp(monkeypatch):
     # bisect in dB for the last SNR at which tau = 2's floored bound still
-    # exceeds the best j1 at tau <= 1 (at 0 dB it does, at 10 dB it does
-    # not): there the margin is a few ulps, and any relative pruning margin
-    # above that drops the lane
-    lo, hi = 0.0, 10.0
+    # exceeds the best j1 at tau <= 1 (at -75 dB it does, at -50 dB it
+    # does not): there the margin is a few ulps, and any relative pruning
+    # margin above that drops the lane
+    lo, hi = -75.0, -50.0
     assert _j1_lanes_that_can_win(1000, SnrValue.from_db(lo))[:1] == [2]
+    assert _j1_lanes_that_can_win(1000, SnrValue.from_db(hi)) == []
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
@@ -197,13 +195,58 @@ def test_j1_search_keeps_a_lane_whose_bound_exceeds_the_best_by_an_ulp(monkeypat
     assert _j1_lanes_summed(monkeypatch, 1000, SnrValue.from_db(hi)) == []
 
 
-@pytest.mark.parametrize("n", [1, 2, 10, 10**3, 10**4, 10**5])
+def test_j1_search_at_a_million_sums_one_lane_past_the_head(monkeypatch):
+    # at -40 dB the first-order floor left 140 of the tau >= 2 to sum
+    lanes = []
+
+    def spy(n, x):
+        lanes.extend((10**6 - n).tolist())
+        return _scaled_sums(n, x)
+
+    monkeypatch.setattr(siso, "_scaled_sums", spy)
+    res = optimize_pilots_joint(10**6, SnrValue.from_db(-40.0), which="j1")
+    assert (res.tau_star, res.value) == (1, float.fromhex("0x1.208fc1b61cc61p-13"))
+    assert len(lanes) == 3 and lanes[:2] == [0, 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 999, 10**3, 10**4, 10**5])
 def test_j1_penalty_floor_lies_below_the_float_sum(n):
-    # eps_k(x) > 1/(x + k), so the exact sum exceeds log1p(n/(x + 1)); at
-    # n = 10^5, x = 10^15 the float sum falls below it, and only the
-    # floor's margin keeps the floor under the float penalty
-    for x in [10.0**k for k in range(-3, 16)]:
-        assert LOG2E * expint_scaled_sum(n, x) >= siso._penalty_floor(n, x), x
+    # the floor lies below the exact sum by its margin and about 1/(4x^2)
+    # relative; the float sum lies below the exact one by up to the
+    # kernel's error (8.3e-14 at n = 10^5, x = 10^15), which only the
+    # margin covers.  _scaled_sums is expint_scaled_sum lane for lane.
+    xs = np.concatenate([np.logspace(-4.0, 15.0, 120), [1.0, 2.0, 1.0 + 1e-9]])
+    ns = np.full(xs.size, n)
+    below = LOG2E * _scaled_sums(ns, xs) >= siso._penalty_floor(ns, xs)
+    assert below.all(), xs[~below]
+
+
+def _mp_scaled_expint(mpmath, k, x, digits=50):
+    """eps_k(x) = e^x E_k(x) by mpmath.expint, to digits significant
+    digits: at large k and x mpmath.expint can return nonsense at a given
+    precision, so the precision doubles until two values agree."""
+    dps, prev = 2 * digits, None
+    while True:
+        with mpmath.workdps(dps):
+            X = mpmath.mpf(x)
+            val = mpmath.exp(X) * mpmath.expint(k, X)
+        if prev is not None and abs(val - prev) <= abs(val) * mpmath.mpf(10) ** -digits:
+            return val
+        prev, dps = val, 2 * dps
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 100, 1000])
+def test_second_approximant_lies_below_eps_k(k):
+    # the floor's two steps on eps_k: the continued fraction's second
+    # approximant lies below eps_k, and 1/(x + k) + k/((x + k)^2 (x + k + 2))
+    # below that approximant; the gaps run down to 4e-32 relative at x = 10^8
+    mpmath = pytest.importorskip("mpmath")
+    for x in [10.0**e for e in range(-3, 9)]:
+        eps = _mp_scaled_expint(mpmath, k, x)
+        with mpmath.workdps(60):
+            u = mpmath.mpf(x) + k
+            second = 1 / (u - k / (u + 2))
+            assert eps > second >= 1 / u + k / (u**2 * (u + 2)), x
 
 
 @pytest.mark.parametrize("T", [2000, 10**4])
