@@ -29,7 +29,6 @@ from .expint import (
     LOG2E,
     _BAD_ARGUMENTS,
     _SERIES_TERMS,
-    _check_argument,
     _eps1_lanes,
     _eps_scalar_cf,
     _scaled_sums,
@@ -48,24 +47,9 @@ from .params import (
 )
 
 _OFFSET_BRACKET_DB = 60.0
-# power_advantage_at_snr confirms a window of half-width
-# _ROOT_HALF_WIDTH_DB + _ROOT_STAIR_DB/(snr*tau) around the estimated
-# root, trying at most _LANE_TRIES lanes.  The second term serves low SNR,
-# where the float 1 - mmse in the effective SNR, mmse = 1/(1 + snr*tau),
-# is a staircase of steps 2^-53 that moves the lane's root by up to about
-# 4.8e-16/(snr*tau) dB.  A bisection step more than _REPLAY_MARGIN_DB
-# past the window takes the decisions of the window's end.
-_ROOT_HALF_WIDTH_DB = 1e-9
-_ROOT_STAIR_DB = 2e-15
-_REPLAY_MARGIN_DB = 1e-7
-_LANE_TRIES = 5
 _NEWTON_STEPS = 40
-# power_advantage_at_snr raises its bound on the lanes at -60 dB by the
-# relative margin _END_MARGIN, and lets a certified bracket end's sign
-# stand for its gap only where the target and the certificate's margin
-# reach _SIGN_GUARD
-_END_MARGIN = 1e-9
-_SIGN_GUARD = 2.0**-480
+_J2_SERIES_MAX = 1e-6  # snr*T at and below which _j2 sums its series
+_J2_CEILING_MARGIN = 1e-9  # covers the series' float error, below 1e-14, in _j2_ceiling
 # the joint searches evaluate their kept pilot counts this many at a time;
 # at low SNR and huge T the prefix can run to 10^11 lanes
 _PREFIX_CHUNK = 1 << 16
@@ -116,9 +100,12 @@ def snr_effective(tau: int, snr) -> SnrValue:
 
 
 def _effective_snr(s: float, taus, n_t: int = 1) -> np.ndarray:
-    """snr_effective at each of the ascending integers taus, from the MMSE 1/(1 + snr*tau/n_t)."""
-    m = 1.0 / (1.0 + s * (np.asarray(taus) / n_t))
-    eff = s * (1.0 - m) / (1.0 + s * m)
+    """snr_effective at each of the ascending integers taus.  With
+    t = tau/n_t and the MMSE m = 1/(1 + snr*t), snr*(1 - m)/(1 + snr*m)
+    is snr*(snr*t/(1 + snr*t + snr)), formed here with nothing subtracted,
+    so it rounds to 0 only where snr^2 underflows (about -1617 dB)."""
+    t = np.asarray(taus) / n_t
+    eff = s * (s * t / (1.0 + s * t + s))
     if eff[0] == 0.0:  # eff grows with tau; n_t/eff is undefined
         raise ValueError(f"effective SNR at tau={taus[0]} rounds to 0 at snr={s!r}")
     return eff
@@ -136,11 +123,59 @@ def _j1_argument(tau, s: float, n_t: int = 1):
 
 
 def _j2(taus, T: int, s: float, c: float, n_t: int = 1, n_r: int = 1) -> list[float]:
-    """j2 at each of taus, by math.log2: np.log2 differs in the last bit
-    for some arguments, which would move a search's tau* at ties."""
-    top = 1.0 + s * T / n_t
+    """j2 at each of taus: _j2_series at n_t = n_r = 1 and snr*T <= 1e-6,
+    a branch that a scalar tau and a search's lanes take alike.  Else the
+    log term is log2(e) * log1p(snr*(T - tau)/(n_t + snr*tau)), by
+    math.log1p (np.log1p can differ in the last bit and move tau* at
+    ties); the subtraction leaves a few ulps of (1 - tau/T)*c, about
+    2e-16/(snr*T) of j2 (4e-16/snr^2 at T = 2, tau = 0)."""
+    if n_t == n_r == 1 and s * T <= _J2_SERIES_MAX:
+        return [_j2_series(tau, T, s) for tau in taus]
     n_t, dims = float(n_t), float(n_t * n_r)  # exact; spares each lane two int-to-float conversions
-    return [(1.0 - tau / T) * c - dims * math.log2(top / (1.0 + s * tau / n_t)) / T for tau in taus]
+    return [(1.0 - tau / T) * c - dims * (LOG2E * math.log1p(s * (T - tau) / (n_t + s * tau))) / T for tau in taus]
+
+
+def _j2_series(tau, T: int, s: float):
+    """j2 at n_t = n_r = 1 and snr*T <= 1e-6 from its series in snr.
+
+    With u = snr*T, v = snr*tau and h_k = sum_{j<=k} u^j v^(k-j),
+    T*j2/log2(e) = (T - tau) sum_{n>=2} (-1)^(n-1) (n! snr^n - snr h_{n-1})/n:
+    eps_1(1/snr) = sum_{n>=1} (-1)^(n-1) (n-1)! snr^n (A&S 5.1.51) times
+    T - tau, less the series of log((1 + u)/(1 + v)); the order-snr terms
+    cancel.  The n = 2 term, snr^2 (T + tau - 2)/2, comes from an exact
+    integer, so it is 0 at T = 2, tau = 0, where n = 3 leads.  Both series
+    alternate with remainders below their first omitted terms, so n <= 6
+    leaves under 1e-20 of the sum; the leading term outweighs the rest by
+    1/(8u), so the float sum is within 1e-15 of the series, relative."""
+    u, v = s * T, s * tau
+    total = s * (s * (T + tau - 2)) / 2.0
+    h, v_k, s_n, fact = u + v, v, s * s, 2.0
+    for n in range(3, 7):
+        v_k, s_n, fact = v_k * v, s_n * s, fact * n
+        h = u * h + v_k
+        term = (fact * s_n - s * h) / n
+        total = total + term if n % 2 else total - term
+    return LOG2E * (1.0 - tau / T) * total
+
+
+def _j2_ceiling(T: int, s: float):
+    """A ceiling on the float j2 at an integer array of tau >= 2, for the
+    j2 search in the series regime.  With E = eps_1(1/snr) > snr/(1 + snr)
+    (A&S 5.1.22's first approximant) and y = snr*(tau - 1)/(1 + snr),
+    T*(j2(1) - j2(tau))/log2(e) = (tau - 1)*E - log1p(y) > y^2/2 - y^3/3,
+    so j2(tau) < j2(1) - G, G = log2(e)/T * y^2 (1/2 - y/3).  The float j2
+    lies within 1e-14 j2(1) of the exact one (_j2_series, and 2^-52 in the
+    float 1 - tau/T times a sum of at most 8 j2(1)), so below j2f(1) (1 +
+    m) - G (1 - m), m = _J2_CEILING_MARGIN, which covers this form's own
+    roundings, and 1e-300 covers terms that underflow.  A lane passes only
+    if (tau - 1)^2 < about 2m (T - 1)^2: none up to T of about 31,600."""
+    top = _j2_series(1, T, s) * (1.0 + _J2_CEILING_MARGIN) + 1e-300
+
+    def ceiling(taus: np.ndarray) -> np.ndarray:
+        y = s * (taus - 1) / (1.0 + s)
+        return top - LOG2E / T * (y * y * (0.5 - y / 3.0)) * (1.0 - _J2_CEILING_MARGIN)
+
+    return ceiling
 
 
 def _tau_continuous(c: float, s: float) -> float:
@@ -161,20 +196,9 @@ def separate_bound(T: int, snr) -> SeparateBound:
     """
     T = _check_int("T", T, 2)
     taus = np.arange(1, T)
-    return _separate_best(T, snr, taus, 1.0 - taus / T)
-
-
-def _separate_best(T: int, snr, taus: np.ndarray, share: np.ndarray) -> SeparateBound:
-    """separate_bound for a validated T, given taus = 1..T-1 and
-    share = 1 - taus/T, with its checks and messages."""
-    values = _separate_values(T, snr, taus, share)
+    values = (1.0 - taus / T) * (LOG2E * _eps1_lanes(_separate_arguments(T, snr, taus)))
     best = int(np.argmax(values))
     return SeparateBound(value=float(values[best]), tau_star=best + 1)
-
-
-def _separate_values(T: int, snr, taus: np.ndarray, share: np.ndarray) -> np.ndarray:
-    """The separate bound's lane share * C(eff) at each of taus."""
-    return share * (LOG2E * _eps1_lanes(_separate_arguments(T, snr, taus)))
 
 
 def _separate_arguments(T: int, snr, taus) -> np.ndarray:
@@ -225,21 +249,19 @@ def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
     Both searches evaluate only the pilot counts that can still win
     (_first_max), and stay exact.  j1(tau) is (1 - tau/T)*C less a
     penalty >= 0, and j2(tau) is (1 - tau/T)*C less a log2 of a ratio
-    >= 1, also >= 0, so (1 - tau/T)*C bounds either bit for bit.  At low
-    SNR the kept prefix still runs to about log2(1 + snr*T)/C lanes,
+    >= 1, also >= 0, so (1 - tau/T)*C bounds either bit for bit; j2's
+    series (snr*T <= 1e-6) lies below it by a factor of 1/(snr*T).  At
+    low SNR the kept prefix still runs to about log2(1 + snr*T)/C lanes,
     about 10^11 at T = 10^15 and -100 dB, and its time grows with it.
 
-    j1 also passes a floor on its penalty (_penalty_floor, with its
-    proof): with n = T - tau and x = tau + 1/snr, the continued
-    fraction's second approximant bounds each eps_k(x) from below, and a
-    trapezoid and a midpoint rule sum those bounds in closed form.
-    Lowered by the relative margin 1e-9 + 1e-15*n, which covers the
-    kernel's summation error, and divided by T, it bounds the float
-    penalty from below.  Only the prefix lanes whose bound less that
-    floor exceeds the best are summed: at T = 1000, 131 / 43 / 7 / 0 of
-    998 / 998 / 998 / 994 at -100 / -90 / -75 / -50 dB, and none from
-    -60 dB up in 2.5 dB steps; at T = 10^6 and -40 dB, 1.  From -90 dB
-    down the margin, not the bound, limits the pruning.
+    Each search also passes a ceiling on its lanes, with its proof.  j1's
+    is (1 - tau/T)*C less a floor on its penalty (_penalty_floor): the
+    continued fraction's second approximant bounds each eps_k from below,
+    summed in closed form and lowered by the margin 1e-9 + 1e-15*n for
+    the kernel's summation error; at T = 1000 it keeps 131 of the 998
+    tau >= 2 at -100 dB and none from -60 dB up.  j2's, in its series
+    regime (_j2_ceiling), follows its fall from tau = 1: up to T of about
+    31,600 the search evaluates only the head {0, 1}.
     """
     if which not in _JOINT_KINDS:
         raise ValueError(f"which must be one of {_JOINT_KINDS}, got {which!r}")
@@ -251,14 +273,12 @@ def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
     # the same expressions, so the value equals joint_bound_*(tau*) bit for bit
     if which == "j1":
         best, value = _first_max(
-            lambda taus: _j1_values(np.asarray(taus), T, s, c),
-            T,
-            c,
-            1,
-            floor=lambda taus: _penalty_floor(T - taus, _j1_argument(taus, s)) / T,
+            lambda taus: _j1_values(np.asarray(taus), T, s, c), T, c, 1,
+            lambda taus: (1.0 - taus / T) * c - _penalty_floor(T - taus, _j1_argument(taus, s)) / T,
         )
     else:
-        best, value = _first_max(lambda taus: _j2(taus, T, s, c), T, c, 1)
+        ceiling = _j2_ceiling(T, s) if s * T <= _J2_SERIES_MAX else None
+        best, value = _first_max(lambda taus: _j2(taus, T, s, c), T, c, 1, ceiling)
     continuous = _tau_continuous(c, s)
     return PilotSearch(tau_star=best, value=value, tau_star_continuous=continuous)
 
@@ -312,27 +332,27 @@ def _penalty_floor(n, x):
     return LOG2E * total * (1.0 - (_FLOOR_MARGIN + _FLOOR_MARGIN_PER_ORDER * n))
 
 
-def _first_max(values, T: int, c: float, first: int, floor=None) -> tuple[int, float]:
+def _first_max(values, T: int, c: float, first: int, ceiling=None) -> tuple[int, float]:
     """(tau*, value), the first maximum over tau in {0} U [first, T-1]
     of a bound that values(taus) gives at each tau of a range or an
-    ascending integer array, and that is (1 - tau/T)*c, c > 0, less a
-    number >= 0, formed as the callers form it.  A rounded subtraction of a non-negative number never exceeds
-    what it subtracts from, so the float (1 - tau/T)*c bounds it bit for
-    bit.  The head {0, first} (only 0 when first >= T) comes first; a
-    later tau whose float bound does not exceed the head's best can be
-    neither larger nor, being later, the first maximum.  tau/T, the
-    subtraction and the product with c are each rounded monotonically,
-    so the float bound is non-increasing in tau, and the tau > first
-    kept are a prefix, found by bisection and evaluated in calls of at
-    most _PREFIX_CHUNK lanes, so memory stays bounded.  Each lane is
+    ascending integer array, and that the float (1 - tau/T)*c, c > 0,
+    bounds.  A bound formed as the callers form (1 - tau/T)*c less a
+    number >= 0 never exceeds it, since a rounded subtraction of a
+    non-negative number never exceeds what it subtracts from.  The head
+    {0, first} (only 0 when first >= T) comes first; a later tau whose
+    float bound does not exceed the head's best can be neither larger
+    nor, being later, the first maximum.  tau/T, the subtraction and the
+    product with c are each rounded monotonically, so the float bound is
+    non-increasing in tau, and the tau > first kept are a prefix, found
+    by bisection and evaluated in calls of at most _PREFIX_CHUNK lanes,
+    so memory stays bounded.  Each lane is
     bit-equal whatever its batch, and np.argmax and the strict > give
     ties to the smaller tau, so the result is the exhaustive scan's.
 
-    floor(taus), if given, bounds the float number subtracted from below
-    at an array of taus.  A lane of the prefix is then evaluated only if
-    (1 - tau/T)*c - floor(tau), its first term formed as _j1 forms it,
-    exceeds the best before its chunk: the rounded subtraction is
-    monotone, so a lane that fails can be neither larger nor first."""
+    ceiling(taus), if given, bounds the float values from above at an
+    array of taus.  A lane of the prefix is then evaluated only if its
+    ceiling exceeds the best before its chunk: a lane that fails can be
+    neither larger nor first."""
     taus = range(0, min(first + 1, T), first)
     head = values(taus)
     i = int(np.argmax(head))
@@ -346,9 +366,9 @@ def _first_max(values, T: int, c: float, first: int, floor=None) -> tuple[int, f
             hi = mid
     for start in range(first + 1, lo, _PREFIX_CHUNK):
         taus = range(start, min(start + _PREFIX_CHUNK, lo))
-        if floor is not None:
+        if ceiling is not None:
             lanes = np.asarray(taus)
-            taus = lanes[(1.0 - lanes / T) * c - floor(lanes) > value]
+            taus = lanes[ceiling(lanes) > value]
             if not len(taus):
                 continue
         rest = values(taus)
@@ -393,225 +413,117 @@ def power_advantage_at_snr(T: int, snr) -> PowerOffset:
 
         separate_bound(T, snr * 10^(delta/10)).value = joint_bound_j2(T, 1, snr).
 
-    Strict monotonicity of the separate bound in SNR makes the root
-    unique.  At small T and finite SNR the separate bound can already
-    exceed the joint bound, so delta may be negative; the bisection
-    bracket is [-60, +60] dB and the root is located to 1e-6 dB, bit for
-    bit where scipy.optimize.bisect locates it on separate_bound.
+    The separate bound rises strictly with SNR, so the root is unique; at
+    small T and finite SNR delta may be negative.  A root outside
+    [-60, +60] dB raises RuntimeError("offset saturated: ...").  The
+    target's checks come first, then separate_bound's own, made on lane 1
+    at -60 and then +60 dB: they are monotone in SNR, so no SNR between
+    would raise.
 
-    The bracket ends are certified, the root found first, and the
-    bisection replayed.  An offset evaluates one full separate bound per
-    lane tried, in one kernel call with a single lane, and one per replay
-    step near the root; each lane is bit-equal whatever its batch, so
-    every value is the full bound's.
+    delta is the least lane root: every lane (1 - tau/T) * C(eff_tau)
+    rises with SNR, so the bound meets the target where its first lane
+    does, at the least over tau of r_tau (_lane_root_db).  At every SNR
+    the lane is log-concave in tau (C and eff_tau are concave and
+    increasing; Boyd and Vandenberghe 3.5), so the lanes above the target
+    form an interval, and r_tau falls, then rises.  _first_false finds
+    its least value from a start lane in O(log T) Newton solves, 3.7 on
+    average on the benchmark's grid, with no array of lanes.
 
-    Checks: the target's checks come first, then lane 1 of the separate
-    bound runs _separate_arguments at -60 and then at +60 dB.  Those are
-    every check separate_bound makes (snr*T overflow, an effective SNR
-    that rounds to 0, an infinite eps_1 argument), and they are monotone
-    in SNR, so no SNR inside the bracket raises once both ends have
-    passed, and the exceptions keep their types, messages and order.
-    Every argument is then finite and > 0, where the kernel returns
-    finite values, so no gap is NaN.
-
-    Ends: at -60 dB, every float lane share * LOG2E * eps_1(x) lies below
-    LOG2E * log1p(1/x_min), x_min the argument of lane T-1: share <= 1,
-    eps_1(x) < ln(1 + 1/x) (A&S 5.1.20), and x does not grow with tau,
-    since the float effective SNR is formed by monotone roundings and so
-    does not decrease in tau.  Raised by the relative margin
-    _END_MARGIN = 1e-9, which covers the kernel's 1e-12 and a few
-    roundings, that bound below the target proves g_lo < 0 with no
-    kernel call.  At +60 dB, lane 1 above the target proves g_hi > 0,
-    since the bound is its largest lane; that lane shares one kernel
-    call with the target's eps_1.  Where a certificate fails, the end's
-    full bound is evaluated, as it is where the guard below fails.
-
-    Signs for gaps: _bisect and the saturation test use g_hi only through
-    g_lo * g_hi > 0, fb == 0 and a NaN test, and g_lo through those and
-    through gap * g_lo >= 0 at each step.  A certified end passes -1.0 or
-    +1.0 for its gap.  That reads the same in every test unless a product
-    of the true gap with another nonzero gap g would round to zero.  With
-    target > 0 of exponent e, |g| >= target * 2^-54: if |value| >= 2^(e-1)
-    both terms of g = value - target are multiples of 2^(e-53), and
-    otherwise |g| > target/2.  A certified gap is at least its margin in
-    magnitude (target less the low certificate, or lane 1 less the
-    target), as rounding is monotone.  The guard asks the target and the
-    margin to reach _SIGN_GUARD = 2^-480, so each such product is at
-    least 2^-1014 in magnitude: a normal float of the sign of its factors.
-
-    Root: the start lane, the argmax of share * log1p(eff) at snr in one
-    numpy pass, guesses tau* at the root.  Newton on eps_1 and the
-    inverse of the effective SNR give the dB shift r where that lane
-    meets the target (_lane_root_db).  Both are guesses and decide
-    nothing; evaluated values confirm them.  One kernel call evaluates
-    the full bound at a = r - h and the lane at b = r + h.  The lane must
-    exceed the target, so the full bound, its largest lane, does too,
-    and the full bound at a must fall short of it.  Where it does not
-    and its tau* differs, that lane is tried next, a bounded number of
-    times.
-
-    Replay: _bisect runs its own step sequence and uses a gap only
-    through gap * g_lo >= 0 and gap == 0.  A step left of a - margin
-    takes the decisions of gap(a) < 0; any product of two negatives,
-    even one that underflows, is >= 0.  A step right of b + margin takes
-    those of the lane's gap at b, if its product with g_lo does not
-    round to -0.0, which would read as >= 0.  Every other step evaluates
-    the full gap.  Where the root is not confirmed, every step does.
-
-    Margin: the float bound is not proven monotone in SNR to the ulp.
-    Each lane carries at most the kernel's documented relative error of
-    1e-12 and a few roundings of its effective SNR; at low SNR the float
-    1 - mmse in the effective SNR is a staircase, but it only steps up,
-    and between its steps eff still rises as snr does.  So the float bound
-    rises, relative to itself, by at least about min(0.23, 0.33/C) per
-    dB, C in bits, and C stays below about 1000 bits below the snr*T
-    overflow guard (about 3080 dB).  Over _REPLAY_MARGIN_DB = 1e-7 dB
-    that is 3.3e-11, over ten times the 2e-12 that the errors of two
-    evaluations can take away, so a skipped step's gap lies on the side
-    of gap(a) or gap(b) that the step lies of a or b.
+    Accuracy: a lane root carries about 1e-13 dB (_lane_root_db), plus
+    what j2's error moves, under 1e-9 dB at the edge of its series
+    regime (_j2); the benchmark's 1,311 offsets lie within 1e-8 dB of the
+    mpmath root.  Where neighbouring roots differ by less than their
+    error (from about T = 10^9 on), the search can stop at a lane whose
+    root exceeds the least by that error per lane of the flat stretch.
     """
     s = linear_snr(snr)
     p = SisoParams(T=T, tau=1, snr=SnrValue(s))
-    x_c = _check_argument(1.0 / s)  # capacity_csi's check, before the bracket's
-    taus = np.arange(1, p.T)
-    share = 1.0 - taus / p.T
-    lo, hi = -_OFFSET_BRACKET_DB, _OFFSET_BRACKET_DB
+    target = joint_bound_j2(p)
+    for end_db in (-_OFFSET_BRACKET_DB, _OFFSET_BRACKET_DB):  # lane 1 carries the checks
+        _separate_arguments(p.T, s * 10.0 ** (end_db / 10.0), (1,))
+    roots = {}
 
-    def at(delta_db: float) -> float:
-        return s * 10.0 ** (delta_db / 10.0)
+    def root(tau: int) -> float:
+        if tau not in roots:
+            roots[tau] = _lane_root_db(s, tau, target / (1.0 - tau / p.T) / LOG2E)
+        return roots[tau]
 
-    def gap(delta_db: float) -> float:
-        return _separate_best(p.T, at(delta_db), taus, share).value - target
-
-    # lane 1 carries the checks; lane T-1 has the least argument at -60 dB
-    x_lo = _separate_arguments(p.T, at(lo), taus[[0, -1]])
-    x_hi = _separate_arguments(p.T, at(hi), taus[:1])
-    eps = _eps1_lanes(np.array([x_c, x_hi[0]]))
-    target = _j2((1,), p.T, s, LOG2E * float(eps[0]))[0]  # joint_bound_j2, bit for bit
-    lane_hi = float(share[0] * (LOG2E * eps[1]))
-    cert_lo = LOG2E * math.log1p(1.0 / float(x_lo[-1])) * (1.0 + _END_MARGIN)
-    g_lo = _end_sign(-1.0, target - cert_lo, target)
-    if g_lo is None:
-        g_lo = gap(lo)
-    g_hi = _end_sign(1.0, lane_hi - target, target)
-    if g_hi is None:
-        g_hi = gap(hi)
-    if g_lo * g_hi > 0.0:
-        raise RuntimeError(
-            f"offset saturated: no crossing within +/-{_OFFSET_BRACKET_DB} dB "
-            f"for T={T}, snr={s!r}"
-        )
-
-    def window(tau: int):
-        """(a, gap(a), b, the lane's gap at b) around the root, or None."""
-        for _ in range(_LANE_TRIES):
-            share_tau = float(share[tau - 1])
-            r = _lane_root_db(s, tau, target / share_tau / LOG2E)
-            if r is None or not lo < r < hi:
-                return None
-            h = _ROOT_HALF_WIDTH_DB + _ROOT_STAIR_DB / (s * 10.0 ** (r / 10.0) * tau)
-            a, b = r - h, r + h
-            if not lo < a < b < hi:
-                return None
-            # the full bound at a and lane tau at b in one kernel call; a
-            # and b lie strictly inside the bracket whose ends passed the checks
-            x_b = _separate_arguments(p.T, at(b), taus[[0, tau - 1]])
-            e = LOG2E * _eps1_lanes(np.append(_separate_arguments(p.T, at(a), taus), x_b[-1]))
-            g_b = float(share_tau * e[-1]) - target
-            if not g_b > 0.0:
-                return None
-            values = share * e[:-1]
-            best = int(np.argmax(values))
-            g_a = float(values[best]) - target
-            if g_a < 0.0:
-                return a, g_a, b, g_b
-            if best + 1 == tau:
-                return None
-            tau = best + 1
-        return None
-
-    left, g_a, right, g_b = -math.inf, None, math.inf, None
-    found = window(_start_lane(s, taus, share)) if g_lo < 0.0 < g_hi else None
-    if found is not None:
-        a, g_a, b, g_b = found
-        left = a - _REPLAY_MARGIN_DB
-        if g_b * g_lo != 0.0:
-            right = b + _REPLAY_MARGIN_DB
-
-    def step_gap(delta_db: float) -> float:
-        if delta_db < left:
-            return g_a
-        if delta_db > right:
-            return g_b
-        return gap(delta_db)
-
-    root_db = _bisect(step_gap, lo, hi, g_lo, g_hi, xtol=1e-6)
-    return PowerOffset(root_db / DB_PER_UNIT)
+    least = root(_first_false(lambda tau: tau < p.T - 1 and root(tau + 1) < root(tau), 1, p.T - 1, _start_lane(s, p.T)))
+    if not -_OFFSET_BRACKET_DB <= least <= _OFFSET_BRACKET_DB:
+        raise RuntimeError(f"offset saturated: no crossing within +/-{_OFFSET_BRACKET_DB} dB for T={T}, snr={s!r}")
+    return PowerOffset(least / DB_PER_UNIT)
 
 
-def _start_lane(s: float, taus: np.ndarray, share: np.ndarray) -> int:
-    """A guess of the separate bound's tau* near snr s: the argmax of
-    share * log1p(eff), with the upper bound ln(1 + eff) on eps_1(1/eff)
-    in place of each lane.  Lane 1 has passed its checks at -60 dB, so
-    eff at s does not round to 0."""
-    return int(np.argmax(share * np.log1p(_effective_snr(s, taus)))) + 1
+def _first_false(pred, lo: int, hi: int, start: int) -> int:
+    """The least t in [lo, hi] where pred(t) is False, for a pred True on
+    a prefix of [lo, hi] and False at hi: steps that double from start
+    until the verdict flips, then bisection, O(log d) calls of pred for
+    an answer d away from start."""
+    t, step, up = start, 1, None
+    while lo < hi:
+        verdict = pred(t)
+        lo, hi = (t + 1, hi) if verdict else (lo, t)
+        if up is None:
+            up = verdict
+        if verdict != up:
+            break
+        t, step = (min(t + step, hi) if up else max(t - step, lo)), 2 * step
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if pred(mid) else (lo, mid)
+    return lo
 
 
-def _end_sign(sign: float, margin: float, target: float) -> float | None:
-    """sign, to stand for a bracket end's gap that has that sign by at
-    least margin, where the guard keeps its products with other gaps
-    normal; None where the end's full bound must be evaluated."""
-    if margin >= _SIGN_GUARD and target >= _SIGN_GUARD:
-        return sign
-    return None
+def _start_lane(s: float, T: int) -> int:
+    """A guess of the separate bound's tau* near snr s: the first maximum
+    of (1 - tau/T) * log1p(eff_tau), ln(1 + eff) standing for eps_1(1/eff),
+    log-concave in tau as the lanes are."""
+
+    def proxy(tau: int) -> float:
+        t = s * tau
+        return (1.0 - tau / T) * math.log1p(s * (t / (1.0 + t + s)))
+
+    return _first_false(lambda tau: tau < T - 1 and proxy(tau + 1) > proxy(tau), 1, T - 1, 1)
 
 
-def _lane_root_db(s: float, tau: int, level: float) -> float | None:
-    """Estimate of the dB shift d at which eps_1(1/eff) = level, eff the
-    effective SNR of tau pilots at s * 10^(d/10); None where none is found.
+def _lane_root_db(s: float, tau: int, level: float) -> float:
+    """The dB shift d at which eps_1(1/eff) = level, eff the effective SNR
+    of tau pilots at s * 10^(d/10); +inf at level >= 700 (eff past e^699,
+    beyond lane 1's root) and -inf at level <= 1e-300 (below any target
+    whose checks pass).
 
-    Newton on eps_1(e^u) = level in u = ln x starts at x = 1/expm1(level),
-    right of the root since eps_1(x) < ln(1 + 1/x).  The slope is
-    -eps_2(x), from 1 - x*eps_1(x) at small x and from its continued
-    fraction at large x, where that form cancels.  Each step moves x by
-    a factor, so x stays positive.  eff = s^2 tau/(1 + s tau + s) is
-    then inverted in a form that does not overflow.  A guess only: it
-    neither raises nor warns.
+    Newton on eps_1(e^u) = level in u = ln x, from x = 1/expm1(level),
+    right of the root as eps_1(x) < ln(1 + 1/x).  eps_1(e^u) falls and is
+    convex (its slope is -eps_2(x), its curvature x*(eps_1 - eps_2) > 0),
+    so the first step lands left of the root and the rest close in, each
+    at most the square of the last: after a step of at most 1e-7, x is
+    within 1e-14 of the root of _eps1_estimate(x) = level, itself within
+    about 1e-15 of eps_1.  eps_2 is 1 - x*eps_1(x), or its continued
+    fraction at large x, where that cancels.  Inverting eff = s^2 tau/(1 +
+    s tau + s) moves the SNR by at most eff's relative error e: 4.34 e dB.
     """
-    if not 1e-300 < level < 700.0:  # 1/expm1(level) is finite and > 0
-        return None
+    if not 1e-300 < level < 700.0:  # 1/expm1(level) is finite and > 0 between
+        return math.inf if level >= 700.0 else -math.inf
     x = 1.0 / math.expm1(level)
     for _ in range(_NEWTON_STEPS):
         e1 = _eps1_estimate(x)
         step = (e1 - level) / (1.0 - x * e1 if x < 1e4 else _eps_scalar_cf(2, x))
         if not abs(step) < 1.0:  # a NaN fails too
-            return None
-        x *= math.exp(step)
-        if not 0.0 < x < math.inf:
-            return None
-        if abs(step) <= 1e-7:  # the next step would be below 1e-14
             break
-    else:
-        return None
-    eff = 1.0 / x
-    root = eff * ((tau + 1) + math.sqrt((tau + 1) ** 2 + 4.0 * tau / eff)) / (2.0 * tau)
-    if not 0.0 < root < math.inf:
-        return None
-    return 10.0 * (math.log10(root) - math.log10(s))
+        x *= math.exp(step)
+        if abs(step) <= 1e-7:
+            eff = 1.0 / x
+            root = eff * ((tau + 1) + math.sqrt((tau + 1) ** 2 + 4.0 * tau / eff)) / (2.0 * tau)
+            return 10.0 * (math.log10(root) - math.log10(s))
+    raise RuntimeError(f"lane root failed to converge at tau={tau}, level={level!r}")
 
 
 def _eps1_estimate(x: float) -> float:
     """eps_1(x) for _lane_root_db: the kernel's continued fraction at x >= 1,
     below it the kernel's series by math.log and math.exp, which can
-    differ from a lane of the kernel in the last bit."""
-    # Below x = 1 the kernel's scalar eps_1 runs the series on a 1-element
-    # numpy array, 57-134 us a call against about 5 us here (ROADMAP
-    # item 7), and the Newton loop calls it 3-4 times per lane tried.
-    # With the kernel in the loop, siso_closed_form on a 2-vCPU VM read
-    # ops_per_cpu_s 3261 [2909, 3560] against 3701 [3278, 3852] with this
-    # copy, and cpu_p90_ms 0.68 against 0.55 ms (10 alternating 20 s
-    # pairs, medians [quartiles]).  Once the scalar seed is cheap, call
-    # _eps_scalar(1, x) instead.
+    differ from a lane of the kernel in the last bit.  The kernel runs
+    that series on a 1-element array, 57-134 us a call against 5 us here;
+    once its scalar seed is cheap (ROADMAP item 7), call it instead."""
     if x >= 1.0:
         return _eps_scalar_cf(1, x)
     acc = -EULER_GAMMA - math.log(x) + x
@@ -620,38 +532,6 @@ def _eps1_estimate(x: float) -> float:
         term *= -x * n / (n + 1.0) ** 2
         acc += term
     return math.exp(x) * acc
-
-
-# the step sequence, stopping rule and NaN check of scipy.optimize.bisect
-# at its default rtol and maxiter, so roots match it bit for bit
-_BISECT_RTOL = 4.0 * float(np.finfo(float).eps)
-_BISECT_MAXITER = 100
-
-
-def _bisect(f, xa: float, xb: float, fa: float, fb: float, xtol: float) -> float:
-    """Root of f in [xa, xb], given fa = f(xa) and fb = f(xb) of opposite sign."""
-    _check_not_nan(xa, fa)
-    _check_not_nan(xb, fb)
-    if fa == 0.0:
-        return xa
-    if fb == 0.0:
-        return xb
-    dm = xb - xa
-    for _ in range(_BISECT_MAXITER):
-        dm *= 0.5
-        xm = xa + dm
-        fm = f(xm)
-        _check_not_nan(xm, fm)
-        if fm * fa >= 0.0:
-            xa = xm
-        if fm == 0.0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
-            return xm
-    raise RuntimeError(f"Failed to converge after {_BISECT_MAXITER} iterations, value is {xa}")
-
-
-def _check_not_nan(x: float, fx: float) -> None:
-    if math.isnan(fx):
-        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
 
 
 def single_pilot_advantage(T: int) -> PowerOffset:

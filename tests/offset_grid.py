@@ -1,110 +1,113 @@
-"""power_advantage_at_snr against scipy.optimize.bisect on the public
-separate_bound, value for value and exception for exception.
+"""power_advantage_at_snr against its mpmath reference: the root, in dB,
+of separate_bound(T, snr * 10^(d/10)).value = joint_bound_j2(T, 1, snr).
 
-Run as a script, it compares the full grid, the benchmark's 23
-blocklengths plus {3, 5, 40, 100} at -100 ... 40 dB in 2.5 dB steps and
-at -160, -150, 60 and 3000 dB (1,586 points), prints every point that
-differs and exits 1 if any does.  It also prints the mean work per
-offset, counted by wrappers installed here only: kernel calls (eps_1
-batches and scalar kernel calls), the lanes they evaluate, and the
-lanes tried for the root:
+Run as a script, it checks every offset of the benchmark's table
+bench/refs.json (its 23 blocklengths at -100 ... 40 dB in 2.5 dB steps,
+1,311 points, bisected in mpmath to 1e-9 dB) to within 1e-8 dB, and
+T = 10^6 and 10^9 at -40, 0 and 20 dB to within 1e-10 dB of
+bench.reference.advantage_db bisected to 1e-12 dB.  It prints every
+miss and exits 1 if there is one.  It also prints the mean and the
+largest number of Newton solves (lane roots) per offset, counted by a
+wrapper installed here only:
 
     PYTHONPATH=src python tests/offset_grid.py
     PYTHONPATH=src python -W error::RuntimeWarning tests/offset_grid.py
 
-test_siso.py checks coarser grids through the same helpers.
+Both sources are only read.  test_siso.py checks coarser grids through
+the same helpers.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import sys
-from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
 
 from pilotbounds import siso
-from pilotbounds.params import DB_PER_UNIT, SisoParams, SnrValue
-from pilotbounds.siso import joint_bound_j2, power_advantage_at_snr, separate_bound
+from pilotbounds.params import SnrValue
 
-sys.path.append(str(Path(__file__).resolve().parents[1]))  # the repo root, for bench
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.append(str(ROOT))  # the repo root, for bench
+from bench.grids import SISO_SNR_DB, key  # noqa: E402
 from bench.grids import SISO_T_GRID as BENCH_T  # noqa: E402  the benchmark's SISO blocklengths
 
-GRID_T = tuple(sorted({*BENCH_T, 3, 5, 40, 100}))
-GRID_DB = (*(-100.0 + 2.5 * i for i in range(57)), -160.0, -150.0, 60.0, 3000.0)
-
-# scipy's error where the gaps at the bracket ends share a sign; there
-# power_advantage_at_snr raises RuntimeError("offset saturated: ...")
-SATURATED = ("ValueError", "f(a) and f(b) must have different signs")
+GRID_TOL_DB = 1e-8
+LONG_T = (10**6, 10**9)
+LONG_DB = (-40.0, 0.0, 20.0)
+LONG_TOL_DB = 1e-10
 
 
-def scipy_offset(T: int, snr: SnrValue) -> float:
-    """The offset in 3-dB units through scipy.optimize.bisect."""
-    from scipy import optimize
-
-    target = joint_bound_j2(SisoParams(T=T, tau=1, snr=snr))
-
-    def gap(delta_db):
-        return separate_bound(T, snr.linear * 10.0 ** (delta_db / 10.0)).value - target
-
-    return optimize.bisect(gap, -60.0, 60.0, xtol=1e-6) / DB_PER_UNIT
+def table_offset_db(T: int, db: float) -> float | None:
+    """The offset at a point of the benchmark's grid from bench/refs.json,
+    or None off the grid."""
+    return _table().get(key("A", T, db))
 
 
-def outcome(f):
-    """f()'s value, or the type and message of the error it raises, with
-    a saturated offset read as scipy's error for the same condition."""
-    try:
-        return f()
-    except (ValueError, RuntimeError) as exc:
-        if str(exc).startswith("offset saturated"):
-            return SATURATED
-        return type(exc).__name__, str(exc)
+@functools.cache
+def _table() -> dict:
+    return json.loads((ROOT / "bench" / "refs.json").read_text())["values"]
 
 
-def differences(Ts, dbs, work: Counter) -> list[tuple]:
-    """(T, dB, ours, scipy's) at every point where the outcomes differ;
-    adds the work of power_advantage_at_snr to work."""
+def mpmath_offset_db(T: int, db: float, xtol: str = "1e-12") -> float | None:
+    """bench.reference.advantage_db at 40 digits, bisected to xtol dB;
+    None where the +/-60 dB bracket holds no crossing.  The reference
+    sets mpmath's global precision when imported, so it is imported and
+    run within workdps, which restores the caller's."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        from bench import reference
+
+        value = reference.advantage_db(T, db, xtol=mpmath.mpf(xtol))
+    return None if value is None else float(value)
+
+
+def reference_offset_db(T: int, db: float) -> float | None:
+    """The table's offset where it has one, else mpmath's."""
+    ref = table_offset_db(T, db)
+    return mpmath_offset_db(T, db, "1e-9") if ref is None else ref
+
+
+def misses(points, reference, tol: float, solves: list[int]) -> list[tuple]:
+    """(T, dB, ours, reference) wherever the offset is more than tol dB
+    from the reference or raises; appends the Newton solves of each
+    offset to solves."""
     found = []
-    for T in Ts:
-        for db in dbs:
-            snr = SnrValue.from_db(db)
-            with counting(work):
-                ours = outcome(lambda: power_advantage_at_snr(T, snr).value_3db_units)
-            ref = outcome(lambda: scipy_offset(T, snr))
-            if ours != ref:
+    lane_root = siso._lane_root_db
+
+    def counted(*args):
+        solves[-1] += 1
+        return lane_root(*args)
+
+    siso._lane_root_db = counted
+    try:
+        for T, db in points:
+            solves.append(0)
+            try:
+                ours = siso.power_advantage_at_snr(T, SnrValue.from_db(db)).value_db
+            except (ValueError, RuntimeError) as exc:
+                ours = f"{type(exc).__name__}: {exc}"
+            ref = reference(T, db)
+            if isinstance(ours, str) or not abs(ours - ref) <= tol:
                 found.append((T, db, ours, ref))
+    finally:
+        siso._lane_root_db = lane_root
     return found
 
 
-@contextmanager
-def counting(work: Counter):
-    """Counts one offset, and the kernel calls, lanes and lane tries made
-    within, into work, through wrappers on the names siso calls them by."""
-    wrappers = {
-        "_eps1_lanes": lambda f: lambda x: work.update(kernel_calls=1, lanes=len(x)) or f(x),
-        "expint_scaled": lambda f: lambda k, x: work.update(kernel_calls=1, lanes=1) or f(k, x),
-        "_lane_root_db": lambda f: lambda *args: work.update(lane_tries=1) or f(*args),
-    }
-    saved = {name: getattr(siso, name) for name in wrappers}
-    for name, wrap in wrappers.items():
-        setattr(siso, name, wrap(saved[name]))
-    work.update(offsets=1)
-    try:
-        yield
-    finally:
-        for name, f in saved.items():
-            setattr(siso, name, f)
-
-
 def main() -> int:
-    work = Counter()
-    found = differences(GRID_T, GRID_DB, work)
+    solves: list[int] = []
+    grid = [(T, db) for T in BENCH_T for db in SISO_SNR_DB]
+    found = misses(grid, table_offset_db, GRID_TOL_DB, solves)
+    long = [(T, db) for T in LONG_T for db in LONG_DB]
+    found += misses(long, mpmath_offset_db, LONG_TOL_DB, solves)
     for point in found:
         print(*point)
-    n = work["offsets"]
+    n = len(grid) + len(long)
     print(
-        f"{len(GRID_T) * len(GRID_DB)} points, {len(found)} differ; per offset: "
-        f"{work['kernel_calls'] / n:.2f} kernel calls, {work['lanes'] / n:.1f} lanes, "
-        f"{work['lane_tries'] / n:.2f} lane tries"
+        f"{n} points, {len(found)} miss; per offset {sum(solves) / n:.2f} Newton solves "
+        f"on average, {max(solves)} at most"
     )
     return 1 if found else 0
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilotbounds import cli, sweeps
+from pilotbounds import cli, siso, sweeps
 from pilotbounds.montecarlo import BIT_GENERATOR, DEFAULT_SCALAR_SAMPLES
 
 
@@ -280,10 +281,10 @@ def test_snr_times_blocklength_overflow_exit_code(capsys, argv):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("antennas", [(), ("1", "2"), ("2", "1"), ("2", "2"), ("8", "8")])
 def test_separate_bound_vanishing_snr_exit_code(capsys, antennas):
-    # at -400 dB, 1 + snr*tau rounds to 1 and the effective SNR is 0:
-    # the exact mimo paths divided by it, the scalar one warned
+    # at -1700 dB, snr^2 underflows and the effective SNR is 0: the exact
+    # mimo paths divided by it, the scalar one warned
     ant = ("--nt", antennas[0], "--nr", antennas[1]) if antennas else ()
-    rc, out, err = run_cli(capsys, "bound", "--kind", "is", "--T", "10", *ant, "--snr-db", "-400")
+    rc, out, err = run_cli(capsys, "bound", "--kind", "is", "--T", "10", *ant, "--snr-db", "-1700")
     assert rc == 2 and out == ""
     assert err.startswith("error: effective SNR at tau=") and err.count("\n") == 1
 
@@ -296,7 +297,7 @@ _HUGE_T = str(10**15)
     [
         ("bound", "--kind", "is", "--T", _HUGE_T, "--snr-db", "10"),
         ("optimize-pilots", "--T", _HUGE_T, "--snr-db", "10"),
-        ("offset", "--kind", "advantage-at-snr", "--T", _HUGE_T, "--snr-db", "10"),
+        ("bound", "--kind", "is", "--nt", "2", "--nr", "2", "--T", _HUGE_T, "--snr-db", "10"),
         ("bound", "--kind", "j1", "--T", _HUGE_T, "--tau", "1", "--snr-db", "10"),
         ("sweep", "--kind", "fig1", "--T-grid", f"2,{_HUGE_T}"),
     ],
@@ -307,6 +308,18 @@ def test_huge_blocklength_exit_code(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("T", [10**9, 10**15])
+def test_offset_at_a_huge_blocklength(capsys, T):
+    # the least lane root takes O(log T) Newton solves and holds no lanes
+    argv = ("offset", "--kind", "advantage-at-snr", "--T", str(T), "--snr-db", "0", "--format", "json")
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0 and err == ""
+    # the separate bound's training loss, about 1/sqrt(T), sets the
+    # offset at long blocks: 4.72e-4 dB at T = 10^9
+    value_db = json.loads(out)["rows"][0]["value_units"] * 10.0 * math.log10(2.0)
+    assert value_db == pytest.approx(14.93 / math.sqrt(T), rel=1e-2)
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -378,8 +391,9 @@ def test_parser_is_built_once_and_reused(capsys):
     assert cli._build_parser.cache_info().misses == 1
 
 
-def test_failed_computation_exit_code(capsys):
-    # the separate bound crosses the joint bound nowhere within +/-60 dB
+def test_failed_computation_exit_code(capsys, monkeypatch):
+    # a target of 100 bits: the separate bound crosses it nowhere within +/-60 dB
+    monkeypatch.setattr(siso, "joint_bound_j2", lambda p: 100.0)
     rc, out, err = run_cli(
         capsys, "offset", "--kind", "advantage-at-snr", "--T", "2", "--snr-db", "-97.5"
     )

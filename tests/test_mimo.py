@@ -507,8 +507,9 @@ def test_exact_separate_search(n_t, n_r, T, db):
     taus = range(n_t, T)
     values = []
     for tau in taus:
-        mmse = 1.0 / (1.0 + s * (tau / n_t))
-        eff = s * (1.0 - mmse) / (1.0 + s * mmse)
+        # snr*(1 - mmse)/(1 + snr*mmse) with mmse = 1/(1 + snr*tau/n_t), formed without subtracting
+        t = tau / n_t
+        eff = s * (s * t / (1.0 + s * t + s))
         values.append((1.0 - tau / T) * capacity_ctr(n_t, n_r, eff, CFG).mean)
     best = _first_argmax(values)
     res = mimo_separate(n_t, n_r, T, s, McConfig(samples=100, seed=1))

@@ -1,18 +1,16 @@
 import functools
 import math
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from offset_grid import BENCH_T, outcome, scipy_offset
+from offset_grid import BENCH_T, SISO_SNR_DB, mpmath_offset_db, reference_offset_db
 
 from pilotbounds import siso
 from pilotbounds.expint import LOG2E, _scaled_sums
 from pilotbounds.params import SisoParams, SnrValue
 from pilotbounds.siso import (
-    _bisect,
     advantage_units,
     asymptote_j1,
     asymptote_j2,
@@ -70,9 +68,12 @@ def test_estimation_helpers():
     )
     with pytest.raises(ValueError):
         mmse_estimate_variance(0, SnrValue(1.0))
-    # 1 + snr*tau rounds to 1: the effective SNR is 0, reported as such
+    # snr^2/(1 + 2 snr) at -400 dB, where 1 + snr*tau rounds to 1
+    s = SnrValue.from_db(-400.0).linear
+    assert snr_effective(1, SnrValue(s)).linear == pytest.approx(s * s, rel=1e-15)
+    # snr^2 underflows: the effective SNR is 0, reported as such
     with pytest.raises(ValueError, match="effective SNR at tau=1 rounds to 0"):
-        snr_effective(1, SnrValue.from_db(-400.0))
+        snr_effective(1, SnrValue.from_db(-1700.0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -110,13 +111,13 @@ def test_optimizer_j2_variant():
 
 # Points where a slip in the search shows: at T=2, -145 dB j1 ties
 # exactly at tau = 0 and 1, so a last-maximum argmax returns 1; at
-# T=100, -37 dB j2 is the only point of a 0.5 dB grid over the T below
-# and -100..40 dB where np.log2 in place of math.log2 changes tau*'s value.
+# T=100, -18 dB j2 is the only point of a 0.5 dB grid over -100..40 dB
+# at that T where np.log1p in place of math.log1p changes tau*'s value.
 # At T=1000 from -10 to 10 dB the pruned j1 search sums 0-4 of the
 # tau >= 2.
 _SCAN_EXTRA_DB = {
     (2, "j1"): (-145.0,),
-    (100, "j2"): (-37.0,),
+    (100, "j2"): (-18.0,),
     (1000, "j1"): (-7.5, -5.0, -2.5, 2.5, 5.0, 7.5),
 }
 
@@ -271,6 +272,94 @@ def test_j2_search_matches_the_scan_at_long_blocks(T):
         assert (res.tau_star, res.value) == (best, values[best]), db
 
 
+@pytest.mark.parametrize("T,db,kept", [(20000, -110.0, 0), (40000, -110.0, 1), (10**5, -120.0, 3)])
+def test_j2_search_in_the_series_regime_matches_the_scan(monkeypatch, T, db, kept):
+    # snr*T <= 1e-6: the ceiling keeps the tau >= 2 with (tau - 1)^2 below
+    # about 1e-9 (T - 1)^2
+    s = SnrValue.from_db(db).linear
+    assert s * T <= siso._J2_SERIES_MAX
+    values = siso._j2(range(T), T, s, capacity_csi(s))
+    best = max(range(T), key=values.__getitem__)
+    evaluated = []
+    j2 = siso._j2
+    monkeypatch.setattr(siso, "_j2", lambda taus, *args: evaluated.extend(taus) or j2(taus, *args))
+    res = optimize_pilots_joint(T, SnrValue(s), which="j2")
+    assert (res.tau_star, res.value) == (best, values[best]) == (1, values[1])
+    assert evaluated == [0, 1, *range(2, 2 + kept)]
+
+
+@pytest.mark.parametrize("T", [2, 3, 10, 1000, 10**5])
+def test_j2_ceiling_lies_above_the_float_values(T):
+    # the search's ceiling in the series regime bounds every lane tau >= 2,
+    # down to where the terms underflow
+    taus = np.unique(np.geomspace(2, T - 1, 200).astype(int)) if T > 2 else np.array([], dtype=int)
+    for s in (1e-6 / T, 1e-7 / T, 1e-9 / T, 1e-20, 1e-140, 1e-160, 1e-170):
+        if s * T > siso._J2_SERIES_MAX:
+            continue
+        ceiling = siso._j2_ceiling(T, s)(taus)
+        floats = np.array([siso._j2_series(int(tau), T, s) for tau in taus])
+        assert (floats <= ceiling).all(), s
+
+
+def test_j2_search_takes_one_pilot_on_the_benchmark_grid():
+    # the paper's "at most one pilot" for the Jensen bound: tau* = 1 at
+    # each of the 1,311 points
+    for T in BENCH_T:
+        for db in SISO_SNR_DB:
+            assert optimize_pilots_joint(T, SnrValue.from_db(db), which="j2").tau_star == 1, (T, db)
+
+
+def _mp_j2_and_separate(mpmath, T, tau, s):
+    """j2 at tau and the separate bound's maximum over tau in [1, T-1] at
+    the float snr s, in mpmath at 120 digits; the lanes are log-concave
+    in tau, so a ternary search finds the maximum."""
+    with mpmath.workdps(120):
+        S = mpmath.mpf(s)
+        log2e = 1 / mpmath.log(2)
+
+        def cap(snr):
+            return log2e * mpmath.e1(1 / snr) * mpmath.exp(1 / snr)
+
+        j2 = (1 - mpmath.mpf(tau) / T) * cap(S) - log2e * mpmath.log((1 + S * T) / (1 + S * tau)) / T
+
+        def lane(k):
+            return (1 - mpmath.mpf(k) / T) * cap(S * S * k / (1 + S * k + S))
+
+        lo, hi = 1, T - 1
+        while hi - lo > 3:
+            a, b = lo + (hi - lo) // 3, hi - (hi - lo) // 3
+            lo, hi = (a + 1, hi) if lane(a) < lane(b) else (lo, b)
+        return j2, max(lane(k) for k in range(lo, hi + 1)), cap(S)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    T=st.sampled_from([2, 10, 100, 1000]),
+    tau=st.sampled_from([0, 1, 2]),
+    db=st.floats(min_value=-200.0, max_value=60.0),
+)
+def test_vanishing_snr_orderings_and_accuracy(T, tau, db):
+    # 0 <= j2 <= j1 <= (1 - tau/T)*C and 0 <= I_S <= C, and j2 and I_S
+    # against mpmath: j2 within 1e-14 of (1 - tau/T)*C and, in its series
+    # regime, within 1e-13 of itself; I_S within 1e-13.  j1 still cancels
+    # below about -155 dB (ROADMAP item 3), so there j2 <= j1 is not asked.
+    mpmath = pytest.importorskip("mpmath")
+    tau = min(tau, T - 1)
+    s = SnrValue.from_db(db).linear
+    p = SisoParams(T=T, tau=tau, snr=SnrValue(s))
+    cap = capacity_csi(s)
+    data = (1.0 - tau / T) * cap
+    j2, sep = joint_bound_j2(p), separate_bound(T, s).value
+    ref_j2, ref_sep, ref_cap = _mp_j2_and_separate(mpmath, T, tau, s)
+    assert 0.0 <= j2 <= data and 0.0 <= sep <= cap
+    if db >= -150.0:
+        assert j2 <= joint_bound_j1(p) <= data
+    assert abs(j2 - float(ref_j2)) <= 1e-14 * float((1 - mpmath.mpf(tau) / T) * ref_cap)
+    if s * T <= siso._J2_SERIES_MAX:
+        assert abs(j2 - float(ref_j2)) <= 1e-13 * float(ref_j2)
+    assert sep == pytest.approx(float(ref_sep), rel=1e-13, abs=0.0)
+
+
 def test_j2_search_at_a_huge_blocklength_evaluates_a_short_prefix(monkeypatch):
     evaluated = []
     j2 = siso._j2
@@ -288,22 +377,23 @@ def test_j2_search_at_a_huge_blocklength_evaluates_a_short_prefix(monkeypatch):
 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_joint_searches_are_exact_across_chunks(monkeypatch, chunk):
-    # the kept prefix in calls of `chunk` lanes gives the first maximum of
-    # one call over every tau; at T = 1000, -100 dB j2's is tau = 12,
-    # where the float values differ only by rounding
-    T = 1000
+    # a bound whose first maximum, tau = 12, lies past the head and the
+    # first chunk, with a tie at tau = 19 in a later one: the kept prefix
+    # in calls of `chunk` lanes gives the first maximum of one scan, with
+    # and without a ceiling
+    T, c = 30, 1.0
+    table = [0.3 if tau in (12, 19) else (1.0 - tau / T) * c * 0.25 for tau in range(T)]
+    calls = []
+
+    def values(taus):
+        calls.append(len(taus))
+        return [table[tau] for tau in taus]
+
     monkeypatch.setattr(siso, "_PREFIX_CHUNK", chunk)
-    bests = []
-    for db in (-100.0, -80.0, -20.0, 20.0):
-        s = SnrValue.from_db(db).linear
-        c = capacity_csi(s)
-        scans = {"j1": siso._j1_values(np.arange(T), T, s, c).tolist(), "j2": siso._j2(range(T), T, s, c)}
-        for which, values in scans.items():
-            best = max(range(T), key=values.__getitem__)
-            res = optimize_pilots_joint(T, SnrValue(s), which=which)
-            assert (res.tau_star, res.value) == (best, values[best]), (which, db)
-            bests.append(best)
-    assert max(bests) == 12
+    for ceiling in (None, lambda taus: (1.0 - taus / T) * c):
+        calls.clear()
+        assert siso._first_max(values, T, c, 1, ceiling) == (12, 0.3)
+        assert calls[0] == 2 and max(calls[1:]) <= chunk
 
 
 def test_j2_search_at_a_huge_blocklength_and_low_snr_holds_bounded_chunks(monkeypatch):
@@ -388,240 +478,166 @@ def test_power_advantage_finite_snr():
 
 
 # 0, 7.5, 15 and 30 dB lie on the SNR grid of the benchmark's fig2
-# sweeps.  At T = 300 and 1000 the steps below 0 dB evaluate the separate
-# bound's lanes by the continued fraction.
+# sweeps.  At T = 300 and 1000 the lanes below 0 dB take eps_1's
+# continued fraction.
 _OFFSET_DB = {
     **dict.fromkeys((2, 3, 5, 10, 40, 100), (-40.0, -20.0, 0.0, 7.5, 15.0, 20.0, 30.0, 40.0)),
     **dict.fromkeys((300, 1000), (-60.0, -40.0, -10.0, -5.0, 0.0)),
 }
 # the benchmark's blocklengths, from its lowest SNR to past its highest;
-# some of these points raise, and must raise as scipy does
+# at 3000 dB snr*T overflows at the bracket's top from T = 180 on, and
+# the offset raises there as separate_bound does
 _BENCH_OFFSET_DB = (*range(-100, 41, 10), 60.0, 3000.0)
+
+
+def _offset_dbs(T):
+    return sorted(map(float, {*_OFFSET_DB.get(T, ()), *(_BENCH_OFFSET_DB if T in BENCH_T else ())}))
+
+
+def _outcome(f):
+    """f()'s value, or the type and message of the error it raises."""
+    try:
+        return f()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _scipy_offset_db(T: int, snr: SnrValue) -> float:
+    """The offset in dB by scipy.optimize.bisect on the public bounds."""
+    from scipy import optimize
+
+    target = joint_bound_j2(SisoParams(T=T, tau=1, snr=snr))
+
+    def gap(delta_db):
+        return separate_bound(T, snr.linear * 10.0 ** (delta_db / 10.0)).value - target
+
+    return optimize.bisect(gap, -60.0, 60.0, xtol=1e-6)
 
 
 @pytest.mark.parametrize("T", sorted({*_OFFSET_DB, *BENCH_T}))
 def test_power_advantage_matches_scipy_bisect(T):
-    dbs = {*_OFFSET_DB.get(T, ()), *(_BENCH_OFFSET_DB if T in BENCH_T else ())}
-    for db in sorted(dbs):
+    # scipy's bisection of the full separate bound lands within its xtol of
+    # 1e-6 dB, plus the 1e-8 dB of the lane root: the least lane root is
+    # the full bound's root.  Where the bracket's top overflows, both
+    # raise separate_bound's error.
+    for db in _offset_dbs(T):
         snr = SnrValue.from_db(db)
-        ours = outcome(lambda: power_advantage_at_snr(T, snr).value_3db_units)
-        assert ours == outcome(lambda: scipy_offset(T, snr)), db
+        ours = _outcome(lambda: power_advantage_at_snr(T, snr).value_db)
+        ref = _outcome(lambda: _scipy_offset_db(T, snr))
+        if isinstance(ref, tuple):
+            assert ours == ref, db
+        else:
+            assert abs(ours - ref) <= 1.01e-6, db
 
 
-# -150 dB: the bracket's lower end is -210 dB, where the effective SNR of
-# the separate bound rounds to 0; 3020 dB: snr*T overflows at the upper
-# end; -97.5 and -92.5 dB: the gaps at both ends are negative
-_RAISING_DB = {
-    2: (-150.0, 3020.0, -97.5),
-    10: (-150.0, 3020.0, -92.5),
-    100: (-150.0, 3020.0),
-    1000: (-150.0, 3020.0),
-}
+@functools.cache
+def _mpmath_offset_db(T, db):
+    return reference_offset_db(T, db)
 
 
-@pytest.mark.parametrize("T", sorted(_RAISING_DB))
+@pytest.mark.parametrize("T", sorted({*_OFFSET_DB, *BENCH_T}))
+def test_power_advantage_matches_mpmath(T):
+    # within 1e-8 dB of the mpmath root: the benchmark's table where it
+    # holds the point, else bench.reference bisected to 1e-9 dB
+    for db in _offset_dbs(T):
+        if db == 3000.0 and T >= 180:
+            continue  # raises, as test_power_advantage_matches_scipy_bisect checks
+        ours = power_advantage_at_snr(T, SnrValue.from_db(db)).value_db
+        assert abs(ours - _mpmath_offset_db(T, db)) <= 1e-8, db
+
+
+@pytest.mark.parametrize("T", [10**6, 10**9])
+def test_power_advantage_at_long_blocks_matches_mpmath(T):
+    # the offset is 0.6 / 0.015 / 0.018 dB at T = 10^6 and shrinks about as
+    # 1/sqrt(T): the bisection's absolute xtol of 1e-6 dB would not resolve it
+    for db in (-40.0, 0.0, 20.0):
+        ours = power_advantage_at_snr(T, SnrValue.from_db(db)).value_db
+        assert abs(ours - mpmath_offset_db(T, db)) <= 1e-10, db
+
+
+# -1700 dB: at the bracket's lower end, -1760 dB, snr^2 underflows and the
+# effective SNR of the separate bound rounds to 0; 3020 dB: snr*T
+# overflows at the upper end
+_RAISING_DB = (-1700.0, 3020.0)
+
+
+@pytest.mark.parametrize("T", [2, 10, 100, 1000])
 def test_power_advantage_raises_as_the_public_path(T):
-    low, high, *saturated = _RAISING_DB[T]
-    for db in _RAISING_DB[T]:
+    for db in _RAISING_DB:
         snr = SnrValue.from_db(db)
-        ref = outcome(lambda: scipy_offset(T, snr))
+        end = snr.linear * 10.0 ** (6.0 if db > 0.0 else -6.0)
+        ref = _outcome(lambda: separate_bound(T, end))
         assert isinstance(ref, tuple), db
-        assert outcome(lambda: power_advantage_at_snr(T, snr)) == ref, db
+        assert _outcome(lambda: power_advantage_at_snr(T, snr)) == ref, db
     with pytest.raises(ValueError) as exc:
-        power_advantage_at_snr(T, SnrValue.from_db(low))
-    assert str(exc.value) == "effective SNR at tau=1 rounds to 0 at snr=1.0000000000000001e-21"
+        power_advantage_at_snr(T, SnrValue.from_db(-1700.0))
+    assert str(exc.value) == "effective SNR at tau=1 rounds to 0 at snr=1e-176"
     with pytest.raises(ValueError, match=r"^snr\*T overflows a float: snr=1e\+308, T="):
-        power_advantage_at_snr(T, SnrValue.from_db(high))
-    for db in saturated:
-        with pytest.raises(RuntimeError, match="^offset saturated"):
-            power_advantage_at_snr(T, SnrValue.from_db(db))
+        power_advantage_at_snr(T, SnrValue.from_db(3020.0))
 
 
-def _offset_and_full_bounds(monkeypatch, T, snr):
-    """The offset at (T, snr), and the full separate bounds it evaluated:
-    the kernel calls of at least T - 1 lanes, alone or batched with a
-    lane at the window's upper end."""
-    lanes = []
-    kernel = siso._eps1_lanes
+@pytest.mark.parametrize("T", [2, 10, 1000])
+def test_power_advantage_saturates_outside_the_bracket(monkeypatch, T):
+    # targets that the separate bound meets at +59 dB and at +61 dB, one
+    # it exceeds everywhere (0) and one no lane reaches (100 bits)
+    s = SnrValue.from_db(0.0).linear
+    near = separate_bound(T, s * 10.0**5.9).value
+    monkeypatch.setattr(siso, "joint_bound_j2", lambda p: near)
+    assert power_advantage_at_snr(T, s).value_db == pytest.approx(59.0, abs=1e-9)
+    for target in (separate_bound(T, s * 10.0**6.1).value, 0.0, 100.0):
+        monkeypatch.setattr(siso, "joint_bound_j2", lambda p: target)
+        with pytest.raises(RuntimeError, match=rf"^offset saturated: no crossing within \+/-60.0 dB for T={T}, snr=1.0$"):
+            power_advantage_at_snr(T, s)
+
+
+def _offset_and_work(monkeypatch, T, snr):
+    """The offset at (T, snr) in dB, the Newton solves it made, and the
+    full separate bounds it evaluated: kernel calls of T - 1 lanes or more."""
+    solves, lanes = [], []
+    lane_root, kernel = siso._lane_root_db, siso._eps1_lanes
     with monkeypatch.context() as m:
+        m.setattr(siso, "_lane_root_db", lambda *args: solves.append(1) or lane_root(*args))
         m.setattr(siso, "_eps1_lanes", lambda x: lanes.append(len(x)) or kernel(x))
-        value = power_advantage_at_snr(T, snr).value_3db_units
-    return value, sum(n >= T - 1 for n in lanes)
+        value = power_advantage_at_snr(T, snr).value_db
+    return value, len(solves), sum(n >= T - 1 for n in lanes)
 
 
 @pytest.mark.parametrize("T", [10, 100, 1000])
 def test_power_advantage_evaluates_few_full_bounds(monkeypatch, T):
-    # no full bound at the certified bracket ends, one per lane tried
-    # (batched with the lane at the window's upper end), and one per step
-    # within the margin of the root; plain bisection evaluates about 29
+    # no full separate bound at all, and a few Newton solves from the start
+    # lane (2 to 9 here)
     for db in (-40.0, 0.0, 20.0):
-        snr = SnrValue.from_db(db)
-        value, full = _offset_and_full_bounds(monkeypatch, T, snr)
-        assert value == scipy_offset(T, snr), db
-        assert full <= 3, db
+        value, solves, full = _offset_and_work(monkeypatch, T, SnrValue.from_db(db))
+        assert abs(value - _mpmath_offset_db(T, db)) <= 1e-8, db
+        assert full == 0 and solves <= 10, (db, solves)
 
 
-@pytest.mark.parametrize("shift_db", [None, -1.0, 1.0])
-def test_power_advantage_without_a_root_estimate_bisects_in_full(monkeypatch, shift_db):
-    # no estimate, or one 1 dB off: the window is not confirmed, every
-    # step evaluates the full bound, and the root keeps its bits
-    estimate = siso._lane_root_db
-
-    def off(*args):
-        r = estimate(*args)
-        return None if shift_db is None or r is None else r + shift_db
-
-    monkeypatch.setattr(siso, "_lane_root_db", off)
-    for T in (10, 100, 1000):
-        for db in (-40.0, 0.0, 20.0):
-            snr = SnrValue.from_db(db)
-            value, full = _offset_and_full_bounds(monkeypatch, T, snr)
-            assert value == scipy_offset(T, snr), (T, db)
-            assert full > 20, (T, db)
-
-
-@functools.cache
-def _scipy_offset_at(T, db):
-    return outcome(lambda: scipy_offset(T, SnrValue.from_db(db)))
-
-
-def _offsets_match_scipy_over_offset_db():
-    for T, dbs in _OFFSET_DB.items():
-        for db in dbs:
-            ours = outcome(lambda: power_advantage_at_snr(T, SnrValue.from_db(db)).value_3db_units)
-            assert ours == _scipy_offset_at(T, db), (T, db)
-
-
-def _full_bound_snrs(monkeypatch):
-    """Records the SNR of every full separate bound evaluated."""
-    snrs = []
-    full = siso._separate_best
-    monkeypatch.setattr(siso, "_separate_best", lambda T, snr, *rest: snrs.append(snr) or full(T, snr, *rest))
-    return snrs
-
-
-@pytest.mark.parametrize("end", ["low", "high"])
-def test_power_advantage_without_an_end_certificate_evaluates_it(monkeypatch, end):
-    # a certificate that fails (a margin of 0) leaves the end's full bound
-    # to decide, and every offset keeps its bits
-    certified = siso._end_sign
-    fail = -1.0 if end == "low" else 1.0
-    monkeypatch.setattr(
-        siso, "_end_sign", lambda sign, margin, target: certified(sign, 0.0 if sign == fail else margin, target)
-    )
-    snrs = _full_bound_snrs(monkeypatch)
-    _offsets_match_scipy_over_offset_db()
-    s = SnrValue.from_db(0.0).linear
-    snrs.clear()
-    power_advantage_at_snr(100, s)
-    assert s * 10.0 ** (-6.0 if end == "low" else 6.0) in snrs
-    assert s * 10.0 ** (6.0 if end == "low" else -6.0) not in snrs
-
-
-def test_power_advantage_certifies_both_ends_without_their_full_bounds(monkeypatch):
-    snrs = _full_bound_snrs(monkeypatch)
-    for T, dbs in _OFFSET_DB.items():
-        for db in dbs:
-            s = SnrValue.from_db(db).linear
-            snrs.clear()
-            power_advantage_at_snr(T, s)
-            assert not {s * 10.0**-6.0, s * 10.0**6.0} & set(snrs), (T, db)
-
-
-def test_power_advantage_with_the_sign_guard_failing_evaluates_both_ends(monkeypatch):
-    monkeypatch.setattr(siso, "_SIGN_GUARD", math.inf)
-    snrs = _full_bound_snrs(monkeypatch)
-    _offsets_match_scipy_over_offset_db()
-    s = SnrValue.from_db(0.0).linear
-    snrs.clear()
-    power_advantage_at_snr(100, s)
-    assert {s * 10.0**-6.0, s * 10.0**6.0} <= set(snrs)
-
-
-def test_end_sign_guard_keeps_products_with_other_gaps_normal():
-    g = siso._SIGN_GUARD
-    # a nonzero gap is at least target * 2^-54; its product with a
-    # certified gap of magnitude >= g is then a normal float
-    assert g * (g * 2.0**-54) >= sys.float_info.min
-    assert siso._end_sign(-1.0, g, g) == -1.0
-    assert siso._end_sign(1.0, 1.0, 1.0) == 1.0
-    for margin, target in ((g / 2, 1.0), (1.0, g / 2), (0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan)):
-        assert siso._end_sign(-1.0, margin, target) is None, (margin, target)
-
-
-@pytest.mark.parametrize("T", [2, 3, 10, 100, 1000])
-def test_low_end_certificate_bounds_every_lane(T):
-    # every float lane at an SNR lies below LOG2E * log1p(1/x) with x the
-    # argument of lane T-1, by more than the certificate's margin needs
-    taus = np.arange(1, T)
-    share = 1.0 - taus / T
-    for db in np.arange(-160.0, 100.0, 2.5):
-        s = SnrValue.from_db(db).linear
-        try:
-            x = siso._separate_arguments(T, s, taus)
-        except ValueError:
-            continue
-        lanes = siso._separate_values(T, s, taus, share)
-        ceiling = LOG2E * math.log1p(1.0 / float(x[-1]))
-        assert lanes.max() < ceiling * (1.0 + 1e-11), db
+@pytest.mark.parametrize("T", [10**6, 10**9, 10**15])
+def test_power_advantage_takes_log_t_newton_solves(monkeypatch, T):
+    # each step of the search compares two lane roots: 13 to 53 solves here
+    for db in (-40.0, 0.0, 20.0):
+        _, solves, full = _offset_and_work(monkeypatch, T, SnrValue.from_db(db))
+        assert full == 0 and solves <= 4 * math.log2(T), (db, solves)
 
 
 @pytest.mark.parametrize("lane", ["first", "last"])
 def test_power_advantage_from_a_wrong_start_lane_keeps_its_bits(monkeypatch, lane):
-    monkeypatch.setattr(siso, "_start_lane", lambda s, taus, share: 1 if lane == "first" else len(taus))
-    _offsets_match_scipy_over_offset_db()
+    # from lane 1 or lane T - 1 the search gallops to the same least lane
+    points = [(T, db) for T, dbs in _OFFSET_DB.items() for db in dbs]
+    expected = [power_advantage_at_snr(T, SnrValue.from_db(db)) for T, db in points]
+    monkeypatch.setattr(siso, "_start_lane", lambda s, T: 1 if lane == "first" else T - 1)
+    assert [power_advantage_at_snr(T, SnrValue.from_db(db)) for T, db in points] == expected
 
 
-# below x = 1 every lane takes the series; above, up to 64 lanes the
-# scalar continued fraction and more the vector one
-@pytest.mark.parametrize(
-    "T,dbs,path",
-    [
-        (100, (15.0, 20.0, 33.3), "series"),
-        (30, (-20.0, -10.0, -3.3), "scalar CF"),
-        (1000, (-20.0, -10.0, -3.3), "vector CF"),
-    ],
-)
-def test_separate_lane_beside_lane_one_is_bit_equal_to_the_full_bound(T, dbs, path):
-    # the power offset evaluates lane tau at its window's end as lanes 1
-    # and tau of the full bound's code
-    taus = np.arange(1, T)
-    share = 1.0 - taus / T
-    for db in dbs:
-        s = SnrValue.from_db(db).linear
-        x = siso._separate_arguments(T, s, taus)
-        if path == "series":
-            assert (x < 1.0).all()
-        else:
-            assert (x >= 1.0).all() and (x.size > 64) == (path == "vector CF")
-        values = siso._separate_values(T, s, taus, share)
-        for tau in range(1, T):
-            pair = [0, tau - 1]
-            assert siso._separate_values(T, s, taus[pair], share[pair])[-1] == values[tau - 1], (db, tau)
-
-
-@pytest.mark.parametrize(
-    "f",
-    [
-        lambda x: x - 0.3,
-        lambda x: x,  # exact zero at the first midpoint
-        lambda x: x + 60.0,  # exact zero at the lower end
-        lambda x: math.nan if x > 10.0 else x - 20.0,
-        lambda x: math.nan if 0.0 < x < 60.0 else x - 20.0,  # NaN at a midpoint
-    ],
-)
-def test_bisect_matches_scipy(f):
-    from scipy import optimize
-
-    def run(solver):
-        try:
-            return solver()
-        except ValueError as exc:
-            return str(exc)
-
-    ours = run(lambda: _bisect(f, -60.0, 60.0, f(-60.0), f(60.0), xtol=1e-6))
-    ref = run(lambda: optimize.bisect(f, -60.0, 60.0, xtol=1e-6))
-    assert ours == ref
+@pytest.mark.parametrize("answer", [1, 2, 5, 17, 64, 100])
+def test_first_false_finds_the_first_false_from_any_start(answer):
+    # the least t in [1, 100] where t < answer fails, from every start, in
+    # O(log d) calls, d the distance from the start to the answer
+    for start in range(1, 101):
+        calls = []
+        got = siso._first_false(lambda t: calls.append(t) or t < answer, 1, 100, start)
+        assert got == answer, start
+        assert len(calls) <= 2 * math.log2(abs(start - answer) + 1) + 3, start
 
 
 def test_single_pilot_advantage():
