@@ -295,7 +295,8 @@ def _cmd_validate(args) -> _Report:
     # the seed keys the draws only together with the bit generator
     meta = {"passed": report.passed, "max_abs_z": report.max_abs_z,
             "bit_generator": BIT_GENERATOR}
-    return _Report(sweeps.ValidationCell._fields, report.cells, report.render(), meta,
+    text = report.render() if args.format == "text" else None  # csv and json never read it
+    return _Report(sweeps.ValidationCell._fields, report.cells, text, meta,
                    0 if report.passed else 3)
 
 

@@ -360,12 +360,14 @@ def _decimal_cf(k: int, x):
 def _scaled_sums(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     """expint_scaled_sum over 1-D arrays of validated n and x.
 
-    Each lane takes its seed from the same scalar call and runs the same
-    two recurrences in the same order, with its order held as an exact
-    float, so every lane is bit-equal to expint_scaled_sum(n, x).  The
-    recurrences are indexed by step, not by order: with the lanes sorted
-    by step count, those still recurring at step t are the prefix
-    [:live[t]], and a step runs five ufuncs on that slice.  Up to
+    Each lane takes its seed from the same scalar call (the x < 1 seeds
+    from one _eps1_lanes call, whose lanes are bit-equal to one-element
+    calls) and runs the same two recurrences in the same order, with its
+    order held as an exact float, so every lane is bit-equal to
+    expint_scaled_sum(n, x).  The recurrences are indexed by step, not by
+    order: with the lanes sorted by step count, those still recurring at
+    step t are the prefix [:live[t]], and a step runs five ufuncs on that
+    slice.  Up to
     _SCALAR_SUM_LANES lanes take expint_scaled_sum's path one by one.
     """
     n = np.asarray(n, dtype=np.int64)
@@ -374,7 +376,10 @@ def _scaled_sums(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     if len(pairs) <= _SCALAR_SUM_LANES:
         return np.array([_sum_in_order(*_scaled_orders(ni, xi)) for ni, xi in pairs])
     k0 = np.array([_seed_order(ni, xi) for ni, xi in pairs])
-    seed = np.array([_eps_scalar(ki, xi) for ki, xi in zip(k0.tolist(), x.tolist())])
+    seed = np.empty(len(pairs))
+    lo = x < 1.0  # seed order 1: the series lanes of one _eps1_lanes call
+    seed[lo] = _eps1_lanes(x[lo])
+    seed[~lo] = [_eps_scalar_cf(ki, xi) for ki, xi in zip(k0[~lo].tolist(), x[~lo].tolist())]
     total = seed.copy()
 
     # downward, orders k0-1 ... 1: eps_k = (1 - k*eps_{k+1})/x

@@ -18,13 +18,19 @@ The samplers choose their own threads.  Only sample_ctr (Gram side
 min(t, r)), sample_delta_mimo and the Gram check (side n_t) hand blocks
 to a pool, one thread per block and per CPU, and only at a side of at
 least _POOL_MIN_SIDE with two blocks or more: there a block is batched
-Cholesky factorization that a second thread runs 35-55% faster.  Below
-that side the log-det has a closed form.  Every other estimate, all of
-validate's among them, runs in the calling thread.
+Cholesky factorization of a complex Gram that a second thread runs
+35-55% faster.  Below that side the log-det has a closed form, and the
+Gram is formed in real arithmetic from the real and imaginary parts of
+the same standard-normal draw (_small_gram), with the 1/2 of the unit
+variance folded into the scale: no complex array, no per-row scaling.
+Each log-det there lies within a few ulps of the complex-Gram closed
+form.  Every other estimate, all of validate's among them, runs in the
+calling thread.
 
 Estimates that can share draws share them (common random numbers): one
-block's draw may return k rows, one per estimate, each reduced exactly as
-a lone estimate is, so each row is still a pure function of McConfig.
+block's draw may yield k rows, one per estimate, each reduced as it is
+yielded exactly as a lone estimate is, so each row is still a pure
+function of McConfig, and a block holds one row at a time, not k.
 The rows forms of the capacity, C_{t,r} and Gram-penalty samplers draw
 what their one-row calls draw, so each row equals the one-row call at its
 SNR or diagonal bit for bit.  A penalty group of several pilot counts of
@@ -40,7 +46,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,18 +58,19 @@ _MASK64 = (1 << 64) - 1
 # The smallest Gram side whose blocks go to a thread pool.  sample_ctr
 # n x n at 10 dB, 10^5 samples (7 blocks), serial -> two threads on a
 # 2-vCPU x86 host shared with other work, median ms of 12 alternating
-# pairs (2x2: the medians of 11 such runs, pool faster in 8-12 of 12):
+# pairs (2x2: each side a fresh process, median of 11 calls, with the
+# Gram in real arithmetic):
 #
 #   side   wall            CPU            pool faster (wall)
-#   2x2     33.8 ->  22.3   33.9 ->  33.7  8-12 of 12
+#   2x2     11.3 ->   9.7   11.8 ->  13.5  8 of 12, at no more CPU 1
 #   3x3    108.4 ->  71.8  107.5 -> 119.8  11 of 12
 #   4x4    174.7 -> 109.7  173.7 -> 193.0  12 of 12
 #   8x8    805.9 -> 381.0  805.8 -> 694.1  12 of 12
 #
-# Below side 3 the log-det is closed form (_log2_det).  A 2x2 block is
-# then its draws and its Gram product, and a second thread cuts its wall
-# time when a second CPU is free, at about the same CPU time; moving the
-# pool down to side 2 is left open.
+# Below side 3 the log-det is closed form (_log2_det_small) on a Gram
+# formed in real arithmetic (_small_gram).  A 2x2 block is then mostly
+# its draws: a second thread cuts its wall time when a second CPU is
+# free, but costs CPU time in 11 of the 12 pairs, so side 2 stays serial.
 _POOL_MIN_SIDE = 3
 
 # The default sample count puts standard errors near 1e-3 bits/s/Hz.
@@ -123,14 +130,15 @@ def _block_rng(cfg: McConfig, block_index: int) -> np.random.Generator:
 
 def _mean_estimate(
     cfg: McConfig,
-    draw: Callable[[np.random.Generator, int], np.ndarray],
+    draw: Callable[[np.random.Generator, int], Iterator[np.ndarray]],
     side: int = 1,
 ) -> list[Estimate]:
     """Reduce per-block partial sums of draw(rng, count) in block order.
 
-    draw returns k rows of count values, shape (k, count), or one row of
-    shape (count,); each row gives one Estimate.  side is the side of
-    draw's Gram matrices, 1 for the scalar samplers (module docstring).
+    draw yields k rows of count values, one per Estimate; each row is
+    reduced as it comes, and may be overwritten there, so draw can fill
+    one buffer for every row.  side is the side of draw's Gram matrices,
+    1 for the scalar samplers (module docstring).
     """
     n = cfg.samples
     n_blocks = (n + _BLOCK - 1) // _BLOCK
@@ -138,9 +146,10 @@ def _mean_estimate(
 
     def one_block(b: int) -> list[tuple[float, float]]:
         count = min(_BLOCK, n - b * _BLOCK)
-        rows = np.asarray(draw(_block_rng(cfg, b), count), dtype=float).reshape(-1, count)
-        sums = rows.sum(axis=1)
-        return list(zip(sums.tolist(), np.square(rows, out=rows).sum(axis=1).tolist()))
+        return [
+            (float(row.sum()), float(np.square(row, out=row).sum()))
+            for row in draw(_block_rng(cfg, b), count)
+        ]
 
     if threads == 1:
         parts = [one_block(b) for b in range(n_blocks)]
@@ -170,6 +179,42 @@ def _complex_gaussian(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return a.view(np.complex128)[..., 0]
 
 
+def _small_gram(a: np.ndarray, by_rows: bool) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """The Gram matrix of a batch of Z = a[..., 0] + i a[..., 1] at side 1
+    or 2, in real arithmetic: (diag, q), diag[k] = G_kk and q = |G_01|^2
+    (None at side 1), for G = Z Z† (by_rows) or Z† Z.
+
+    a is the real draw behind _complex_gaussian, shape (count, rows, cols,
+    2), unscaled: G is twice the Gram of the unit-variance Z.  Each sum
+    adds whole strided rows of count values, one per real entry, in entry
+    order.  sample_ctr at 10 dB and 10^5 samples on a 2-vCPU x86 host,
+    2 x 2 / 2 x 8 / 8 x 2: 11 / 77 / 87 ms so; 17 / 71 / 78 ms after a
+    transposing copy of the draw to contiguous rows.  Multi-axis numpy
+    reductions took four times as long on a hot 2 x 2 block.
+    """
+    count = a.shape[0]
+    v = a.transpose(1, 2, 3, 0) if by_rows else a.transpose(2, 1, 3, 0)  # [vector, entry, re/im, sample]
+    diag = []
+    for u in v:
+        acc = np.zeros(count)
+        for re, im in u:
+            acc += np.square(re)
+            acc += np.square(im)
+        diag.append(acc)
+    if len(v) == 1:
+        return diag, None
+    re, im = np.zeros(count), np.zeros(count)
+    for (xr, xi), (yr, yi) in zip(*v):
+        re += xr * yr
+        re += xi * yi
+        im += xr * yi
+        im -= xi * yr
+    re *= re
+    im *= im
+    re += im
+    return diag, re
+
+
 def _not_positive_definite(side: int, label: str) -> RuntimeError:
     return RuntimeError(
         f"log-det failed on a {side}x{side} Gram batch ({label}); "
@@ -177,41 +222,48 @@ def _not_positive_definite(side: int, label: str) -> RuntimeError:
     )
 
 
-def _log2_det(g: np.ndarray, label: str) -> np.ndarray:
-    """log2 det(I + g) over a batch of Hermitian g with I + g positive definite.
-
-    Sides 1 and 2 take the determinant in closed form, 1 + g00 and
-    (1 + g00)(1 + g11) - |g01|^2; larger sides factor I + g by Cholesky.
-    A non-positive or NaN determinant or pivot raises RuntimeError.
-    """
-    side = g.shape[-1]
-    if side > 2:
-        try:
-            ell = np.linalg.cholesky(np.eye(side) + g)
-        except np.linalg.LinAlgError as exc:
-            raise _not_positive_definite(side, label) from exc
-        pivots = np.einsum("nii->ni", ell).real
-        if not (pivots > 0.0).all():  # a NaN batch factors without an error
-            raise _not_positive_definite(side, label)
-        return 2.0 * np.log2(pivots).sum(axis=1)
-    det = 1.0 + g[:, 0, 0].real
-    if side == 2:
-        b = g[:, 0, 1]
-        det *= 1.0 + g[:, 1, 1].real
-        det -= b.real * b.real + b.imag * b.imag
+def _log2_det_small(
+    diag: Sequence[np.ndarray], q: np.ndarray | None, scales: Sequence[float], label: str
+) -> np.ndarray:
+    """log2 det(I + D G D), D = diag(sqrt(scales)), for the side-1 or side-2
+    Gram entries (diag, q) of _small_gram: in closed form, 1 + c0 g00 and
+    (1 + c0 g00)(1 + c1 g11) - c0 c1 |g01|^2.  A non-positive or NaN
+    determinant raises RuntimeError."""
+    det = 1.0 + scales[0] * diag[0]
+    if q is not None:
+        det *= 1.0 + scales[1] * diag[1]
+        det -= (scales[0] * scales[1]) * q
     if not (det > 0.0).all():  # NaN fails the test too
-        raise _not_positive_definite(side, label)
+        raise _not_positive_definite(len(diag), label)
     return np.log2(det, out=det)
 
 
-def _log2_one_plus(x: np.ndarray, scales: Sequence[float], out: np.ndarray) -> np.ndarray:
-    """Fill row i of out with log2(1 + scales[i]*x), in place: the same
-    roundings as np.log2(1.0 + scales[i] * x), no temporaries."""
-    for row, scale in zip(out, scales):
+def _log2_det(g: np.ndarray, label: str) -> np.ndarray:
+    """log2 det(I + g) over a batch of Hermitian g, side 3 or more, with
+    I + g positive definite, by Cholesky factorization (sides 1 and 2:
+    _log2_det_small).  A failed factorization or a non-positive or NaN
+    pivot raises RuntimeError.
+    """
+    side = g.shape[-1]
+    try:
+        ell = np.linalg.cholesky(np.eye(side) + g)
+    except np.linalg.LinAlgError as exc:
+        raise _not_positive_definite(side, label) from exc
+    pivots = np.einsum("nii->ni", ell).real
+    if not (pivots > 0.0).all():  # a NaN batch factors without an error
+        raise _not_positive_definite(side, label)
+    return 2.0 * np.log2(pivots).sum(axis=1)
+
+
+def _log2_one_plus(x: np.ndarray, scales: Sequence[float], row: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield row filled with log2(1 + scale*x) for each of scales, in
+    place: the same roundings as np.log2(1.0 + scale * x), no temporaries.
+    The next step overwrites row, so use it before resuming."""
+    for scale in scales:
         np.multiply(x, scale, out=row)
         row += 1.0
         np.log2(row, out=row)
-    return out
+        yield row
 
 
 def sample_capacity_siso(snr, cfg: McConfig) -> Estimate:
@@ -230,7 +282,7 @@ def _sample_capacity_rows(snrs: Sequence, cfg: McConfig) -> list[Estimate]:
     scales = [linear_snr(s) for s in snrs]
 
     def draw(rng, count):
-        return _log2_one_plus(rng.standard_exponential(count), scales, np.empty((len(scales), count)))
+        return _log2_one_plus(rng.standard_exponential(count), scales, np.empty(count))
 
     return _mean_estimate(cfg, draw)
 
@@ -288,12 +340,13 @@ def _sample_penalty_terms(
     snrs = [linear_snr(s) for s in snrs]
 
     def draw(rng, count):
-        out = np.empty((len(taus), len(snrs), count))
-        for rows, (tau, s) in zip(out[::-1], _gamma_sums(rng, T, taus, count)):
-            _log2_one_plus(s, [snr / (1.0 + snr * tau) for snr in snrs], rows)
-        return out
+        row = np.empty(count)
+        for tau, s in _gamma_sums(rng, T, taus, count):
+            yield from _log2_one_plus(s, [snr / (1.0 + snr * tau) for snr in snrs], row)
 
-    return _mean_estimate(cfg, draw)
+    rows = _mean_estimate(cfg, draw)
+    groups = [rows[i:i + len(snrs)] for i in range(0, len(rows), len(snrs))]  # largest tau first
+    return [est for group in reversed(groups) for est in group]
 
 
 def sample_ctr(t: int, r: int, rho, cfg: McConfig) -> Estimate:
@@ -301,8 +354,8 @@ def sample_ctr(t: int, r: int, rho, cfg: McConfig) -> Estimate:
     Gaussian Z of shape r x t with unit-variance entries.
 
     The determinant is computed on the smaller-side Gram matrix (the
-    two sides agree exactly): in closed form at side 1 or 2, via
-    Cholesky factorization above.
+    two sides agree exactly): in closed form, in real arithmetic, at
+    side 1 or 2, via Cholesky factorization above.
     """
     return _sample_ctr_rows(t, r, (rho,), cfg)[0]
 
@@ -313,19 +366,24 @@ def _sample_ctr_rows(t: int, r: int, rhos: Sequence, cfg: McConfig) -> list[Esti
     t = _check_int("t", t, 1)
     r = _check_int("r", r, 1)
     rhos = [linear_snr(rho) for rho in rhos]
+    side = min(t, r)
 
     def draw(rng, count):
+        if side <= 2:
+            diag, q = _small_gram(rng.standard_normal((count, r, t, 2)), t > r)
+            for s in rhos:
+                c = 0.5 * (s / t)  # the 1/2 of Z's unit variance
+                yield _log2_det_small(diag, q, (c, c), f"t={t}, r={r}, rho={s!r}")
+            return
         z = _complex_gaussian(rng, (count, r, t))
         if t <= r:
             gram = np.einsum("nij,nik->njk", z.conj(), z)
         else:
             gram = np.einsum("nij,nkj->nik", z, z.conj())
-        out = np.empty((len(rhos), count))
-        for row, s in zip(out, rhos):
-            row[:] = _log2_det((s / t) * gram, f"t={t}, r={r}, rho={s!r}")
-        return out
+        for s in rhos:
+            yield _log2_det((s / t) * gram, f"t={t}, r={r}, rho={s!r}")
 
-    return _mean_estimate(cfg, draw, min(t, r))
+    return _mean_estimate(cfg, draw, side)
 
 
 def sample_delta_mimo(
@@ -364,18 +422,24 @@ def _sample_delta_mimo_rows(
             raise ValueError(
                 f"pilot power constraint violated: trace {d.sum()!r} > n_t*tau = {trace_cap}"
             )
-        # Symmetrized form: det(I + W S) = det(I + W^{1/2} S W^{1/2}) keeps
-        # the factorization Hermitian positive definite.
-        weights.append(np.sqrt(1.0 / (1.0 + (s / n_t) * d)))
+        weights.append(1.0 / (1.0 + (s / n_t) * d))
     label = f"n_t={n_t}, n_r={n_r}, snr={s!r}"
+    # the closed form scales X X† by (snr/n_t) W, with the 1/2 of X's unit
+    # variance; Cholesky takes det(I + W S) = det(I + W^{1/2} S W^{1/2}),
+    # whose weighted Gram stays Hermitian positive definite
+    scales = [(0.5 * (s / n_t) * w).tolist() for w in weights]
+    sqrt_weights = [np.sqrt(w) for w in weights]
 
     def draw(rng, count):
+        if n_t <= 2:
+            diag, q = _small_gram(rng.standard_normal((count, n_t, m, 2)), True)
+            for c in scales:
+                yield n_r * _log2_det_small(diag, q, c, label)
+            return
         x = _complex_gaussian(rng, (count, n_t, m))
         gram = np.einsum("nij,nkj->nik", x, x.conj())
-        out = np.empty((len(weights), count))
-        for row, sqrt_w in zip(out, weights):
+        for sqrt_w in sqrt_weights:
             sym = (s / n_t) * (sqrt_w[:, None] * gram * sqrt_w[None, :])
-            row[:] = n_r * _log2_det(sym, label)
-        return out
+            yield n_r * _log2_det(sym, label)
 
     return _mean_estimate(cfg, draw, n_t)

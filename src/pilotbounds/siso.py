@@ -438,17 +438,23 @@ def power_advantage_at_snr(T: int, snr) -> PowerOffset:
     """
     s = linear_snr(snr)
     p = SisoParams(T=T, tau=1, snr=SnrValue(s))
-    target = joint_bound_j2(p)
+    return _advantage_at_target(p.T, s, joint_bound_j2(p))
+
+
+def _advantage_at_target(T: int, s: float, target: float) -> PowerOffset:
+    """power_advantage_at_snr(T, s) once the target j2(T, 1, s) is formed
+    and checked: lane 1's checks at -60 and +60 dB, then the least lane
+    root.  The sweeps pass j2 from a capacity they form once per SNR."""
     for end_db in (-_OFFSET_BRACKET_DB, _OFFSET_BRACKET_DB):  # lane 1 carries the checks
-        _separate_arguments(p.T, s * 10.0 ** (end_db / 10.0), (1,))
+        _separate_arguments(T, s * 10.0 ** (end_db / 10.0), (1,))
     roots = {}
 
     def root(tau: int) -> float:
         if tau not in roots:
-            roots[tau] = _lane_root_db(s, tau, target / (1.0 - tau / p.T) / LOG2E)
+            roots[tau] = _lane_root_db(s, tau, target / (1.0 - tau / T) / LOG2E)
         return roots[tau]
 
-    least = root(_first_false(lambda tau: tau < p.T - 1 and root(tau + 1) < root(tau), 1, p.T - 1, _start_lane(s, p.T)))
+    least = root(_first_false(lambda tau: tau < T - 1 and root(tau + 1) < root(tau), 1, T - 1, _start_lane(s, T)))
     if not -_OFFSET_BRACKET_DB <= least <= _OFFSET_BRACKET_DB:
         raise RuntimeError(f"offset saturated: no crossing within +/-{_OFFSET_BRACKET_DB} dB for T={T}, snr={s!r}")
     return PowerOffset(least / DB_PER_UNIT)

@@ -14,9 +14,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import mimo, montecarlo as mc, siso
-from .expint import LOG2E, expint_scaled_sum
+from .expint import LOG2E, _scaled_sums, expint_scaled_sum
 from .montecarlo import Estimate, McConfig
-from .params import MimoParams, SisoParams, SnrValue, _check_int
+from .params import MimoParams, SisoParams, SnrValue, _check_int, _check_snr_blocklength, linear_snr
 
 FIG1_DEFAULT_T_GRID = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128)
 FIG1_DEFAULT_SNR_DB = (0.0, 10.0)
@@ -87,15 +87,17 @@ def sweep_fig1(
     snr_db_list: Sequence[float] = FIG1_DEFAULT_SNR_DB,
 ) -> SweepTable:
     """Spectral efficiency vs blocklength: capacity, best separate bound
-    (with its pilot count), and the joint bound at one pilot."""
+    (with its pilot count), and the joint bound at one pilot.  Capacity is
+    formed once per SNR and serves the j1 column too."""
     grid = _check_t_grid(T_grid)
     rows = []
     for db in _check_snr_db_list(snr_db_list):
         snr = SnrValue.from_db(db)
         c = siso.capacity_csi(snr)
+        x = siso._j1_argument(1, snr.linear)
         for T in grid:
             sep = siso.separate_bound(T, snr)
-            j1 = siso.joint_bound_j1(SisoParams(T=T, tau=1, snr=snr))
+            j1 = siso._j1(1, T, c, LOG2E * expint_scaled_sum(T - 1, x))
             rows.append((db, T, c, sep.value, sep.tau_star, j1))
     return SweepTable(
         columns=("snr_db", "T", "capacity", "separate", "separate_tau_star", "joint_j1_tau1"),
@@ -107,15 +109,20 @@ def sweep_fig2(
     T_grid: Sequence[int] = FIG2_DEFAULT_T_GRID,
     snr_db_list: Sequence[float] = FIG2_DEFAULT_SNR_DB,
 ) -> SweepTable:
-    """Joint-over-separate power advantage vs blocklength, in dB:
-    the high-SNR asymptote plus the bisected value at each finite SNR."""
+    """Joint-over-separate power advantage vs blocklength, in dB: the
+    high-SNR asymptote plus power_advantage_at_snr at each finite SNR, the
+    least lane root, with its target j2 formed from one capacity per SNR."""
     grid = _check_t_grid(T_grid)
     snr_db_list = _check_snr_db_list(snr_db_list)
+    snrs = [SnrValue.from_db(db).linear for db in snr_db_list]
+    caps = [siso.capacity_csi(s) for s in snrs]
     rows = []
     for T in grid:
         row = [T, siso.power_advantage_asymptotic(T).value_db]
-        for db in snr_db_list:
-            row.append(siso.power_advantage_at_snr(T, SnrValue.from_db(db)).value_db)
+        for s, c in zip(snrs, caps):
+            _check_snr_blocklength(s, T)  # the target's check
+            target = siso._j2((1,), T, s, c)[0]
+            row.append(siso._advantage_at_target(T, s, target).value_db)
         rows.append(tuple(row))
     return SweepTable(
         columns=("T", "asymptote_db") + tuple(f"advantage_{db:g}dB_db" for db in snr_db_list),
@@ -137,11 +144,12 @@ def convergence_table(
         raise ValueError(
             f"grid must span >= 2 decades, got [{grid[0]}, {grid[-1]}]"
         )
-    c = siso.capacity_csi(snr)
+    s = linear_snr(snr)
+    c = siso.capacity_csi(s)
     rows = []
     for T in grid:
-        gap_sep = c - siso.separate_bound(T, snr).value
-        gap_joint = c - siso.joint_bound_j2(SisoParams(T=T, tau=1, snr=snr))
+        gap_sep = c - siso.separate_bound(T, s).value
+        gap_joint = c - siso._j2((1,), T, s, c)[0]
         rows.append(
             (
                 T,
@@ -223,10 +231,14 @@ def validate_all(cfg: McConfig) -> ValidationReport:
         for i, tau in enumerate(taus):
             penalty[T, tau] = rows[i * len(snrs):(i + 1) * len(snrs)]
     stream += len(penalty) * (len(snrs) - 1)
-    for i, (db, snr) in enumerate(zip(_VALIDATE_SNR_DB, snrs)):
-        for (T, tau), ests in penalty.items():
-            closed = LOG2E * expint_scaled_sum(T - tau, siso._j1_argument(tau, snr.linear))
-            add_two_sided(f"penalty_term[T={T},tau={tau},snr_db={db:g}]", closed, ests[i])
+    # every reference from one batched sum, each lane expint_scaled_sum's bits
+    lanes = [(i, T, tau) for i in range(len(snrs)) for T, tau in penalty]
+    closed = LOG2E * _scaled_sums(
+        [T - tau for _, T, tau in lanes], [siso._j1_argument(tau, snrs[i].linear) for i, _, tau in lanes]
+    )
+    for (i, T, tau), ref in zip(lanes, closed.tolist()):
+        name = f"penalty_term[T={T},tau={tau},snr_db={_VALIDATE_SNR_DB[i]:g}]"
+        add_two_sided(name, ref, penalty[T, tau][i])
 
     rank1_dbs = (0.0, 10.0)
     rhos = [SnrValue.from_db(db) for db in rank1_dbs]

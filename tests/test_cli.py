@@ -146,6 +146,16 @@ def test_validate_reruns_byte_identical(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_validate_renders_its_text_table_only_for_text(capsys, monkeypatch, fmt):
+    def refuse(self):
+        raise AssertionError("rendered the text table for --format " + fmt)
+
+    monkeypatch.setattr(sweeps.ValidationReport, "render", refuse)
+    rc, out, _ = run_cli(capsys, "validate", "--samples", "2000", "--format", fmt)
+    assert rc == 0 and "gram_minimal" in out
+
+
 def test_validate_failure_exit_code(capsys, monkeypatch):
     original = sweeps.validate_all
     def corrupted(cfg):

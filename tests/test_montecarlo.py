@@ -195,8 +195,8 @@ def test_penalty_sampler_pinned_bits(T, tau, db, seed, mean, se):
 @pytest.mark.parametrize(
     "diagonal,seed,mean,se",
     [
-        pytest.param((2.0, 2.0), 1, "0x1.59c9c740c6ea8p+2", "0x1.19c414a634a57p-7", id="uniform-seed1"),
-        pytest.param((3.0, 1.0), 2, "0x1.7e80384d7872dp+2", "0x1.2800340035860p-7", id="skewed-seed2"),
+        pytest.param((2.0, 2.0), 1, "0x1.59c9c740c6ea6p+2", "0x1.19c414a634a74p-7", id="uniform-seed1"),
+        pytest.param((3.0, 1.0), 2, "0x1.7e80384d7872bp+2", "0x1.2800340035873p-7", id="skewed-seed2"),
         pytest.param((4.0, 0.0), 3, "0x1.3ea423fab9230p+3", "0x1.687837b81abecp-7", id="rank1-seed3"),
     ],
 )
@@ -415,24 +415,28 @@ def _cholesky_log2_det(g):
     return 2.0 * np.log2(np.einsum("nii->ni", ell).real).sum(axis=1)
 
 
-def _gram_batch(rng, rank, side, n=4096):
-    z = montecarlo._complex_gaussian(rng, (n, rank, side))
-    return np.einsum("nij,nik->njk", z.conj(), z)
+def _gram_draw(rng, rank, side, n=4096):
+    """A real draw behind Z (rank x side) and the complex Gram Z†Z of the
+    unit-variance Z the samplers form from it."""
+    a = rng.standard_normal((n, rank, side, 2))
+    z = (a * montecarlo._SQRT_HALF).view(np.complex128)[..., 0]
+    return a, np.einsum("nij,nik->njk", z.conj(), z)
 
 
 @pytest.mark.parametrize("side,rank", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 5)])
 def test_closed_form_log_det_matches_cholesky(side, rank):
-    # Below the pool side the log-det is closed form.  The two forms
+    # Below the pool side the log-det is closed form, on the Gram entries
+    # _small_gram forms in real arithmetic from the draw.  The two forms
     # round differently: at rank 1 and 40 dB, (1 + g00)(1 + g11) and
     # |g01|^2 cancel from about 1e8-1e10 (7e-13 relative seen), and at
     # -10 dB 1 + g rounds to a few ulp of a log-det near 0 (2e-11 of
     # it seen).  The bound, 1e-10 of max(1, |log2 det|), holds both.
-    rng = np.random.Generator(np.random.SFC64(7))
-    gram = _gram_batch(rng, rank, side)
+    a, gram = _gram_draw(np.random.Generator(np.random.SFC64(7)), rank, side)
+    diag, q = montecarlo._small_gram(a, False)
     for db in range(-10, 41, 10):
-        g = 10.0 ** (db / 10.0) * gram
-        ref = _cholesky_log2_det(g)
-        got = montecarlo._log2_det(g, "test")
+        c = 10.0 ** (db / 10.0)
+        ref = _cholesky_log2_det(c * gram)
+        got = montecarlo._log2_det_small(diag, q, (0.5 * c, 0.5 * c), "test")
         assert got.shape == ref.shape
         err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
         assert err.max() <= 1e-10, (db, err.max())
@@ -443,8 +447,106 @@ def test_closed_form_log_det_matches_cholesky(side, rank):
 def test_log_det_rejects_non_positive_definite_and_nan(side, bad):
     # one matrix of a batch with det(I + g) <= 0, or a NaN entry, raises
     # the same RuntimeError at the closed-form sides and at Cholesky's
-    g = _gram_batch(np.random.Generator(np.random.SFC64(3)), side, side, n=8)
+    a, g = _gram_draw(np.random.Generator(np.random.SFC64(3)), side, side, n=8)
+    match = f"log-det failed on a {side}x{side} Gram batch \\(x\\)"
+    if side < 3:
+        if bad == "nan":
+            a[5, 0, 0, 1] = np.nan
+        diag, q = montecarlo._small_gram(a, False)
+        if bad == "negative":
+            diag[0][5] = -4.0  # I + g[5] has the diagonal entry -1 first
+        with pytest.raises(RuntimeError, match=match):
+            montecarlo._log2_det_small(diag, q, (0.5, 0.5), "x")
+        return
     g[5] = 0.0 if bad == "negative" else np.nan
     g[5, 0, 0] -= 2.0  # I + g[5] = diag(-1, 1, ...) where not NaN
-    with pytest.raises(RuntimeError, match=f"log-det failed on a {side}x{side} Gram batch \\(x\\)"):
+    with pytest.raises(RuntimeError, match=match):
         montecarlo._log2_det(g, "x")
+
+
+def _old_closed_form(g):
+    """log2 det(I + g) at side 1 or 2 from a complex Gram batch, as the
+    samplers formed it before their Gram went to real arithmetic."""
+    det = 1.0 + g[:, 0, 0].real
+    if g.shape[-1] == 2:
+        b = g[:, 0, 1]
+        det *= 1.0 + g[:, 1, 1].real
+        det -= b.real * b.real + b.imag * b.imag
+    return np.log2(det)
+
+
+def _complex_route(cfg, draw):
+    """(mean, std_error) reduced as _mean_estimate reduces, of the rows
+    draw(rng, count) returns for each block of cfg."""
+    n = cfg.samples
+    total = total_sq = 0.0
+    for b in range((n + montecarlo._BLOCK - 1) // montecarlo._BLOCK):
+        row = draw(montecarlo._block_rng(cfg, b), min(montecarlo._BLOCK, n - b * montecarlo._BLOCK))
+        total += float(row.sum())
+        total_sq += float(np.square(row).sum())
+    mean = total / n
+    var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
+    return mean, math.sqrt(var / n)
+
+
+def _assert_within_few_ulps(est, mean, se):
+    # The mean moves by a few ulps at most.  The variance is a difference
+    # of sums near mean^2, so a last-bit change of each sample moves the
+    # SE by a few of its ulps times 1 + mean^2/var (29 ulps seen in the
+    # pinned delta cells, where that factor is about 10).
+    assert abs(est.mean - mean) <= 4 * math.ulp(mean), (est.mean, mean)
+    var = est.samples_used * est.std_error**2
+    assert abs(est.std_error - se) <= 4 * math.ulp(se) * (1.0 + mean * mean / var), (est.std_error, se)
+
+
+_SMALL_CFG = McConfig(samples=40_000, seed=21)  # two whole blocks and a part
+
+
+@pytest.mark.parametrize("t,r", [(1, 1), (1, 4), (4, 1), (2, 2), (2, 5), (5, 2)])
+@pytest.mark.parametrize("db", [0.0, 10.0])
+def test_small_side_ctr_matches_the_complex_route(t, r, db):
+    # the same draws through an einsum Gram and the complex closed form
+    rho = SnrValue.from_db(db)
+
+    def draw(rng, count):
+        z = montecarlo._complex_gaussian(rng, (count, r, t))
+        gram = np.einsum("nij,nik->njk", z.conj(), z) if t <= r else np.einsum("nij,nkj->nik", z, z.conj())
+        return _old_closed_form((rho.linear / t) * gram)
+
+    _assert_within_few_ulps(sample_ctr(t, r, rho, _SMALL_CFG), *_complex_route(_SMALL_CFG, draw))
+
+
+@pytest.mark.parametrize(
+    "n_t,diagonal", [(1, (2.0,)), (1, (0.5,)), (2, (2.0, 2.0)), (2, (3.0, 1.0)), (2, (4.0, 0.0))]
+)
+def test_small_side_delta_matches_the_complex_route(n_t, diagonal):
+    p = MimoParams(n_t=n_t, n_r=2, T=6, tau=2, snr=SnrValue(10.0))
+    s = p.snr.linear
+    sqrt_w = np.sqrt(1.0 / (1.0 + (s / n_t) * np.asarray(diagonal)))
+
+    def draw(rng, count):
+        x = montecarlo._complex_gaussian(rng, (count, n_t, p.T - p.tau))
+        gram = np.einsum("nij,nkj->nik", x, x.conj())
+        return p.n_r * _old_closed_form((s / n_t) * (sqrt_w[:, None] * gram * sqrt_w[None, :]))
+
+    _assert_within_few_ulps(sample_delta_mimo(p, diagonal, _SMALL_CFG), *_complex_route(_SMALL_CFG, draw))
+
+
+def test_small_side_nan_batch_raises_with_its_label(monkeypatch):
+    # a NaN in the draw reaches the closed form, which names the sampler's
+    # arguments, at sides 1 and 2 of both samplers
+    real = montecarlo._small_gram
+
+    def poisoned(a, by_rows):
+        a[3] = np.nan
+        return real(a, by_rows)
+
+    monkeypatch.setattr(montecarlo, "_small_gram", poisoned)
+    cfg = McConfig(samples=200, seed=1)
+    with pytest.raises(RuntimeError, match=r"1x1 Gram batch \(t=1, r=3, rho=10\.0\)"):
+        sample_ctr(1, 3, SnrValue(10.0), cfg)
+    with pytest.raises(RuntimeError, match=r"2x2 Gram batch \(t=5, r=2, rho=10\.0\)"):
+        sample_ctr(5, 2, SnrValue(10.0), cfg)
+    p = MimoParams(n_t=2, n_r=3, T=6, tau=2, snr=SnrValue(10.0))
+    with pytest.raises(RuntimeError, match=r"2x2 Gram batch \(n_t=2, n_r=3, snr=10\.0\)"):
+        sample_delta_mimo(p, (2.0, 2.0), cfg)
