@@ -131,7 +131,7 @@ def _eps1_lanes(x: np.ndarray) -> np.ndarray:
         term = xs.copy()
         acc += term
         # in place: term = term * (-x) * n / (n + 1)^2, then acc += term
-        for n in range(1, bisect.bisect_right(_SERIES_X, float(xs.max())) + 1):
+        for n in range(1, _series_steps(float(xs.max())) + 1):
             term *= neg
             term *= n
             term /= (n + 1.0) ** 2
@@ -146,6 +146,13 @@ def _eps1_lanes(x: np.ndarray) -> np.ndarray:
         else:
             out[hi] = [_eps_scalar_cf(1, xi) for xi in xs.tolist()]
     return out
+
+
+def _series_steps(x: float) -> int:
+    """The steps after the first term that the eps_1 series takes for
+    lanes up to x < 1: one per term that can still change the sum
+    (_SERIES_X), so term n + 1 comes from step n."""
+    return bisect.bisect_right(_SERIES_X, x)
 
 
 def _eps1_cf_lanes(x: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ from .expint import (
     _eps1_lanes,
     _eps_scalar_cf,
     _scaled_sums,
+    _series_steps,
     eps1_array,  # not called here; bench/spans.py wraps siso.eps1_array
     expint_scaled,
     expint_scaled_sum,
@@ -59,6 +60,9 @@ _PREFIX_CHUNK = 1 << 16
 # the float sum lies 8.3e-14 below the floor's unlowered bound
 _FLOOR_MARGIN = 1e-9
 _FLOOR_MARGIN_PER_ORDER = 1e-15
+# (n, (n + 1)^2) for the eps_1 series steps n of _eps1_estimate: a table
+# lookup in place of a float power per step, with the same values
+_SERIES_FACTORS = tuple((n, (n + 1.0) ** 2) for n in range(1, _SERIES_TERMS))
 
 
 class SeparateBound(NamedTuple):
@@ -100,15 +104,25 @@ def snr_effective(tau: int, snr) -> SnrValue:
 
 
 def _effective_snr(s: float, taus, n_t: int = 1) -> np.ndarray:
-    """snr_effective at each of the ascending integers taus.  With
-    t = tau/n_t and the MMSE m = 1/(1 + snr*t), snr*(1 - m)/(1 + snr*m)
-    is snr*(snr*t/(1 + snr*t + snr)), formed here with nothing subtracted,
-    so it rounds to 0 only where snr^2 underflows (about -1617 dB)."""
-    t = np.asarray(taus) / n_t
-    eff = s * (s * t / (1.0 + s * t + s))
-    if eff[0] == 0.0:  # eff grows with tau; n_t/eff is undefined
-        raise ValueError(f"effective SNR at tau={taus[0]} rounds to 0 at snr={s!r}")
+    """snr_effective at each of the ascending integers taus."""
+    eff = _eff(s, np.asarray(taus) / n_t)
+    _check_eff(eff[0], taus[0], s)
     return eff
+
+
+def _eff(s: float, t):
+    """The effective SNR at t = tau/n_t, a float or an array of them.
+    With the MMSE m = 1/(1 + snr*t), snr*(1 - m)/(1 + snr*m) is
+    snr*(snr*t/(1 + snr*t + snr)), formed here with nothing subtracted,
+    so it rounds to 0 only where snr^2 underflows (about -1617 dB).  A
+    float t and a lane of an array take the same operations."""
+    st = s * t
+    return s * (st / (1.0 + st + s))
+
+
+def _check_eff(eff: float, tau: int, s: float) -> None:
+    if eff == 0.0:  # eff grows with tau; n_t/eff is undefined
+        raise ValueError(f"effective SNR at tau={tau} rounds to 0 at snr={s!r}")
 
 
 def _j1(tau, T: int, c: float, penalty, n_r: int = 1):
@@ -195,23 +209,49 @@ def separate_bound(T: int, snr) -> SeparateBound:
     resolve to the smallest tau.
     """
     T = _check_int("T", T, 2)
-    taus = np.arange(1, T)
-    values = (1.0 - taus / T) * (LOG2E * _eps1_lanes(_separate_arguments(T, snr, taus)))
-    best = int(np.argmax(values))
-    return SeparateBound(value=float(values[best]), tau_star=best + 1)
+    return _separate_bounds((T,), linear_snr(snr))[0]
 
 
-def _separate_arguments(T: int, snr, taus) -> np.ndarray:
-    """The eps_1 arguments 1/eff of the separate bound at the ascending
-    taus, taus[0] = 1, after every check separate_bound makes.  eff
-    ascends with tau, so 1/eff[0] is the largest argument and the only
-    one that can fail eps1_array's check."""
-    s = linear_snr(snr)
+def _separate_bounds(grid, s: float) -> list[SeparateBound]:
+    """separate_bound(T, s) at each T of an ascending grid of checked
+    T >= 2, from one array of lanes tau = 1 ... grid[-1] - 1: each T's
+    bound is the first argmax over the prefix of its T - 1 lanes.  The
+    checks come first, lane 1's at each T in grid order, as separate_bound
+    makes them T by T.
+
+    A prefix of the lane array is bit-equal to a lone call on its lanes.
+    The effective SNR, its reciprocal x, the share 1 - tau/T and the
+    products are elementwise.  eps_1 (_eps1_lanes) runs each lane's own
+    operations.  Below x = 1 it runs the series, whose term count the
+    batch's largest x < 1 sets; x falls as tau rises, so that is the lane
+    of the least such tau, the same in a prefix and in the array.  At
+    x >= 1 it runs the continued fraction, scalar up to _SCALAR_LANES
+    such lanes and vector past them, two forms of one operation sequence.
+    So a T whose prefix sits on the scalar side of the switch and a longer
+    array on the vector side give the same bits.
+    """
+    for T in grid:
+        _check_lane_one(T, s)
+    taus = np.arange(1, grid[-1])
+    rates = LOG2E * _eps1_lanes(1.0 / _eff(s, taus))  # lane 1's checks passed
+    bounds = []
+    for T in grid:
+        values = (1.0 - taus[: T - 1] / T) * rates[: T - 1]
+        best = int(np.argmax(values))
+        bounds.append(SeparateBound(value=float(values[best]), tau_star=best + 1))
+    return bounds
+
+
+def _check_lane_one(T: int, s: float) -> None:
+    """Every check separate_bound(T, s) makes, on floats: snr*T, then lane
+    1's effective SNR and eps_1 argument 1/eff.  eff ascends with tau, so
+    1/eff at tau = 1 is the largest argument and the only one that can
+    fail eps1_array's check."""
     _check_snr_blocklength(s, T)
-    x = 1.0 / _effective_snr(s, taus)
-    if math.isinf(x[0]):
+    eff = _eff(s, 1)
+    _check_eff(eff, 1, s)
+    if math.isinf(1.0 / eff):
         raise ValueError(_BAD_ARGUMENTS)
-    return x
 
 
 def joint_bound_j1(p: SisoParams) -> float:
@@ -446,7 +486,7 @@ def _advantage_at_target(T: int, s: float, target: float) -> PowerOffset:
     and checked: lane 1's checks at -60 and +60 dB, then the least lane
     root.  The sweeps pass j2 from a capacity they form once per SNR."""
     for end_db in (-_OFFSET_BRACKET_DB, _OFFSET_BRACKET_DB):  # lane 1 carries the checks
-        _separate_arguments(T, s * 10.0 ** (end_db / 10.0), (1,))
+        _check_lane_one(T, linear_snr(s * 10.0 ** (end_db / 10.0)))
     roots = {}
 
     def root(tau: int) -> float:
@@ -486,8 +526,7 @@ def _start_lane(s: float, T: int) -> int:
     log-concave in tau as the lanes are."""
 
     def proxy(tau: int) -> float:
-        t = s * tau
-        return (1.0 - tau / T) * math.log1p(s * (t / (1.0 + t + s)))
+        return (1.0 - tau / T) * math.log1p(_eff(s, tau))
 
     return _first_false(lambda tau: tau < T - 1 and proxy(tau + 1) > proxy(tau), 1, T - 1, 1)
 
@@ -507,6 +546,10 @@ def _lane_root_db(s: float, tau: int, level: float) -> float:
     about 1e-15 of eps_1.  eps_2 is 1 - x*eps_1(x), or its continued
     fraction at large x, where that cancels.  Inverting eff = s^2 tau/(1 +
     s tau + s) moves the SNR by at most eff's relative error e: 4.34 e dB.
+
+    Each step costs one _eps1_estimate call, 4.0 per root over the 116
+    roots of sweep_fig2 at its defaults, where a root takes about 5 us of
+    CPU on a 2-vCPU x86 host (15-16 us when the series ran all 25 terms).
     """
     if not 1e-300 < level < 700.0:  # 1/expm1(level) is finite and > 0 between
         return math.inf if level >= 700.0 else -math.inf
@@ -527,15 +570,23 @@ def _lane_root_db(s: float, tau: int, level: float) -> float:
 def _eps1_estimate(x: float) -> float:
     """eps_1(x) for _lane_root_db: the kernel's continued fraction at x >= 1,
     below it the kernel's series by math.log and math.exp, which can
-    differ from a lane of the kernel in the last bit.  The kernel runs
-    that series on a 1-element array, 57-134 us a call against 5 us here;
+    differ from a lane of the kernel in the last bit.  The series stops
+    where the kernel's does, after _series_steps(x) steps (none below
+    x of about 1e-8, 3 at 1e-3, 17 near 1), since each later term is a
+    quarter of half an ulp of the sum or less and adds exactly nothing:
+    the result is that of all 25 terms.  Each step takes (n + 1)^2 from
+    _SERIES_FACTORS instead of a float power.  Per call, on a 2-vCPU x86
+    host: 0.46 us below x = 1e-6, 0.9 us in (1e-3, 0.1) and 1.4 us in
+    (0.1, 1), against 3.7-3.8 us for all 25 terms with a power per step;
+    the continued fraction takes 12 us at x in [1, 3] and 3 us past 3.
+    The kernel runs the series on a 1-element array, 57-134 us a call;
     once its scalar seed is cheap (ROADMAP item 7), call it instead."""
     if x >= 1.0:
         return _eps_scalar_cf(1, x)
     acc = -EULER_GAMMA - math.log(x) + x
     term = x
-    for n in range(1, _SERIES_TERMS):
-        term *= -x * n / (n + 1.0) ** 2
+    for n, square in _SERIES_FACTORS[: _series_steps(x)]:
+        term *= -x * n / square
         acc += term
     return math.exp(x) * acc
 

@@ -87,16 +87,18 @@ def sweep_fig1(
     snr_db_list: Sequence[float] = FIG1_DEFAULT_SNR_DB,
 ) -> SweepTable:
     """Spectral efficiency vs blocklength: capacity, best separate bound
-    (with its pilot count), and the joint bound at one pilot.  Capacity is
-    formed once per SNR and serves the j1 column too."""
+    (with its pilot count), and the joint bound at one pilot, each equal
+    to its public function bit for bit.  Per SNR, capacity is formed once
+    and serves the j1 column too, and the separate bounds at every T come
+    from one array of lanes up to the largest T (siso._separate_bounds),
+    not one per T."""
     grid = _check_t_grid(T_grid)
     rows = []
     for db in _check_snr_db_list(snr_db_list):
         snr = SnrValue.from_db(db)
         c = siso.capacity_csi(snr)
         x = siso._j1_argument(1, snr.linear)
-        for T in grid:
-            sep = siso.separate_bound(T, snr)
+        for T, sep in zip(grid, siso._separate_bounds(grid, snr.linear)):
             j1 = siso._j1(1, T, c, LOG2E * expint_scaled_sum(T - 1, x))
             rows.append((db, T, c, sep.value, sep.tau_star, j1))
     return SweepTable(
@@ -137,7 +139,10 @@ def convergence_table(
     """Gap-to-capacity decay: raw gaps plus the rate-normalized columns
     (C - I_S)*sqrt(T) and (C - I_J2)*T/log2(T), which must stay bounded.
 
-    Requires the grid to span at least two decades.
+    Requires the grid to span at least two decades.  Capacity is formed
+    once, and the separate bounds at every T come from one array of lanes
+    up to the largest T (siso._separate_bounds), each equal to
+    separate_bound(T, snr) bit for bit.
     """
     grid = _check_t_grid(T_grid)
     if grid[-1] < 100 * grid[0]:
@@ -147,8 +152,8 @@ def convergence_table(
     s = linear_snr(snr)
     c = siso.capacity_csi(s)
     rows = []
-    for T in grid:
-        gap_sep = c - siso.separate_bound(T, s).value
+    for T, sep in zip(grid, siso._separate_bounds(grid, s)):
+        gap_sep = c - sep.value
         gap_joint = c - siso._j2((1,), T, s, c)[0]
         rows.append(
             (

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from offset_grid import BENCH_T, SISO_SNR_DB, mpmath_offset_db, reference_offset_db
 
 from pilotbounds import siso
-from pilotbounds.expint import LOG2E, _scaled_sums
-from pilotbounds.params import SisoParams, SnrValue
+from pilotbounds.expint import EULER_GAMMA, LOG2E, _SERIES_X, _scaled_sums
+from pilotbounds.params import SisoParams, SnrValue, _check_snr_blocklength, linear_snr
 from pilotbounds.siso import (
     advantage_units,
     asymptote_j1,
@@ -342,7 +342,9 @@ def test_vanishing_snr_orderings_and_accuracy(T, tau, db):
     # 0 <= j2 <= j1 <= (1 - tau/T)*C and 0 <= I_S <= C, and j2 and I_S
     # against mpmath: j2 within 1e-14 of (1 - tau/T)*C and, in its series
     # regime, within 1e-13 of itself; I_S within 1e-13.  j1 still cancels
-    # below about -155 dB (ROADMAP item 3), so there j2 <= j1 is not asked.
+    # (ROADMAP item 3): below -150 dB j2 <= j1 is not asked, and above it
+    # j1 is already 1e-3 off at T = 1000, tau = 0, -149.5 dB, where it
+    # falls below j2 (9.0601e-28 < 9.0631e-28), a known failure.
     mpmath = pytest.importorskip("mpmath")
     tau = min(tau, T - 1)
     s = SnrValue.from_db(db).linear
@@ -574,6 +576,56 @@ def test_power_advantage_raises_as_the_public_path(T):
     assert str(exc.value) == "effective SNR at tau=1 rounds to 0 at snr=1e-176"
     with pytest.raises(ValueError, match=r"^snr\*T overflows a float: snr=1e\+308, T="):
         power_advantage_at_snr(T, SnrValue.from_db(3020.0))
+
+
+def _numpy_lane_one_checks(T, s):
+    """The offset's checks at -60 and +60 dB on a 1-element numpy array of
+    lanes, as numpy forms the effective SNR and its reciprocal: the
+    reference for the float checks of siso._check_lane_one."""
+    for end_db in (-60.0, 60.0):
+        end = linear_snr(s * 10.0 ** (end_db / 10.0))
+        _check_snr_blocklength(end, T)
+        t = np.asarray((1,)) / 1
+        eff = end * (end * t / (1.0 + end * t + end))
+        if eff[0] == 0.0:
+            raise ValueError(f"effective SNR at tau=1 rounds to 0 at snr={end!r}")
+        with np.errstate(over="ignore"):
+            if math.isinf((1.0 / eff)[0]):
+                raise ValueError("arguments must be finite and > 0")
+
+
+@pytest.mark.parametrize("T", [2, 10, 1000])
+def test_power_advantage_lane_one_checks_raise_as_on_arrays(T):
+    # -1700 dB: eff rounds to 0 at the lower end; -1500 dB: eff is
+    # subnormal there and 1/eff overflows; 3020 dB and 1e305: snr*T, or
+    # the upper end itself, overflows; subnormal SNRs: eff rounds to 0, or
+    # the lower end itself rounds to 0.  The target is never reached.
+    points = [SnrValue.from_db(db).linear for db in (-1700.0, -1500.0, 3020.0)] + [1e305, 1e-310, 1e-320]
+    for s in points:
+        ref = _outcome(lambda: _numpy_lane_one_checks(T, s))
+        assert isinstance(ref, tuple), s
+        assert _outcome(lambda: siso._advantage_at_target(T, s, 1.0)) == ref, s
+
+
+def test_eps1_estimate_equals_the_full_series():
+    # the series stops at the kernel's term count; the terms it drops add
+    # exactly nothing, so the result is that of all 25 terms, here on
+    # 10^5 log-uniform arguments and on both sides of each step of the count
+    rng = np.random.default_rng(20261020)
+    edges = [t for t in _SERIES_X if t < 1.0]
+    xs = np.concatenate([
+        np.exp(rng.uniform(math.log(1e-12), 0.0, 100_000)),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+    ])
+    # the 25-term float loop of _eps1_estimate, lane by lane in numpy:
+    # each step is one IEEE operation, as on Python floats
+    acc = -EULER_GAMMA - np.array([math.log(x) for x in xs.tolist()]) + xs
+    term = xs.copy()
+    for n in range(1, 25):
+        term *= -xs * n / (n + 1.0) ** 2
+        acc += term
+    full = np.array([math.exp(x) for x in xs.tolist()]) * acc
+    assert [siso._eps1_estimate(x) for x in xs.tolist()] == full.tolist()
 
 
 @pytest.mark.parametrize("T", [2, 10, 1000])

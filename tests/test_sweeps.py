@@ -81,17 +81,31 @@ def test_fig2_values():
 
 def test_fig2_and_convergence_equal_the_public_functions_bit_for_bit():
     # the sweeps form capacity once per SNR and pass it to the private
-    # j2 and offset helpers; every value stays the public functions'
+    # j1, j2 and offset helpers, and take every T's separate bound from one
+    # array of lanes per SNR; every value stays the public functions'
     dbs = (-20.0, 0.0, 10.0, 27.5)
     grid = (2, 3, 10, 51, 200)
     for row in sweep_fig2(T_grid=grid, snr_db_list=dbs).rows:
         T = row[0]
         assert row[2:] == tuple(siso.power_advantage_at_snr(T, SnrValue.from_db(db)).value_db for db in dbs)
-    for db in dbs:
+    for db, T, cap, sep, tau_star, j1 in sweep_fig1(T_grid=grid, snr_db_list=dbs).rows:
+        snr = SnrValue.from_db(db)
+        assert cap == siso.capacity_csi(snr)
+        assert (sep, tau_star) == siso.separate_bound(T, snr)
+        assert j1 == siso.joint_bound_j1(SisoParams(T=T, tau=1, snr=snr))
+    # at 0 dB every lane takes eps_1's continued fraction: the 999 lanes of
+    # T = 1000 run the vector form, while a lone separate_bound at T = 64 or
+    # 65 (63 or 64 lanes, up to _SCALAR_LANES) runs the scalar one and at 66
+    # the vector one; at 2.5 dB all but two lanes take the series
+    crossing = (2, 64, 65, 66, 128, 1000)
+    for db, conv_grid in [(0.0, crossing), (2.5, crossing)] + [(db, grid) for db in dbs]:
         snr = SnrValue.from_db(db)
         c = siso.capacity_csi(snr)
-        for T, _, _, gap_j2, _ in convergence_table(T_grid=grid, snr=snr).rows:
+        for T, gap_sep, sep_scaled, gap_j2, j2_scaled in convergence_table(T_grid=conv_grid, snr=snr).rows:
+            assert gap_sep == c - siso.separate_bound(T, snr).value
+            assert sep_scaled == gap_sep * math.sqrt(T)
             assert gap_j2 == c - siso.joint_bound_j2(SisoParams(T=T, tau=1, snr=snr))
+            assert j2_scaled == gap_j2 * T / math.log2(T)
 
 
 def test_fig2_keeps_the_target_check():
