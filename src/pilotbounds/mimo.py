@@ -59,7 +59,17 @@ from .expint import (
 )
 from .montecarlo import Estimate, McConfig
 from .params import MimoParams, PowerOffset, _check_int, _check_snr_blocklength, linear_snr
-from .siso import _effective_snr, _first_max, _j1, _j1_argument, _j2, _tau_continuous, advantage_units
+from .siso import (
+    _J1_SERIES_MAX,
+    _effective_snr,
+    _first_max,
+    _j1,
+    _j1_argument,
+    _j1_series,
+    _j2,
+    _tau_continuous,
+    advantage_units,
+)
 
 _TIE_MARGIN_SE = 4.0
 # Largest cancellation ratio kappa of the float Laguerre sum that is
@@ -205,7 +215,10 @@ def mimo_joint_j1(p: MimoParams, cfg: McConfig | None = None, workers: int = 1) 
 
 
 def _j1_candidate(n_t: int, n_r: int, T: int, tau: int, s: float, c1: float) -> float:
-    """mimo_joint_j1 at one tau given its capacity term c1."""
+    """mimo_joint_j1 at one tau given its capacity term c1; one antenna
+    each side at snr*T <= _J1_SERIES_MAX takes joint_bound_j1's series."""
+    if n_t == n_r == 1 and s * T <= _J1_SERIES_MAX:
+        return _j1_series(tau, T, s)
     return _j1(tau, T, c1, _ctr_value(n_t, T - tau, _j1_argument(tau, s, n_t)), n_r)
 
 

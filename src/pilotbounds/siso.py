@@ -51,6 +51,9 @@ _OFFSET_BRACKET_DB = 60.0
 _NEWTON_STEPS = 40
 _J2_SERIES_MAX = 1e-6  # snr*T at and below which _j2 sums its series
 _J2_CEILING_MARGIN = 1e-9  # covers the series' float error, below 1e-14, in _j2_ceiling
+# snr*T at and below which j1 sums its series (_j1_series): above it the
+# kernel's penalty leaves under about 6e-16/(snr*T) <= 6e-8 of j1
+_J1_SERIES_MAX = 1e-8
 # the joint searches evaluate their kept pilot counts this many at a time;
 # at low SNR and huge T the prefix can run to 10^11 lanes
 _PREFIX_CHUNK = 1 << 16
@@ -134,6 +137,52 @@ def _j1(tau, T: int, c: float, penalty, n_r: int = 1):
 def _j1_argument(tau, s: float, n_t: int = 1):
     """Argument of the eps_k sums in the j1 penalty."""
     return tau + n_t / s
+
+
+def _j1_value(tau: int, T: int, s: float, c: float) -> float:
+    """joint_bound_j1 at one tau, with c = capacity_csi(s): _j1_series
+    where snr*T <= _J1_SERIES_MAX, else (1 - tau/T)*c less the kernel's
+    penalty.  _j1_values takes the same branch on a search's lanes."""
+    if s * T <= _J1_SERIES_MAX:
+        return _j1_series(tau, T, s)
+    return _j1(tau, T, c, LOG2E * expint_scaled_sum(T - tau, _j1_argument(tau, s)))
+
+
+def _j1_series(tau, T: int, s: float):
+    """j1 at n_t = n_r = 1 and snr*T <= 1e-8 from its series in snr, at
+    one tau or an array of them with the same operations.
+
+    With n = T - tau and u = snr/(1 + snr*tau) = 1/(tau + 1/snr),
+    eps_1(1/snr) = sum_m (-1)^m m! snr^(m+1) and eps_k(tau + 1/snr) =
+    sum_m (-1)^m (k)_m u^(m+1) (A&S 5.1.51), and sum_{k=1}^{n} (k)_m =
+    n (n + 1)_m/(m + 1).  As snr - u = snr*u*tau, snr^(m+1) - u^(m+1) =
+    snr*u*tau*g_m with g_m = sum_{j<=m} snr^j u^(m-j), and
+
+        T*j1/(n log2(e)) = snr*u*tau * sum_m (-1)^m m! g_m
+                           - sum_m (-1)^m r_m u^(m+1),
+
+    r_m = (n + 1)_m/(m + 1) - m!, so r_0 = 0: the order-snr terms cancel
+    in closed form, where the kernel's penalty cancels them in floats (a
+    relative error of about 6e-16/(snr*T)).  The two sums lead with
+    snr*u*tau and r_1 u^2 = (n - 1)/2 u^2, both >= 0 and one > 0 (tau >=
+    1, or n = T >= 2), so together over n*snr^2/4, and each later term is
+    smaller by about (n + m)*u <= 1e-8, so nothing cancels.  Each eps
+    series leaves a remainder below its first omitted term (DLMF
+    8.20(i)), so m <= 4 leaves under 4 (snr*(T + 5))^4 < 1e-29 of j1."""
+    n = T - tau
+    u = s / (1.0 + s * tau)
+    g, s_m, u_m, rise, fact = 1.0, 1.0, u, 1.0, 1.0  # g_m, snr^m, u^(m+1), (n + 1)_m, m!
+    pilots, data = 1.0, 0.0  # the m = 0 terms: g_0 = 1, r_0 = 0
+    for m in range(1, 5):
+        s_m, u_m, fact = s_m * s, u_m * u, fact * m
+        g = u * g + s_m
+        rise = rise * (n + m)
+        term = (rise / (m + 1) - fact) * u_m
+        if m % 2:
+            pilots, data = pilots - fact * g, data + term
+        else:
+            pilots, data = pilots + fact * g, data - term
+    return LOG2E * (1.0 - tau / T) * (s * u * tau * pilots + data)
 
 
 def _j2(taus, T: int, s: float, c: float, n_t: int = 1, n_r: int = 1) -> list[float]:
@@ -261,9 +310,7 @@ def joint_bound_j1(p: SisoParams) -> float:
 
     tau = 0 gives the data-only (no pilot) form of the same bound.
     """
-    s = p.snr.linear
-    c = capacity_csi(p.snr)
-    return _j1(p.tau, p.T, c, LOG2E * expint_scaled_sum(p.T - p.tau, _j1_argument(p.tau, s)))
+    return _j1_value(p.tau, p.T, p.snr.linear, capacity_csi(p.snr))
 
 
 def joint_bound_j2(p: SisoParams) -> float:
@@ -301,7 +348,9 @@ def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
     the kernel's summation error; at T = 1000 it keeps 131 of the 998
     tau >= 2 at -100 dB and none from -60 dB up.  j2's, in its series
     regime (_j2_ceiling), follows its fall from tau = 1: up to T of about
-    31,600 the search evaluates only the head {0, 1}.
+    31,600 the search evaluates only the head {0, 1}.  Where snr*T <=
+    1e-8 j1's lanes come from _j1_series, within 1e-15 of the exact j1,
+    far inside the floor's margin, so its ceiling bounds them too.
     """
     if which not in _JOINT_KINDS:
         raise ValueError(f"which must be one of {_JOINT_KINDS}, got {which!r}")
@@ -324,6 +373,9 @@ def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
 
 
 def _j1_values(taus: np.ndarray, T: int, s: float, c: float) -> np.ndarray:
+    """_j1_value at each of taus, lane for lane."""
+    if s * T <= _J1_SERIES_MAX:
+        return _j1_series(taus, T, s)
     return _j1(taus, T, c, LOG2E * _scaled_sums(T - taus, _j1_argument(taus, s)))
 
 

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import mimo, montecarlo as mc, siso
-from .expint import LOG2E, _scaled_sums, expint_scaled_sum
+from .expint import LOG2E, _scaled_sums
 from .montecarlo import Estimate, McConfig
 from .params import MimoParams, SisoParams, SnrValue, _check_int, _check_snr_blocklength, linear_snr
 
@@ -97,9 +97,8 @@ def sweep_fig1(
     for db in _check_snr_db_list(snr_db_list):
         snr = SnrValue.from_db(db)
         c = siso.capacity_csi(snr)
-        x = siso._j1_argument(1, snr.linear)
         for T, sep in zip(grid, siso._separate_bounds(grid, snr.linear)):
-            j1 = siso._j1(1, T, c, LOG2E * expint_scaled_sum(T - 1, x))
+            j1 = siso._j1_value(1, T, snr.linear, c)
             rows.append((db, T, c, sep.value, sep.tau_star, j1))
     return SweepTable(
         columns=("snr_db", "T", "capacity", "separate", "separate_tau_star", "joint_j1_tau1"),

@@ -109,14 +109,15 @@ def test_optimizer_j2_variant():
         optimize_pilots_joint(10, SnrValue(10.0), which="zz")
 
 
-# Points where a slip in the search shows: at T=2, -145 dB j1 ties
-# exactly at tau = 0 and 1, so a last-maximum argmax returns 1; at
+# Points where a slip in the search shows: at T=2, -170 dB j1 ties
+# exactly at tau = 0 and 1 (its series puts them log2(e) snr^3/2 apart,
+# under an ulp from about -157 dB down), so a last-maximum argmax returns 1; at
 # T=100, -18 dB j2 is the only point of a 0.5 dB grid over -100..40 dB
 # at that T where np.log1p in place of math.log1p changes tau*'s value.
 # At T=1000 from -10 to 10 dB the pruned j1 search sums 0-4 of the
 # tau >= 2.
 _SCAN_EXTRA_DB = {
-    (2, "j1"): (-145.0,),
+    (2, "j1"): (-170.0,),
     (100, "j2"): (-18.0,),
     (1000, "j1"): (-7.5, -5.0, -2.5, 2.5, 5.0, 7.5),
 }
@@ -341,10 +342,10 @@ def _mp_j2_and_separate(mpmath, T, tau, s):
 def test_vanishing_snr_orderings_and_accuracy(T, tau, db):
     # 0 <= j2 <= j1 <= (1 - tau/T)*C and 0 <= I_S <= C, and j2 and I_S
     # against mpmath: j2 within 1e-14 of (1 - tau/T)*C and, in its series
-    # regime, within 1e-13 of itself; I_S within 1e-13.  j1 still cancels
-    # (ROADMAP item 3): below -150 dB j2 <= j1 is not asked, and above it
-    # j1 is already 1e-3 off at T = 1000, tau = 0, -149.5 dB, where it
-    # falls below j2 (9.0601e-28 < 9.0631e-28), a known failure.
+    # regime, within 1e-13 of itself; I_S within 1e-13.  j1 lies above j2
+    # by about 1/(T + tau) of itself at low SNR; the kernel's penalty once
+    # left j1 1e-3 off at T = 1000, tau = 0, -149.5 dB, below j2
+    # (9.0601e-28 < 9.0631e-28), and its series (snr*T <= 1e-8) mends it.
     mpmath = pytest.importorskip("mpmath")
     tau = min(tau, T - 1)
     s = SnrValue.from_db(db).linear
@@ -354,12 +355,39 @@ def test_vanishing_snr_orderings_and_accuracy(T, tau, db):
     j2, sep = joint_bound_j2(p), separate_bound(T, s).value
     ref_j2, ref_sep, ref_cap = _mp_j2_and_separate(mpmath, T, tau, s)
     assert 0.0 <= j2 <= data and 0.0 <= sep <= cap
-    if db >= -150.0:
-        assert j2 <= joint_bound_j1(p) <= data
+    assert j2 <= joint_bound_j1(p) <= data
     assert abs(j2 - float(ref_j2)) <= 1e-14 * float((1 - mpmath.mpf(tau) / T) * ref_cap)
     if s * T <= siso._J2_SERIES_MAX:
         assert abs(j2 - float(ref_j2)) <= 1e-13 * float(ref_j2)
     assert sep == pytest.approx(float(ref_sep), rel=1e-13, abs=0.0)
+
+
+def _mp_j1(mpmath, T, tau, s):
+    """j1 at a float snr s <= 1e-8/T in mpmath at 50 digits, from one
+    quadrature of T*j1/log2(e) = (T - tau) eps_1(1/snr) - sum_{k=1}^{T-tau}
+    eps_k(tau + 1/snr), each eps_k(x) = int_0^inf e^-v (1 + v/x)^-k / x dv
+    and their sum in its geometric form; the digits cover the order-snr
+    cancellation."""
+    with mpmath.workdps(50):
+        y = 1 / mpmath.mpf(s)
+        x, n = tau + y, T - tau
+
+        def f(v):
+            return mpmath.exp(-v) * (n / (y + v) + mpmath.expm1(-n * mpmath.log1p(v / x)) / v)
+
+        return mpmath.quad(f, [0, 1, 40, mpmath.inf]) / T / mpmath.log(2)
+
+
+@pytest.mark.parametrize("T", [2, 3, 10, 1000])
+def test_j1_series_matches_mpmath(T):
+    # in the series regime, snr*T <= 1e-8, j1 within 1e-15 of itself plus
+    # the rounding of tau/T in its factor 1 - tau/T, relative to that factor
+    mpmath = pytest.importorskip("mpmath")
+    for s in (siso._J1_SERIES_MAX / T, 1e-12 / T, 1e-20):
+        for tau in sorted({0, 1, 2, T - 1} & set(range(T))):
+            j1 = joint_bound_j1(SisoParams(T=T, tau=tau, snr=SnrValue(s)))
+            tol = 1e-15 + 2.0**-53 * tau / (T - tau)
+            assert j1 == pytest.approx(float(_mp_j1(mpmath, T, tau, s)), rel=tol, abs=0.0), (s, tau)
 
 
 def test_j2_search_at_a_huge_blocklength_evaluates_a_short_prefix(monkeypatch):

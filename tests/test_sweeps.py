@@ -88,7 +88,9 @@ def test_fig2_and_convergence_equal_the_public_functions_bit_for_bit():
     for row in sweep_fig2(T_grid=grid, snr_db_list=dbs).rows:
         T = row[0]
         assert row[2:] == tuple(siso.power_advantage_at_snr(T, SnrValue.from_db(db)).value_db for db in dbs)
-    for db, T, cap, sep, tau_star, j1 in sweep_fig1(T_grid=grid, snr_db_list=dbs).rows:
+    # at -105 dB j1 takes its series up to T = 200 (snr*T <= 1e-8) and the
+    # kernel's penalty at T = 1000
+    for db, T, cap, sep, tau_star, j1 in sweep_fig1(T_grid=(*grid, 1000), snr_db_list=(-105.0, *dbs)).rows:
         snr = SnrValue.from_db(db)
         assert cap == siso.capacity_csi(snr)
         assert (sep, tau_star) == siso.separate_bound(T, snr)
