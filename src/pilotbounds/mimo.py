@@ -232,7 +232,7 @@ def mimo_joint_j2(p: MimoParams, cfg: McConfig | None = None, workers: int = 1) 
     """
     _check_int("workers", workers, 1)
     c1 = _ctr_value(p.n_t, p.n_r, p.n_t / p.snr.linear)
-    return Estimate(_j2((p.tau,), p.T, p.snr.linear, c1, p.n_t, p.n_r)[0], 0.0, 0)
+    return Estimate(_j2(p.tau, p.T, p.snr.linear, c1, p.n_t, p.n_r), 0.0, 0)
 
 
 def mimo_separate(

@@ -50,12 +50,11 @@ from .params import (
 _OFFSET_BRACKET_DB = 60.0
 _NEWTON_STEPS = 40
 _J2_SERIES_MAX = 1e-6  # snr*T at and below which _j2 sums its series
-_J2_CEILING_MARGIN = 1e-9  # covers the series' float error, below 1e-14, in _j2_ceiling
 # snr*T at and below which j1 sums its series (_j1_series): above it the
 # kernel's penalty leaves under about 6e-16/(snr*T) <= 6e-8 of j1
 _J1_SERIES_MAX = 1e-8
-# the joint searches evaluate their kept pilot counts this many at a time;
-# at low SNR and huge T the prefix can run to 10^11 lanes
+# the j1 and MIMO searches evaluate their kept pilot counts this many at a
+# time; at low SNR j1's prefix runs to nearly T lanes
 _PREFIX_CHUNK = 1 << 16
 # relative margin _FLOOR_MARGIN + _FLOOR_MARGIN_PER_ORDER * n by which the
 # j1 search lowers its floor on a sum of n orders: the kernel documents its
@@ -185,17 +184,15 @@ def _j1_series(tau, T: int, s: float):
     return LOG2E * (1.0 - tau / T) * (s * u * tau * pilots + data)
 
 
-def _j2(taus, T: int, s: float, c: float, n_t: int = 1, n_r: int = 1) -> list[float]:
-    """j2 at each of taus: _j2_series at n_t = n_r = 1 and snr*T <= 1e-6,
-    a branch that a scalar tau and a search's lanes take alike.  Else the
-    log term is log2(e) * log1p(snr*(T - tau)/(n_t + snr*tau)), by
-    math.log1p (np.log1p can differ in the last bit and move tau* at
-    ties); the subtraction leaves a few ulps of (1 - tau/T)*c, about
-    2e-16/(snr*T) of j2 (4e-16/snr^2 at T = 2, tau = 0)."""
+def _j2(tau: int, T: int, s: float, c: float, n_t: int = 1, n_r: int = 1) -> float:
+    """j2 at one tau: _j2_series at n_t = n_r = 1 and snr*T <= 1e-6.  Else
+    the log term is log2(e) * log1p(snr*(T - tau)/(n_t + snr*tau)), by
+    math.log1p (np.log1p can differ in the last bit); the subtraction
+    leaves a few ulps of (1 - tau/T)*c, about 2e-16/(snr*T) of j2
+    (4e-16/snr^2 at T = 2, tau = 0)."""
     if n_t == n_r == 1 and s * T <= _J2_SERIES_MAX:
-        return [_j2_series(tau, T, s) for tau in taus]
-    n_t, dims = float(n_t), float(n_t * n_r)  # exact; spares each lane two int-to-float conversions
-    return [(1.0 - tau / T) * c - dims * (LOG2E * math.log1p(s * (T - tau) / (n_t + s * tau))) / T for tau in taus]
+        return _j2_series(tau, T, s)
+    return (1.0 - tau / T) * c - n_t * n_r * (LOG2E * math.log1p(s * (T - tau) / (n_t + s * tau))) / T
 
 
 def _j2_series(tau, T: int, s: float):
@@ -219,26 +216,6 @@ def _j2_series(tau, T: int, s: float):
         term = (fact * s_n - s * h) / n
         total = total + term if n % 2 else total - term
     return LOG2E * (1.0 - tau / T) * total
-
-
-def _j2_ceiling(T: int, s: float):
-    """A ceiling on the float j2 at an integer array of tau >= 2, for the
-    j2 search in the series regime.  With E = eps_1(1/snr) > snr/(1 + snr)
-    (A&S 5.1.22's first approximant) and y = snr*(tau - 1)/(1 + snr),
-    T*(j2(1) - j2(tau))/log2(e) = (tau - 1)*E - log1p(y) > y^2/2 - y^3/3,
-    so j2(tau) < j2(1) - G, G = log2(e)/T * y^2 (1/2 - y/3).  The float j2
-    lies within 1e-14 j2(1) of the exact one (_j2_series, and 2^-52 in the
-    float 1 - tau/T times a sum of at most 8 j2(1)), so below j2f(1) (1 +
-    m) - G (1 - m), m = _J2_CEILING_MARGIN, which covers this form's own
-    roundings, and 1e-300 covers terms that underflow.  A lane passes only
-    if (tau - 1)^2 < about 2m (T - 1)^2: none up to T of about 31,600."""
-    top = _j2_series(1, T, s) * (1.0 + _J2_CEILING_MARGIN) + 1e-300
-
-    def ceiling(taus: np.ndarray) -> np.ndarray:
-        y = s * (taus - 1) / (1.0 + s)
-        return top - LOG2E / T * (y * y * (0.5 - y / 3.0)) * (1.0 - _J2_CEILING_MARGIN)
-
-    return ceiling
 
 
 def _tau_continuous(c: float, s: float) -> float:
@@ -318,39 +295,56 @@ def joint_bound_j2(p: SisoParams) -> float:
 
         (1 - tau/T) * C(snr) - (1/T) * log2((1 + snr*T)/(1 + snr*tau)).
     """
-    return _j2((p.tau,), p.T, p.snr.linear, capacity_csi(p.snr))[0]
+    return _j2(p.tau, p.T, p.snr.linear, capacity_csi(p.snr))
 
 
 _JOINT_KINDS = ("j1", "j2")
 
 
 def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
-    """Pilot-count search for the selected joint bound, exact as an
-    exhaustive one.
+    """Pilot-count search for the selected joint bound.
 
     Searches integer tau in [0, T-1]; ties resolve to the smallest tau.
     The continuous relaxation tau* = log2(e)/C - 1/snr is reported for
     reference only (it lies in [0, 1], up to float cancellation at
     extreme SNR) and never decides the integer answer.
 
-    Both searches evaluate only the pilot counts that can still win
-    (_first_max), and stay exact.  j1(tau) is (1 - tau/T)*C less a
-    penalty >= 0, and j2(tau) is (1 - tau/T)*C less a log2 of a ratio
-    >= 1, also >= 0, so (1 - tau/T)*C bounds either bit for bit; j2's
-    series (snr*T <= 1e-6) lies below it by a factor of 1/(snr*T).  At
-    low SNR the kept prefix still runs to about log2(1 + snr*T)/C lanes,
-    about 10^11 at T = 10^15 and -100 dB, and its time grows with it.
+    Both bounds fall strictly from tau = 1 on.  With x = 1/snr, e1 =
+    eps_1(x) = C/log2(e) and S(tau) = sum_{k=1}^{T-tau} eps_k(tau + x),
 
-    Each search also passes a ceiling on its lanes, with its proof.  j1's
-    is (1 - tau/T)*C less a floor on its penalty (_penalty_floor): the
-    continued fraction's second approximant bounds each eps_k from below,
-    summed in closed form and lowered by the margin 1e-9 + 1e-15*n for
-    the kernel's summation error; at T = 1000 it keeps 131 of the 998
-    tau >= 2 at -100 dB and none from -60 dB up.  j2's, in its series
-    regime (_j2_ceiling), follows its fall from tau = 1: up to T of about
-    31,600 the search evaluates only the head {0, 1}.  Where snr*T <=
-    1e-8 j1's lanes come from _j1_series, within 1e-15 of the exact j1,
-    far inside the floor's margin, so its ceiling bounds them too.
+        T*(j2(tau + 1) - j2(tau))/log2(e) = log1p(1/(tau + x)) - e1,
+        T*(j1(tau + 1) - j1(tau))/log2(e) = S(tau) - S(tau + 1) - e1,
+
+    and S(tau) - S(tau + 1) <= log1p(1/(tau + x)) < e1 at tau >= 1, so j1
+    falls at least as fast as j2.  Proof: eps_k(y) = int_0^inf e^(-yw)
+    (1 + w)^(-k) dw, so summing over k, S(tau) = int_0^inf e^(-(tau + x)w)
+    (1 - (1 + w)^(tau - T))/w dw.  S(tau) - S(tau + 1) is then Frullani's
+    integral of (e^(-(tau + x)w) - e^(-(tau + 1 + x)w))/w, log1p(1/(tau +
+    x)), less that of e^(-(tau + x)w) (1 + w)^(tau + 1 - T) (1/(1 + w) -
+    e^(-w))/w >= 0, as e^w >= 1 + w.  And e1 > log1p(2/x)/2 (A&S 5.1.20)
+    > log1p(1/(1 + x)) >= log1p(1/(tau + x)), as (x + 1)^2 > x(x + 2).
+
+    So both tau* lie in {0, 1}, and j2's is 1: T*(j2(1) - j2(0))/log2(e)
+    = log1p(snr) - e1 > 0, as e1, the mean of ln(1 + snr|h|^2), is below
+    ln(1 + snr) by Jensen.  The j2 search returns j2(1) and evaluates
+    nothing else.  That is the first maximum of j2's floats wherever they
+    separate tau = 1 from the rest.  A float scan picks another tau where
+    they do not: at T = 10^15 and -100 dB (a relative gap to tau = 0 of
+    about 5e-26), and from about -1595 dB down (-1617 dB at T = 2), where
+    j2 is subnormal or 0.
+
+    The j1 search is exact as an exhaustive scan of its floats.  j1(tau)
+    is (1 - tau/T)*C less a penalty >= 0, so (1 - tau/T)*C bounds it bit
+    for bit, and _first_max evaluates only the prefix of pilot counts
+    where that bound beats the best so far, nearly T lanes at low SNR.
+    Within it a lane is summed only if (1 - tau/T)*C less a floor on its
+    penalty (_penalty_floor) still beats the best: the continued
+    fraction's second approximant bounds each eps_k from below, summed in
+    closed form and lowered by the margin 1e-9 + 1e-15*n for the kernel's
+    summation error.  At T = 1000 it sums 131 of the 998 tau >= 2 at -100
+    dB and none from -60 dB up.  Where snr*T <= 1e-8 j1's lanes come from
+    _j1_series, within 1e-15 of the exact j1, far inside the floor's
+    margin, so the floor bounds them too.
     """
     if which not in _JOINT_KINDS:
         raise ValueError(f"which must be one of {_JOINT_KINDS}, got {which!r}")
@@ -366,8 +360,7 @@ def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
             lambda taus: (1.0 - taus / T) * c - _penalty_floor(T - taus, _j1_argument(taus, s)) / T,
         )
     else:
-        ceiling = _j2_ceiling(T, s) if s * T <= _J2_SERIES_MAX else None
-        best, value = _first_max(lambda taus: _j2(taus, T, s, c), T, c, 1, ceiling)
+        best, value = 1, _j2(1, T, s, c)
     continuous = _tau_continuous(c, s)
     return PilotSearch(tau_star=best, value=value, tau_star_continuous=continuous)
 
@@ -408,18 +401,20 @@ def _penalty_floor(n, x):
     floor on sum_k h_k > 0, so clamping it at 0 keeps it one.
 
     Floats: the difference cancels, to about n^2/(2x^3) from two terms
-    near n/(2x) at large x.  Formed from the products P(a), not from
-    differences such as 1/(x + 1) - 1/(x + n + 1), each term carries a
-    few roundings relative to itself, so the clamped difference is off
-    by under ulp(n/(2x)), far inside the margin.  A subtracted form lay
-    above the float sum from about x = 6.5e7 up, at every n tested.
+    near n/(2x) at large x.  Formed as quotients n/(x + a)/(x + n + a),
+    not from differences such as 1/(x + 1) - 1/(x + n + 1), each term
+    carries a few roundings relative to itself, so the clamped difference
+    is off by under ulp(n/(2x)), far inside the margin.  A subtracted
+    form lay above the float sum from about x = 6.5e7 up, at every n
+    tested, and the product (x + a)(x + n + a) overflows from x of about
+    1e154.
 
     At large x the bound falls short of the exact sum by about 1/(4x^2)
     relative (2.9e-9 at x = 10^4, n = 100), where log1p(n/(x + 1))
     alone falls short by 1/(2x); from x of about 3*10^4 on, the margin
     is most of the gap."""
     xa, xb, xc = x + 0.5, x + 1.0, x + 2.0
-    h_floor = xc / 4.0 * (n / (xb * (xb + n)) + n / (xc * (xc + n))) - x / 2.0 * (n / (xa * (xa + n)))
+    h_floor = xc / 4.0 * (n / xb / (xb + n) + n / xc / (xc + n)) - x / 2.0 * (n / xa / (xa + n))
     total = np.log1p((n - 1) / xb) + (1.0 / xb + 1.0 / (x + n)) / 2.0 + np.maximum(h_floor, 0.0)
     return LOG2E * total * (1.0 - (_FLOOR_MARGIN + _FLOOR_MARGIN_PER_ORDER * n))
 
@@ -437,9 +432,10 @@ def _first_max(values, T: int, c: float, first: int, ceiling=None) -> tuple[int,
     product with c are each rounded monotonically, so the float bound is
     non-increasing in tau, and the tau > first kept are a prefix, found
     by bisection and evaluated in calls of at most _PREFIX_CHUNK lanes,
-    so memory stays bounded.  Each lane is
-    bit-equal whatever its batch, and np.argmax and the strict > give
-    ties to the smaller tau, so the result is the exhaustive scan's.
+    so memory stays bounded.  Each lane is bit-equal whatever its batch,
+    and np.argmax and the strict > give ties to the smaller tau, so the
+    result is the exhaustive scan's.  The callers are the SISO j1 search
+    (first = 1) and the square MIMO one (first = n).
 
     ceiling(taus), if given, bounds the float values from above at an
     array of taus.  A lane of the prefix is then evaluated only if its

@@ -122,7 +122,7 @@ def sweep_fig2(
         row = [T, siso.power_advantage_asymptotic(T).value_db]
         for s, c in zip(snrs, caps):
             _check_snr_blocklength(s, T)  # the target's check
-            target = siso._j2((1,), T, s, c)[0]
+            target = siso._j2(1, T, s, c)
             row.append(siso._advantage_at_target(T, s, target).value_db)
         rows.append(tuple(row))
     return SweepTable(
@@ -153,7 +153,7 @@ def convergence_table(
     rows = []
     for T, sep in zip(grid, siso._separate_bounds(grid, s)):
         gap_sep = c - sep.value
-        gap_joint = c - siso._j2((1,), T, s, c)[0]
+        gap_joint = c - siso._j2(1, T, s, c)
         rows.append(
             (
                 T,
