@@ -24,7 +24,13 @@ Evaluation strategy per element:
   requested order.  The forward recurrence is NOT started below
   k = ceil(x): each step multiplies the seed error by x/k, which is
   catastrophic for x >> k (at x = 50 the recurrence loses the value
-  entirely by k = 25).
+  entirely by k = 25).  One fraction, _eps_scalar_cf, serves floats and
+  Decimals alike: it works in the type of x, and the decimal sums
+  (_decimal_orders) pass their context's tolerance and iteration cap.
+
+_eps1_estimate is the same eps_1 for one float, with the series taken
+by math.log and math.exp, which can move it one bit from a lane of the
+kernel; it serves only siso's power-offset roots.
 
 A partial sum over orders 1..n evaluates a single seed, eps_{k0}(x) at
 k0 = min(n, ceil(x)) (k0 = 1 for x < 1), by the series or the continued
@@ -76,9 +82,11 @@ _SERIES_X = tuple(
     (0.2 * 2.0**-56 * (n + 1) * math.factorial(n + 1)) ** (1.0 / (n + 1))
     for n in range(1, _SERIES_TERMS)
 )
+# (n, (n + 1)^2) for the series steps n: a table lookup in place of a
+# float power per step, with the same values
+_SERIES_FACTORS = tuple((n, (n + 1.0) ** 2) for n in range(1, _SERIES_TERMS))
 _CF_TOL = 5e-16
 _CF_MAX_ITER = 400
-_TINY = 1e-300
 # Up to this many continued-fraction lanes, running each through the
 # scalar CF beats the vector CF, whose ~12 ufunc calls per iteration
 # cost about as much for a few lanes as for hundreds.  Median CPU time,
@@ -131,10 +139,10 @@ def _eps1_lanes(x: np.ndarray) -> np.ndarray:
         term = xs.copy()
         acc += term
         # in place: term = term * (-x) * n / (n + 1)^2, then acc += term
-        for n in range(1, _series_steps(float(xs.max())) + 1):
+        for n, square in _SERIES_FACTORS[: _series_steps(float(xs.max()))]:
             term *= neg
             term *= n
-            term /= (n + 1.0) ** 2
+            term /= square
             acc += term
         out[lo] = np.exp(xs) * acc
 
@@ -155,18 +163,41 @@ def _series_steps(x: float) -> int:
     return bisect.bisect_right(_SERIES_X, x)
 
 
+def _eps1_estimate(x: float) -> float:
+    """eps_1(x) for siso._lane_root_db: the continued fraction at x >= 1,
+    below it the series of _eps1_lanes by math.log and math.exp, which
+    can differ from a lane of the kernel in the last bit.  The series
+    stops where the lanes' does, after _series_steps(x) steps (none below
+    x of about 1e-8, 3 at 1e-3, 17 near 1), since each later term is a
+    quarter of half an ulp of the sum or less and adds exactly nothing:
+    the result is that of all 25 terms.  Per call, on a 2-vCPU x86 host:
+    0.46 us below x = 1e-6, 0.9 us in (1e-3, 0.1) and 1.4 us in (0.1, 1),
+    against 3.7-3.8 us for all 25 terms with a power per step; the
+    continued fraction takes 12 us at x in [1, 3] and 3 us past 3.  The
+    kernel runs the series on a 1-element array, 57-134 us a call; once
+    its scalar seed is cheap (ROADMAP item 7), call it instead."""
+    if x >= 1.0:
+        return _eps_scalar_cf(1, x)
+    acc = -EULER_GAMMA - math.log(x) + x
+    term = x
+    for n, square in _SERIES_FACTORS[: _series_steps(x)]:
+        term *= -x * n / square
+        acc += term
+    return math.exp(x) * acc
+
+
 def _eps1_cf_lanes(x: np.ndarray) -> np.ndarray:
     """The continued fraction for eps_1 over a 1-D array of x >= 1.
 
     The operations of _eps_scalar_cf at k = 1, lane by lane, in place.
-    A lane is done once abs(delta - 1) >= _CF_TOL fails (a NaN delta
+    A lane is done once abs(delta - 1) > _CF_TOL fails (a NaN delta
     fails it too): its h goes to the result and its entries leave the
     arrays.
     """
     out = np.empty(x.shape, dtype=float)
     lane = np.arange(x.size)
     b = x + 1.0
-    c = np.full(b.shape, 1.0 / _TINY)
+    c = np.full(b.shape, np.inf)
     d = 1.0 / b
     h = d.copy()
     delta = np.empty(b.shape)
@@ -182,7 +213,7 @@ def _eps1_cf_lanes(x: np.ndarray) -> np.ndarray:
         np.multiply(c, d, out=delta)
         h *= delta
         delta -= 1.0
-        going = np.abs(delta, out=delta) >= _CF_TOL
+        going = np.abs(delta, out=delta) > _CF_TOL
         if not going.all():
             out[lane[~going]] = h[~going]
             if not going.any():
@@ -195,26 +226,32 @@ def _eps1_cf_lanes(x: np.ndarray) -> np.ndarray:
     )
 
 
-def _eps_scalar_cf(k: int, x: float) -> float:
-    # at k = 1 the same operation sequence as _eps1_cf_lanes, in plain
-    # floats: bit-identical results (the loop is arithmetic only)
-    # without per-iteration array overhead
+def _eps_scalar_cf(k: int, x, tol=_CF_TOL, max_iter: int = _CF_MAX_ITER):
+    """eps_k(x) at x >= 1 by the modified Lentz continued fraction, in the
+    type of x: a float, or a Decimal at the context's precision, whose
+    callers pass a tolerance and a cap to suit it.  It stops once a step
+    moves the value by at most tol, relative.
+
+    The constants take x's type (one = b/b is exactly 1 in either), so a
+    float runs float operations only.  c starts at infinity: the first
+    a/c is -0.0, and b - 0.0 is b.  At k = 1 a float runs the operation
+    sequence of _eps1_cf_lanes: bit-identical results without
+    per-iteration array overhead."""
     b = x + k
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _CF_MAX_ITER + 1):
-        a = -i * (k - 1.0 + i)
-        b = b + 2.0
-        d = 1.0 / (a * d + b)
+    one = b / b
+    two = one + one
+    c = type(b)("inf")
+    d = h = one / b
+    for i in range(1, max_iter + 1):
+        a = -i * (k - one + i)
+        b = b + two
+        d = one / (a * d + b)
         c = b + a / c
         delta = c * d
         h = h * delta
-        if abs(delta - 1.0) < _CF_TOL:
+        if abs(delta - one) <= tol:
             return h
-    raise RuntimeError(
-        f"continued fraction failed to converge within {_CF_MAX_ITER} iterations"
-    )
+    raise RuntimeError(f"continued fraction failed to converge within {max_iter} iterations")
 
 
 def eps1_array(x: np.ndarray) -> np.ndarray:
@@ -244,7 +281,9 @@ def expint_scaled(k: int, x: float) -> float:
 def _eps_scalar(k: int, x: float) -> float:
     """eps_k(x) for validated arguments: the continued fraction for
     x >= 1; below, the eps_1 series lane and k - 1 forward recurrence
-    steps."""
+    steps, in constant memory: _orders_from_seed would hold all k orders
+    (a process calling it at k = 5e6 peaked at 220 MB, against 29 MB
+    with this loop)."""
     if x >= 1.0:
         return _eps_scalar_cf(k, x)
     val = float(_eps1_lanes(np.array([x]))[0])
@@ -304,29 +343,36 @@ def _orders_from_seed(n: int, k0: int, x, seed) -> list:
 def _decimal_orders(n: int, x: float) -> tuple[int, list]:
     """_scaled_orders(n, x) in decimal at the context's precision.
 
-    At x >= 1 the seed comes from the continued fraction.  Decimal has
-    no Euler gamma, so below x = 1 it is eps_1(x) = e^x (-gamma - ln x
+    At x >= 1 the seed comes from the continued fraction, run until a
+    step moves the value by at most 100 units in the last digit; near
+    x = 1, where it converges slowly, that leaves up to about 10^3 units,
+    far inside the digits the callers add for rounding.  Decimal
+    has no Euler gamma, so below x = 1 it is eps_1(x) = e^x (-gamma - ln x
     + Ein(x)), with -gamma = E_1(1) - Ein(1) and E_1(1) from the
     continued fraction."""
     import decimal  # first use only: off the import path
 
+    prec = decimal.getcontext().prec
+    limits = decimal.Decimal(1).scaleb(2 - prec), _CF_MAX_ITER * prec
     X = decimal.Decimal(x)
     k0 = _seed_order(n, x)
     if x >= 1.0:
-        seed = _decimal_cf(k0, X)
+        seed = _eps_scalar_cf(k0, X, *limits)
     else:
-        seed = X.exp() * (_decimal_neg_gamma(decimal.getcontext().prec) - X.ln() + _decimal_ein(X))
+        seed = X.exp() * (_decimal_neg_gamma(prec, *limits) - X.ln() + _decimal_ein(X))
     return k0, _orders_from_seed(n, k0, X, seed)
 
 
 @functools.lru_cache(maxsize=None)
-def _decimal_neg_gamma(prec: int):
+def _decimal_neg_gamma(prec: int, tol, max_iter: int):
+    """-gamma at prec digits, the continued fraction run to tol within
+    max_iter steps."""
     import decimal
 
     with decimal.localcontext() as ctx:
         ctx.prec = prec
         one = decimal.Decimal(1)
-        return _decimal_cf(1, one) / one.exp() - _decimal_ein(one)
+        return _eps_scalar_cf(1, one, tol, max_iter) / one.exp() - _decimal_ein(one)
 
 
 def _decimal_ein(x):
@@ -339,29 +385,6 @@ def _decimal_ein(x):
         if total + term / j == total:
             return total
         total += term / j
-
-
-def _decimal_cf(k: int, x):
-    """eps_k(x) for a Decimal x >= 1 by the continued fraction of
-    _eps_scalar_cf, until a step moves the value by at most 100 units in
-    the last of the context's digits."""
-    import decimal
-
-    prec = decimal.getcontext().prec
-    tol = decimal.Decimal(1).scaleb(2 - prec)
-    b = x + k
-    c = decimal.Decimal("Infinity")
-    d = h = 1 / b
-    for i in range(1, _CF_MAX_ITER * prec):
-        a = -i * (k - 1 + i)
-        b += 2
-        d = 1 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1) <= tol:
-            return h
-    raise RuntimeError("continued fraction failed to converge")
 
 
 def _scaled_sums(n: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -28,11 +28,10 @@ from .expint import (
     EULER_GAMMA,
     LOG2E,
     _BAD_ARGUMENTS,
-    _SERIES_TERMS,
+    _eps1_estimate,
     _eps1_lanes,
     _eps_scalar_cf,
     _scaled_sums,
-    _series_steps,
     eps1_array,  # not called here; bench/spans.py wraps siso.eps1_array
     expint_scaled,
     expint_scaled_sum,
@@ -62,9 +61,6 @@ _PREFIX_CHUNK = 1 << 16
 # the float sum lies 8.3e-14 below the floor's unlowered bound
 _FLOOR_MARGIN = 1e-9
 _FLOOR_MARGIN_PER_ORDER = 1e-15
-# (n, (n + 1)^2) for the eps_1 series steps n of _eps1_estimate: a table
-# lookup in place of a float power per step, with the same values
-_SERIES_FACTORS = tuple((n, (n + 1.0) ** 2) for n in range(1, _SERIES_TERMS))
 
 
 class SeparateBound(NamedTuple):
@@ -333,12 +329,17 @@ def optimize_pilots_joint(T: int, snr, which: str = "j1") -> PilotSearch:
     about 5e-26), and from about -1595 dB down (-1617 dB at T = 2), where
     j2 is subnormal or 0.
 
-    The j1 search is exact as an exhaustive scan of its floats.  j1(tau)
-    is (1 - tau/T)*C less a penalty >= 0, so (1 - tau/T)*C bounds it bit
-    for bit, and _first_max evaluates only the prefix of pilot counts
-    where that bound beats the best so far, nearly T lanes at low SNR.
-    Within it a lane is summed only if (1 - tau/T)*C less a floor on its
-    penalty (_penalty_floor) still beats the best: the continued
+    The j1 search is exact as an exhaustive scan of its floats, so it
+    has j2's limit: where j1's lanes are subnormal (about -1600 dB and
+    down) rounding, not the bound, orders them, and it can return tau* =
+    2, as at T = 10 and -1617.5 dB, where the lanes are a few ulps of the
+    smallest subnormal.
+
+    j1(tau) is (1 - tau/T)*C less a penalty >= 0, so (1 - tau/T)*C
+    bounds it bit for bit, and _first_max evaluates only the prefix of
+    pilot counts where that bound beats the best so far, nearly T lanes
+    at low SNR.  Within it a lane is summed only if (1 - tau/T)*C less a
+    floor on its penalty (_penalty_floor) still beats the best: the continued
     fraction's second approximant bounds each eps_k from below, summed in
     closed form and lowered by the margin 1e-9 + 1e-15*n for the kernel's
     summation error.  At T = 1000 it sums 131 of the 998 tau >= 2 at -100
@@ -431,7 +432,7 @@ def _first_max(values, T: int, c: float, first: int, ceiling=None) -> tuple[int,
     nor, being later, the first maximum.  tau/T, the subtraction and the
     product with c are each rounded monotonically, so the float bound is
     non-increasing in tau, and the tau > first kept are a prefix, found
-    by bisection and evaluated in calls of at most _PREFIX_CHUNK lanes,
+    by _first_false and evaluated in calls of at most _PREFIX_CHUNK lanes,
     so memory stays bounded.  Each lane is bit-equal whatever its batch,
     and np.argmax and the strict > give ties to the smaller tau, so the
     result is the exhaustive scan's.  The callers are the SISO j1 search
@@ -445,15 +446,11 @@ def _first_max(values, T: int, c: float, first: int, ceiling=None) -> tuple[int,
     head = values(taus)
     i = int(np.argmax(head))
     best, value = taus[i], float(head[i])
-    lo, hi = first + 1, T  # the prefix ends at the first tau in [lo, hi] whose bound fails
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (1.0 - mid / T) * c > value:
-            lo = mid + 1
-        else:
-            hi = mid
-    for start in range(first + 1, lo, _PREFIX_CHUNK):
-        taus = range(start, min(start + _PREFIX_CHUNK, lo))
+    # the prefix ends at the first tau whose bound fails; tau < T keeps
+    # tau = T out where the head's best is negative
+    end = _first_false(lambda tau: tau < T and (1.0 - tau / T) * c > value, first + 1, T, first + 1)
+    for start in range(first + 1, end, _PREFIX_CHUNK):
+        taus = range(start, min(start + _PREFIX_CHUNK, end))
         if ceiling is not None:
             lanes = np.asarray(taus)
             taus = lanes[ceiling(lanes) > value]
@@ -613,30 +610,6 @@ def _lane_root_db(s: float, tau: int, level: float) -> float:
             root = eff * ((tau + 1) + math.sqrt((tau + 1) ** 2 + 4.0 * tau / eff)) / (2.0 * tau)
             return 10.0 * (math.log10(root) - math.log10(s))
     raise RuntimeError(f"lane root failed to converge at tau={tau}, level={level!r}")
-
-
-def _eps1_estimate(x: float) -> float:
-    """eps_1(x) for _lane_root_db: the kernel's continued fraction at x >= 1,
-    below it the kernel's series by math.log and math.exp, which can
-    differ from a lane of the kernel in the last bit.  The series stops
-    where the kernel's does, after _series_steps(x) steps (none below
-    x of about 1e-8, 3 at 1e-3, 17 near 1), since each later term is a
-    quarter of half an ulp of the sum or less and adds exactly nothing:
-    the result is that of all 25 terms.  Each step takes (n + 1)^2 from
-    _SERIES_FACTORS instead of a float power.  Per call, on a 2-vCPU x86
-    host: 0.46 us below x = 1e-6, 0.9 us in (1e-3, 0.1) and 1.4 us in
-    (0.1, 1), against 3.7-3.8 us for all 25 terms with a power per step;
-    the continued fraction takes 12 us at x in [1, 3] and 3 us past 3.
-    The kernel runs the series on a 1-element array, 57-134 us a call;
-    once its scalar seed is cheap (ROADMAP item 7), call it instead."""
-    if x >= 1.0:
-        return _eps_scalar_cf(1, x)
-    acc = -EULER_GAMMA - math.log(x) + x
-    term = x
-    for n, square in _SERIES_FACTORS[: _series_steps(x)]:
-        term *= -x * n / square
-        acc += term
-    return math.exp(x) * acc
 
 
 def single_pilot_advantage(T: int) -> PowerOffset:

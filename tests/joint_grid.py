@@ -5,9 +5,11 @@ which = "j1" and "j2" with the first maximum over every tau in [0, T-1]
 of joint_bound_j1's and joint_bound_j2's expressions (siso._j1_values,
 siso._j2 per tau), value for value, on the benchmark's SISO grid: its 23
 blocklengths at -100 ... 40 dB in 2.5 dB steps (1,311 points).  It
-prints every search that differs and exits 1 if any does.  It also
-prints the mean number of lanes (pilot counts, the head tau in {0, 1}
-included) whose penalty the j1 search sums, counted by a wrapper
+prints every search that differs and exits 1 if any does.  It counts
+the j1 searches whose tau* lies outside {0, 1}, which the lemma in
+optimize_pilots_joint's docstring rules out, and exits 1 if any does.
+It also prints the mean number of lanes (pilot counts, the head tau in
+{0, 1} included) whose penalty the j1 search sums, counted by a wrapper
 installed here only:
 
     PYTHONPATH=src python tests/joint_grid.py
@@ -55,7 +57,7 @@ def search(T: int, s: float, which: str, lanes: list[int]) -> tuple[int, float]:
 
 def main() -> int:
     lanes: list[int] = []
-    found = []
+    found, off_lemma = [], []
     for T in SISO_T_GRID:
         for db in SISO_SNR_DB:
             s = SnrValue.from_db(db).linear
@@ -63,11 +65,14 @@ def main() -> int:
                 ours, ref = search(T, s, which, lanes), scan(T, s, which)
                 if ours != ref:
                     found.append((which, T, db, ours, ref))
-    for point in found:
+                if which == "j1" and ours[0] not in (0, 1):
+                    off_lemma.append((which, T, db, ours))
+    for point in found + off_lemma:
         print(*point)
     n = len(SISO_T_GRID) * len(SISO_SNR_DB)
     print(f"{len(found)} of {2 * n} searches differ; {sum(lanes) / n:.2f} lanes summed per j1 search")
-    return 1 if found else 0
+    print(f"{len(off_lemma)} of {n} j1 searches put tau* outside {{0, 1}}")
+    return 1 if found or off_lemma else 0
 
 
 if __name__ == "__main__":

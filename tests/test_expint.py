@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import mpmath
@@ -7,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotbounds.expint import (
+    _CF_MAX_ITER,
     _SCALAR_LANES,
     _SCALAR_SUM_LANES,
     _SERIES_X,
     EULER_GAMMA,
+    _eps1_estimate,
+    _eps_scalar_cf,
     _scaled_sums,
     eps1_array,
     expint_scaled,
@@ -249,6 +253,27 @@ def test_series_stops_without_changing_a_bit_log_uniform():
     _assert_series_bits(xs[::50])  # one by one: each lane runs its own count
 
 
+def test_eps1_estimate_equals_the_full_series():
+    # the series stops at the kernel's term count; the terms it drops add
+    # exactly nothing, so the result is that of all 25 terms, here on
+    # 10^5 log-uniform arguments and on both sides of each step of the count
+    rng = np.random.default_rng(20261020)
+    edges = [t for t in _SERIES_X if t < 1.0]
+    xs = np.concatenate([
+        np.exp(rng.uniform(math.log(1e-12), 0.0, 100_000)),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+    ])
+    # the 25-term float loop of _eps1_estimate, lane by lane in numpy:
+    # each step is one IEEE operation, as on Python floats
+    acc = -EULER_GAMMA - np.array([math.log(x) for x in xs.tolist()]) + xs
+    term = xs.copy()
+    for n in range(1, 25):
+        term *= -xs * n / (n + 1.0) ** 2
+        acc += term
+    full = np.array([math.exp(x) for x in xs.tolist()]) * acc
+    assert [_eps1_estimate(x) for x in xs.tolist()] == full.tolist()
+
+
 @pytest.mark.parametrize(
     "xs",
     [
@@ -261,6 +286,29 @@ def test_series_stops_without_changing_a_bit_log_uniform():
 def test_series_stops_without_changing_a_bit_in_mixed_batches(xs):
     # the tiny lanes run the count the near-1 lane needs
     _assert_series_bits(np.array(xs))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 33])
+@pytest.mark.parametrize("x", [1.0, 1.05, 3.0, 50.0, 1e4])
+def test_continued_fraction_on_decimals_at_forty_digits(k, x):
+    # the float fraction run on Decimals, with the tolerance and cap that
+    # the decimal sums pass at 40 digits, against mpmath's e^x E_k(x) at
+    # 80 digits (checked against 160).  The fraction stops once a step
+    # moves the value by at most 100 units in the last digit; near x = 1,
+    # where it converges slowly, the remainder is several times that last
+    # step (625 units at k = 1, x = 1), so the bound is 1000 units
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        value = _eps_scalar_cf(k, decimal.Decimal(x), decimal.Decimal(1).scaleb(2 - 40), _CF_MAX_ITER * 40)
+    refs = []
+    for dps in (80, 160):
+        with mpmath.workdps(dps):
+            refs.append(mpmath.exp(mpmath.mpf(x)) * mpmath.expint(k, mpmath.mpf(x)))
+    with mpmath.workdps(80):
+        ref = refs[0]
+        assert abs(refs[1] - ref) < abs(ref) * mpmath.mpf(10) ** -60
+        unit = mpmath.mpf(10) ** (int(mpmath.floor(mpmath.log10(ref))) - 39)
+        assert abs(mpmath.mpf(str(value)) - ref) <= 1000 * unit
 
 
 @pytest.mark.parametrize("bad_k", [0, -1, 1.5, 10.0, True, None])

@@ -1,4 +1,3 @@
-import functools
 import math
 from fractions import Fraction
 
@@ -30,6 +29,8 @@ from pilotbounds.siso import (
     power_advantage_asymptotic,
     separate_bound,
 )
+
+import telatar_refs  # tests/telatar_refs.py: the Telatar quadrature and its table
 
 CFG = McConfig(samples=50_000, seed=42)
 
@@ -140,8 +141,8 @@ def _exact(est):
 
 def _quad_j1(n_t, n_r, T, tau, s):
     """j1 from quadratures of both capacity terms at snr s."""
-    penalty = _telatar_quad_rho(n_t, T - tau, n_t / (tau + n_t / s))
-    return (1 - tau / T) * _telatar_quad_rho(n_t, n_r, s) - n_r / T * penalty
+    penalty = telatar_refs.telatar_quad(n_t, T - tau, n_t / (tau + n_t / s))
+    return (1 - tau / T) * telatar_refs.telatar_quad(n_t, n_r, s) - n_r / T * penalty
 
 
 # 12 x 12 and C_{12,16} run in decimal at every SNR, the penalties
@@ -155,7 +156,7 @@ def test_separate_exact_at_twelve_by_twelve(no_sampling):
     for tau in taus:
         mmse = 1.0 / (1.0 + s * (tau / 12))
         eff = s * (1.0 - mmse) / (1.0 + s * mmse)
-        refs.append((1.0 - tau / 16) * _telatar_quad_rho(12, 12, eff))
+        refs.append((1.0 - tau / 16) * telatar_refs.telatar_quad(12, 12, eff))
     assert res.tau_star == taus[_first_argmax(refs)] and res.tie_within_margin is False
     assert _exact(res.value) == pytest.approx(max(refs), rel=1e-13, abs=0.0)
 
@@ -179,7 +180,7 @@ def test_joint_bound_ordering_twelve_by_twelve(no_sampling):
         assert j2 <= j1
         assert j1 == pytest.approx(_quad_j1(12, 12, 16, 12, s), rel=1e-12, abs=0.0)
         log_term = LOG2E * (math.log1p(s * 16 / 12) - math.log1p(s))
-        ref_j2 = 0.25 * _telatar_quad_rho(12, 12, s) - 144 / 16 * log_term
+        ref_j2 = 0.25 * telatar_refs.telatar_quad(12, 12, s) - 144 / 16 * log_term
         assert j2 == pytest.approx(ref_j2, rel=1e-12, abs=0.0)
 
 
@@ -262,7 +263,7 @@ def _check_vanishing_snr(n, T):
     assert math.isfinite(_exact(res.value)) and math.isfinite(res.tau_star_continuous)
     c = _exact(capacity_ctr(n, n, SnrValue(1e-40), CFG))
     assert c == pytest.approx(n * 1e-40 * LOG2E, rel=1e-12)
-    assert c == pytest.approx(_telatar_quad_rho(n, n, 1e-40), rel=1e-13, abs=0.0)
+    assert c == pytest.approx(telatar_refs.telatar_quad(n, n, 1e-40), rel=1e-13, abs=0.0)
 
 
 def test_optimizer_rejects_snr_below_sampler_resolution(no_sampling):
@@ -343,60 +344,17 @@ def test_mimo_separate_validates_antenna_counts(n_t, n_r):
         mimo_separate(n_t, n_r, 4, SnrValue(1.0), CFG)
 
 
-def _telatar_quad(t, r, db):
-    return _telatar_quad_rho(t, r, SnrValue.from_db(db).linear)
+_QUAD_REFS = telatar_refs.load()
 
 
-@functools.lru_cache(maxsize=None)
-def _telatar_quad_rho(t, r, rho):
-    """E log2 det(I + (rho/t) Z Z^H) by mpmath quadrature of Telatar's
-    unordered-eigenvalue density
-
-        sum_{k<m} k!/(k+d)! [L_k^(d)(lam)]^2 lam^d e^{-lam},
-
-    m = min(t, r), d = |t - r|, with the Laguerre polynomials from
-    their three-term recurrence."""
-    m, d = min(t, r), abs(t - r)
-    n = max(t, r)
-
-    def density(lam):
-        prev, cur = mp.mpf(0), mp.mpf(1)
-        total = cur**2 / mp.factorial(d)
-        for k in range(1, m):
-            prev, cur = cur, ((2 * k - 1 + d - lam) * cur - (k - 1 + d) * prev) / k
-            total += mp.factorial(k) / mp.factorial(k + d) * cur**2
-        return total * lam**d * mp.exp(-lam)
-
-    with mp.workdps(20):
-        rho = mp.mpf(rho)
-        # mp.quad's tolerance is absolute: integrate log1p(.)/rho, of
-        # order 1, where rho is small
-        scale = min(rho, 1)
-        value = mp.quad(
-            lambda lam: mp.log1p(rho * lam / t) / scale * density(lam),
-            [0, 1, n, 2 * n + 4, 4 * n + 20, mp.inf],
-        )
-        return float(value * scale / mp.log(2))
-
-
-# every size here is admitted by the guard at every SNR; r runs up to
-# 20 as the penalty term C_{n_t, T-tau} does for T - tau <= 20
-_EXACT_SIZES = [
-    (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4), (4, 4), (3, 8), (4, 8),
-    (2, 16), (3, 16), (4, 16), (16, 4), (5, 5), (6, 6), (7, 7),
-    (8, 8), (9, 9), (8, 11), (6, 20), (20, 6),
-]
-# sizes the guard refuses at every SNR here: the decimal sum, good to
-# about one ulp
-_DECIMAL_SIZES = [(12, 12), (16, 16), (8, 32), (24, 24)]
-
-
-@pytest.mark.parametrize("t,r", _EXACT_SIZES + _DECIMAL_SIZES)
+@pytest.mark.parametrize("t,r", telatar_refs.EXACT_SIZES + telatar_refs.DECIMAL_SIZES)
 def test_exact_capacity_matches_quadrature(t, r, no_sampling):
-    rel = 1e-13 if (t, r) in _DECIMAL_SIZES else 1e-10
-    for db in (-30.0, 0.0, 30.0, 60.0):
+    # the references are telatar_refs.py's 20-digit quadratures, read from
+    # the table it writes; CI computes them again and compares
+    rel = 1e-13 if (t, r) in telatar_refs.DECIMAL_SIZES else 1e-10
+    for db in telatar_refs.SNR_DB:
         est = capacity_ctr(t, r, SnrValue.from_db(db), CFG)
-        assert _exact(est) == pytest.approx(_telatar_quad(t, r, db), rel=rel, abs=0.0)
+        assert _exact(est) == pytest.approx(_QUAD_REFS[t, r, db], rel=rel, abs=0.0)
 
 
 @pytest.mark.parametrize("t,r", [(4, 4), (8, 8), (12, 12), (16, 16), (24, 24), (32, 32), (8, 32)])
@@ -493,7 +451,7 @@ def test_guard_sends_large_sizes_to_the_decimal_sum(n, monkeypatch, no_sampling)
     for s in (1.0, 100.0):
         est = capacity_ctr(n, n, SnrValue(s), McConfig(samples=2000, seed=3), workers=2)
         assert calls[-1] == (n, 0, n / s, _laguerre_weights(n, 0)[3])
-        assert _exact(est) == pytest.approx(_telatar_quad_rho(n, n, s), rel=1e-13, abs=0.0)
+        assert _exact(est) == pytest.approx(telatar_refs.telatar_quad(n, n, s), rel=1e-13, abs=0.0)
 
 
 def _first_argmax(values):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from offset_grid import BENCH_T, SISO_SNR_DB, mpmath_offset_db, reference_offset_db
 
 from pilotbounds import siso
-from pilotbounds.expint import EULER_GAMMA, LOG2E, _SERIES_X, _scaled_sums
+from pilotbounds.expint import LOG2E, _scaled_sums
 from pilotbounds.params import SisoParams, SnrValue, _check_snr_blocklength, linear_snr
 from pilotbounds.siso import (
     advantage_units,
@@ -438,6 +438,21 @@ def test_joint_searches_are_exact_across_chunks(monkeypatch, chunk):
         assert calls[0] == 2 and max(calls[1:]) <= chunk
 
 
+def test_first_max_prefix_stops_at_the_last_pilot_count_when_the_head_is_negative():
+    # every value negative, the first maximum at tau = T - 1: the bound
+    # (1 - tau/T)*c exceeds the head's best at every tau < T, so the prefix
+    # runs to T - 1, and at tau = T it is 0, which exceeds a negative best
+    # too; the search must not evaluate tau = T
+    T, c = 12, 1.0
+    table = [-1.0 + tau / 100.0 for tau in range(T)]
+
+    def values(taus):
+        return [table[tau] for tau in taus]
+
+    for ceiling in (None, lambda taus: (1.0 - taus / T) * c):
+        assert siso._first_max(values, T, c, 1, ceiling) == (T - 1, table[T - 1])
+
+
 @pytest.mark.parametrize("bad_T", [0, 1, True, 10.0])
 def test_optimizer_blocklength_validation(bad_T):
     with pytest.raises(ValueError):
@@ -623,27 +638,6 @@ def test_power_advantage_lane_one_checks_raise_as_on_arrays(T):
         ref = _outcome(lambda: _numpy_lane_one_checks(T, s))
         assert isinstance(ref, tuple), s
         assert _outcome(lambda: siso._advantage_at_target(T, s, 1.0)) == ref, s
-
-
-def test_eps1_estimate_equals_the_full_series():
-    # the series stops at the kernel's term count; the terms it drops add
-    # exactly nothing, so the result is that of all 25 terms, here on
-    # 10^5 log-uniform arguments and on both sides of each step of the count
-    rng = np.random.default_rng(20261020)
-    edges = [t for t in _SERIES_X if t < 1.0]
-    xs = np.concatenate([
-        np.exp(rng.uniform(math.log(1e-12), 0.0, 100_000)),
-        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
-    ])
-    # the 25-term float loop of _eps1_estimate, lane by lane in numpy:
-    # each step is one IEEE operation, as on Python floats
-    acc = -EULER_GAMMA - np.array([math.log(x) for x in xs.tolist()]) + xs
-    term = xs.copy()
-    for n in range(1, 25):
-        term *= -xs * n / (n + 1.0) ** 2
-        acc += term
-    full = np.array([math.exp(x) for x in xs.tolist()]) * acc
-    assert [siso._eps1_estimate(x) for x in xs.tolist()] == full.tolist()
 
 
 @pytest.mark.parametrize("T", [2, 10, 1000])
