@@ -215,7 +215,7 @@ _OPTIMIZE_COLUMNS = ("nt", "which", "T", "snr_db", "tau_star", "value", "tau_sta
 
 def _cmd_optimize(args) -> _Report:
     if args.nt is not None and args.which == "j2":
-        raise ValueError("--which j2 supports the single-antenna case only")
+        raise ValueError("--which j2 takes no --nt")
     snr = SnrValue.from_db(args.snr_db)
     if args.nt is not None:
         res = mimo.mimo_optimize_pilots(args.nt, args.T, snr)
@@ -234,7 +234,7 @@ _OFFSET_COLUMNS = ("kind", "nt", "T", "snr_db", "component", "value_units", "val
 
 def _cmd_offset(args) -> _Report:
     if args.nt is not None and args.kind != "advantage-asymptotic":
-        raise ValueError(f"--kind {args.kind} supports the single-antenna case only")
+        raise ValueError(f"--kind {args.kind} takes no --nt")
     if args.snr_db is not None and args.kind != "advantage-at-snr":
         raise ValueError(f"--kind {args.kind} takes no --snr-db")
     if args.kind == "true-capacity-gap":

@@ -411,32 +411,21 @@ def _scaled_sums(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     seed[lo] = _eps1_lanes(x[lo])
     seed[~lo] = [_eps_scalar_cf(ki, xi) for ki, xi in zip(k0[~lo].tolist(), x[~lo].tolist())]
     total = seed.copy()
-
-    # downward, orders k0-1 ... 1: eps_k = (1 - k*eps_{k+1})/x
-    lanes, live = _by_step_count(k0 - 1)
-    xs, val, tot = x[lanes], seed[lanes], total[lanes]
-    k = (k0[lanes] - 1).astype(float)
-    for p in live:
-        v = val[:p]
-        np.multiply(k[:p], v, out=v)
-        np.subtract(1.0, v, out=v)
-        np.divide(v, xs[:p], out=v)
-        tot[:p] += v
-        k[:p] -= 1.0
-    total[lanes] = tot
-
+    # downward, orders k0-1 ... 1: eps_k = (1 - k*eps_{k+1})/x; then
     # forward, orders k0+1 ... n: eps_{j+1} = (1 - x*eps_j)/j
-    lanes, live = _by_step_count(n - k0)
-    xs, val, tot = x[lanes], seed[lanes], total[lanes]
-    j = k0[lanes].astype(float)
-    for p in live:
-        v = val[:p]
-        np.multiply(xs[:p], v, out=v)
-        np.subtract(1.0, v, out=v)
-        np.divide(v, j[:p], out=v)
-        tot[:p] += v
-        j[:p] += 1.0
-    total[lanes] = tot
+    for steps, first, step in ((k0 - 1, k0 - 1, -1.0), (n - k0, k0, 1.0)):
+        lanes, live = _by_step_count(steps)
+        xs, val, tot = x[lanes], seed[lanes], total[lanes]
+        order = first[lanes].astype(float)
+        mul, div = (order, xs) if step < 0.0 else (xs, order)
+        for p in live:
+            v = val[:p]
+            np.multiply(mul[:p], v, out=v)
+            np.subtract(1.0, v, out=v)
+            np.divide(v, div[:p], out=v)
+            tot[:p] += v
+            order[:p] += step
+        total[lanes] = tot
     return total
 
 

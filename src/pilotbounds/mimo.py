@@ -40,6 +40,14 @@ bounds and searches keep their cfg and workers parameters and Estimate
 results (std_error 0, samples_used 0, tie_within_margin False) so that
 callers written for sampled results, such as bench/workloads.py, run
 unchanged: cfg is ignored, workers is checked and ignored.
+
+At vanishing SNR the joint bounds subtract an O(snr) penalty from an
+O(snr) capacity term and cancel: Jensen gives j2 <= j1, yet over n_t,
+n_r <= 4 (not 1 x 1), T <= 1000 and -200...40 dB in 2.5 dB steps
+mimo_joint_j2 exceeded mimo_joint_j1 at 2,220 of 30,458 points, the
+highest at -117.5 (n_t = 4), -132.5 (3), -150 (2) and -155 dB (1), and
+at none from -110 dB up.  The scalar j1 takes its series there
+(siso._j1_series); these bounds have none yet.
 """
 
 from __future__ import annotations
@@ -60,7 +68,8 @@ from .expint import (
 from .montecarlo import Estimate, McConfig
 from .params import MimoParams, PowerOffset, _check_int, _check_snr_blocklength, linear_snr
 from .siso import (
-    _effective_snr,
+    _check_eff,
+    _eff,
     _first_max,
     _j1,
     _j1_argument,
@@ -141,38 +150,28 @@ def _laguerre_weights(m: int, d: int) -> tuple[tuple[int, ...], int, tuple[float
 
 def _ctr_value(t: int, r: int, x: float) -> float:
     """C_{t,r} at the sum argument x = t/rho (the penalty term passes
-    tau + n_t/snr, with fewer roundings): the float Laguerre sum where
-    the cancellation guard admits it, else the decimal one."""
-    return _ctr_from_orders(min(t, r), abs(t - r), x, _scaled_orders(t + r - 1, _check_argument(x)))
+    tau + n_t/snr, with fewer roundings): the guarded Laguerre sum."""
+    x = _check_argument(x)
+    return _weighted_sum(_laguerre_weights(min(t, r), abs(t - r)), x, _scaled_orders(t + r - 1, x))
 
 
-def _ctr_from_orders(m: int, d: int, x: float, orders) -> float:
-    """_ctr_value from orders = _scaled_orders(2m + d - 1, x), or from
-    a longer list with the same seed order, whose first 2m + d - 1
-    entries are the same floats."""
-    _, _, weights, digits = _laguerre_weights(m, d)
-    total = _guarded_sum(weights, orders)
-    return _ctr_decimal(m, d, x, digits) if total is None else total
+def _weighted_sum(weights, x: float, orders) -> float:
+    """log2(e) * sum_k W_k eps_k(x) over k = 1..len(W), for a weight set
+    weights = (N, D, W, digits) as _laguerre_weights and
+    _continuous_weights give it, and orders = (k0, [eps_1(x), ...]) as
+    _scaled_orders gives them (or a longer list with the same seed
+    order, whose first len(W) entries are the same floats).
 
-
-def _guarded_sum(weights: tuple[float, ...], orders) -> float | None:
-    """log2(e) * sum_k weights[k-1] eps_k(x) over k = 1..len(weights),
-    from orders = (k0, [eps_1(x), ...]) as _scaled_orders gives them,
-    added in expint_scaled_sum's order; None where the sum is not > 0
-    or its cancellation ratio kappa exceeds _KAPPA_MAX (module
-    docstring)."""
+    The float terms are added in expint_scaled_sum's order, and that sum
+    is kept where it is > 0 and its cancellation ratio kappa is at most
+    _KAPPA_MAX (module docstring); elsewhere the sum is taken in decimal
+    at digits significant digits with the exact weights N_k/D."""
+    num, den, w, digits = weights
     k0, eps = orders
-    terms = [w * e for w, e in zip(weights, eps)]
+    terms = [wk * e for wk, e in zip(w, eps)]
     total = _sum_in_order(k0, terms)
     if total > 0.0 and sum(map(abs, terms)) <= _KAPPA_MAX * total:
         return LOG2E * total
-    return None
-
-
-def _ctr_decimal(m: int, d: int, x: float, digits: int) -> float:
-    """The Laguerre sum at x in decimal at digits significant digits,
-    with the exact weights, rounded once to float."""
-    num, den, _, _ = _laguerre_weights(m, d)
     return _decimal_sum(num, den, x, digits)
 
 
@@ -254,10 +253,9 @@ def mimo_separate(
     s = linear_snr(snr)
     _check_snr_blocklength(s, T)
     taus = list(range(n_t, T))
-    values = [
-        (1.0 - tau / T) * _ctr_value(n_t, n_r, n_t / eff)
-        for tau, eff in zip(taus, _effective_snr(s, taus, n_t).tolist())
-    ]
+    effs = _eff(s, np.asarray(taus) / n_t)
+    _check_eff(effs[0], n_t, s)
+    values = [(1.0 - tau / T) * _ctr_value(n_t, n_r, n_t / eff) for tau, eff in zip(taus, effs.tolist())]
     idx = int(np.argmax(values))
     return MimoSeparateResult(Estimate(values[idx], 0.0, 0), taus[idx], False)
 
@@ -310,12 +308,8 @@ def _square_capacity(n: int, s: float) -> tuple[float, float]:
         c1 = _ctr_value(1, 1, x)
         return c1, _tau_continuous(c1, s)
     orders = _scaled_orders(2 * n, x)
-    c1 = _ctr_from_orders(n, 0, x, orders if orders[0] < 2 * n else _scaled_orders(2 * n - 1, x))
-    num, den, weights, digits = _continuous_weights(n)
-    top = _guarded_sum(weights, orders)
-    if top is None:
-        top = _decimal_sum(num, den, x, digits)
-    return c1, top / c1
+    c1 = _weighted_sum(_laguerre_weights(n, 0), x, orders if orders[0] < 2 * n else _scaled_orders(2 * n - 1, x))
+    return c1, _weighted_sum(_continuous_weights(n), x, orders) / c1
 
 
 @functools.lru_cache(maxsize=None)

@@ -318,22 +318,18 @@ def _gamma_sums(rng: np.random.Generator, T: int, taus: Sequence[int], count: in
         yield tau, s
 
 
-def _sample_penalty_terms(
-    T: int, taus: int | Sequence[int], snrs: Sequence, cfg: McConfig
-) -> list[Estimate]:
+def _sample_penalty_terms(T: int, taus: Sequence[int], snrs: Sequence, cfg: McConfig) -> list[Estimate]:
     """sample_penalty_term at every (tau, snr) of taus x snrs, tau-major,
     from one Gamma(T - taus[-1]) draw per block (_gamma_sums).
 
-    taus is one pilot count or a strictly increasing sequence of them.
-    The rows of taus[-1] are bit-equal to the one-row calls
-    sample_penalty_term(T, taus[-1], snr, cfg).  The rows of a smaller
-    tau add exponentials to that draw: they have the law of their
-    one-row calls, not their bits.
+    taus is a strictly increasing sequence of pilot counts.  The rows of
+    taus[-1] are bit-equal to the one-row calls sample_penalty_term(T,
+    taus[-1], snr, cfg).  The rows of a smaller tau add exponentials to
+    that draw: they have the law of their one-row calls, not their bits.
     """
-    taus = tuple(taus) if isinstance(taus, Sequence) else (taus,)
+    taus = tuple(_check_int("tau", tau, 0) for tau in taus)
     if not taus:
         raise ValueError("need at least one pilot count")
-    taus = tuple(_check_int("tau", tau, 0) for tau in taus)
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError(f"pilot counts must be strictly increasing, got {taus}")
     T = _check_int("T", T, taus[-1] + 1)
@@ -365,23 +361,39 @@ def _sample_ctr_rows(t: int, r: int, rhos: Sequence, cfg: McConfig) -> list[Esti
     bit-equal to sample_ctr(t, r, rhos[i], cfg)."""
     t = _check_int("t", t, 1)
     r = _check_int("r", r, 1)
-    rhos = [linear_snr(rho) for rho in rhos]
-    side = min(t, r)
+    ones = np.ones(min(t, r))
+    rows = [(s / t, ones, f"t={t}, r={r}, rho={s!r}") for s in map(linear_snr, rhos)]
+    return _sample_log2_det_rows((r, t), t > r, 1, rows, cfg)
+
+
+def _sample_log2_det_rows(
+    shape: tuple[int, int], by_rows: bool, factor: int, rows: Sequence, cfg: McConfig
+) -> list[Estimate]:
+    """factor * E[log2 det(I + g W^{1/2} G W^{1/2})] for each row (g, w,
+    label) of rows, from one draw per block of Z, IID complex Gaussian of
+    unit variance and the given shape: G = Z Z† (by_rows) or Z† Z, W =
+    diag(w), and label names the arguments in a log-det error.
+
+    At Gram side 1 or 2 the log-det is closed form on the Gram entries in
+    real arithmetic, with the scales 0.5*g*w (the 1/2 of Z's unit
+    variance); above, Cholesky takes det(I + g W^{1/2} G W^{1/2}), whose
+    weighted Gram stays Hermitian positive definite.  A product with
+    w = 1.0 or factor = 1 is exact, so a row keeps the bits of the
+    unweighted expression."""
+    side = shape[0] if by_rows else shape[1]
+    small = [(0.5 * g * w).tolist() for g, w, _ in rows]
+    sqrt_w = [np.sqrt(w) for _, w, _ in rows]
 
     def draw(rng, count):
         if side <= 2:
-            diag, q = _small_gram(rng.standard_normal((count, r, t, 2)), t > r)
-            for s in rhos:
-                c = 0.5 * (s / t)  # the 1/2 of Z's unit variance
-                yield _log2_det_small(diag, q, (c, c), f"t={t}, r={r}, rho={s!r}")
+            diag, q = _small_gram(rng.standard_normal((count, *shape, 2)), by_rows)
+            for scales, (_, _, label) in zip(small, rows):
+                yield factor * _log2_det_small(diag, q, scales, label)
             return
-        z = _complex_gaussian(rng, (count, r, t))
-        if t <= r:
-            gram = np.einsum("nij,nik->njk", z.conj(), z)
-        else:
-            gram = np.einsum("nij,nkj->nik", z, z.conj())
-        for s in rhos:
-            yield _log2_det((s / t) * gram, f"t={t}, r={r}, rho={s!r}")
+        z = _complex_gaussian(rng, (count, *shape))
+        gram = np.einsum("nij,nkj->nik", z, z.conj()) if by_rows else np.einsum("nij,nik->njk", z.conj(), z)
+        for (g, _, label), v in zip(rows, sqrt_w):
+            yield factor * _log2_det(g * (v[:, None] * gram * v[None, :]), label)
 
     return _mean_estimate(cfg, draw, side)
 
@@ -407,7 +419,7 @@ def _sample_delta_mimo_rows(
     block: row i is bit-equal to sample_delta_mimo(params, diagonals[i], cfg).
     Every diagonal is checked before anything is drawn."""
     s = params.snr.linear
-    n_t, n_r, m = params.n_t, params.n_r, params.T - params.tau
+    n_t, n_r = params.n_t, params.n_r
     trace_cap = n_t * params.tau
     weights = []
     for diagonal in diagonals:
@@ -423,23 +435,5 @@ def _sample_delta_mimo_rows(
                 f"pilot power constraint violated: trace {d.sum()!r} > n_t*tau = {trace_cap}"
             )
         weights.append(1.0 / (1.0 + (s / n_t) * d))
-    label = f"n_t={n_t}, n_r={n_r}, snr={s!r}"
-    # the closed form scales X X† by (snr/n_t) W, with the 1/2 of X's unit
-    # variance; Cholesky takes det(I + W S) = det(I + W^{1/2} S W^{1/2}),
-    # whose weighted Gram stays Hermitian positive definite
-    scales = [(0.5 * (s / n_t) * w).tolist() for w in weights]
-    sqrt_weights = [np.sqrt(w) for w in weights]
-
-    def draw(rng, count):
-        if n_t <= 2:
-            diag, q = _small_gram(rng.standard_normal((count, n_t, m, 2)), True)
-            for c in scales:
-                yield n_r * _log2_det_small(diag, q, c, label)
-            return
-        x = _complex_gaussian(rng, (count, n_t, m))
-        gram = np.einsum("nij,nkj->nik", x, x.conj())
-        for sqrt_w in sqrt_weights:
-            sym = (s / n_t) * (sqrt_w[:, None] * gram * sqrt_w[None, :])
-            yield n_r * _log2_det(sym, label)
-
-    return _mean_estimate(cfg, draw, n_t)
+    rows = [(s / n_t, w, f"n_t={n_t}, n_r={n_r}, snr={s!r}") for w in weights]
+    return _sample_log2_det_rows((n_t, params.T - params.tau), True, n_r, rows, cfg)

@@ -98,14 +98,10 @@ def mmse_estimate_variance(tau: int, snr) -> float:
 def snr_effective(tau: int, snr) -> SnrValue:
     """Post-estimation SNR snr*(1 - mmse)/(1 + snr*mmse); always < snr."""
     s = linear_snr(snr)
-    return SnrValue(_effective_snr(s, (_check_int("tau", tau, 1),))[0])
-
-
-def _effective_snr(s: float, taus, n_t: int = 1) -> np.ndarray:
-    """snr_effective at each of the ascending integers taus."""
-    eff = _eff(s, np.asarray(taus) / n_t)
-    _check_eff(eff[0], taus[0], s)
-    return eff
+    tau = _check_int("tau", tau, 1)
+    eff = _eff(s, tau)
+    _check_eff(eff, tau, s)
+    return SnrValue(eff)
 
 
 def _eff(s: float, t):

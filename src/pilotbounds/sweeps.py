@@ -176,11 +176,18 @@ def convergence_table(
 
 
 _VALIDATE_SNR_DB = (-10.0, 0.0, 10.0, 20.0)
-_VALIDATE_T = (2, 6, 10, 20)
 _VALIDATE_TAU = (0, 1, 2)
-_VALIDATE_RANK1 = ((1, 1), (1, 4), (4, 1))
 _VALIDATE_GRAM = MimoParams(n_t=2, n_r=2, T=6, tau=2, snr=SnrValue(10.0))
 _VALIDATE_PERTURBATIONS = ((2.5, 1.5), (3.0, 1.0), (4.0, 0.0))
+# The substream of each of validate_all's draws: the one its first cell
+# had when every cell drew alone, so a cell whose draw is its lone call's
+# keeps that call's bits.  One exponential draw serves the four capacity
+# SNRs, one Gamma draw per T every (tau, SNR) penalty cell of that T, and
+# one Z draw both SNRs of a rank-1 size.  New draws take 58 and up.
+_CAPACITY_STREAM = 1
+_PENALTY_STREAMS = {2: 5, 6: 7, 10: 10, 20: 13}  # by T
+_RANK1_STREAMS = {(1, 1): 49, (1, 4): 51, (4, 1): 53}  # by (t, r)
+_GRAM_STREAM = 57
 
 
 def validate_all(cfg: McConfig) -> ValidationReport:
@@ -194,7 +201,6 @@ def validate_all(cfg: McConfig) -> ValidationReport:
     claim.  PASS requires |z| <= 4 everywhere.
     """
     cells = []
-    stream = 0
 
     def add_two_sided(name: str, reference: float, est: Estimate) -> None:
         diff = reference - est.mean
@@ -204,37 +210,20 @@ def validate_all(cfg: McConfig) -> ValidationReport:
             z = diff / est.std_error
         cells.append(ValidationCell(name, reference, est.mean, est.std_error, z))
 
-    # Substreams are numbered as if each cell drew alone: capacity 1-4,
-    # penalty (T, tau) groups 5-15 and 33 for their other SNRs, rank-1
-    # 49-54, one per reduction SNR, Gram 57.  A shared draw takes the
-    # substream of its lowest-numbered cell and skips the others': one
-    # exponential draw serves the four capacity SNRs (stream 1), one
-    # Gamma draw per T every (tau, SNR) penalty cell of that T (the
-    # stream of its (T, 0) cell: 5, 7, 10, 13), and one Z draw both SNRs
-    # of a rank-1 size (49, 51, 53).  Cells equal a lone call on that
-    # substream where the draw is the lone call's: the capacity and rank-1
-    # cells at their first SNR, and the penalty cells of T's largest tau,
-    # whose Gamma(T - tau) the draw takes before any exponential is added.
-    # The Gram check takes 57; new cells append after it.
-    def next_cfg(samples: int, skip: int = 0) -> McConfig:
-        nonlocal stream
-        stream += 1
-        sub = replace(cfg.substream(stream), samples=max(100, samples))
-        stream += skip
-        return sub
+    def sub(stream: int, samples: int) -> McConfig:
+        return replace(cfg.substream(stream), samples=max(100, samples))
 
     snrs = [SnrValue.from_db(db) for db in _VALIDATE_SNR_DB]
-    capacity = mc._sample_capacity_rows(snrs, next_cfg(cfg.samples, skip=len(snrs) - 1))
+    capacity = mc._sample_capacity_rows(snrs, sub(_CAPACITY_STREAM, cfg.samples))
     for db, snr, est in zip(_VALIDATE_SNR_DB, snrs, capacity):
         add_two_sided(f"capacity[snr_db={db:g}]", siso.capacity_csi(snr), est)
 
     penalty = {}  # (T, tau) -> one estimate per SNR
-    for T in _VALIDATE_T:
+    for T, stream in _PENALTY_STREAMS.items():
         taus = [tau for tau in _VALIDATE_TAU if tau < T]
-        rows = mc._sample_penalty_terms(T, taus, snrs, next_cfg(cfg.samples, skip=len(taus) - 1))
+        rows = mc._sample_penalty_terms(T, taus, snrs, sub(stream, cfg.samples))
         for i, tau in enumerate(taus):
             penalty[T, tau] = rows[i * len(snrs):(i + 1) * len(snrs)]
-    stream += len(penalty) * (len(snrs) - 1)
     # every reference from one batched sum, each lane expint_scaled_sum's bits
     lanes = [(i, T, tau) for i in range(len(snrs)) for T, tau in penalty]
     closed = LOG2E * _scaled_sums(
@@ -246,8 +235,8 @@ def validate_all(cfg: McConfig) -> ValidationReport:
 
     rank1_dbs = (0.0, 10.0)
     rhos = [SnrValue.from_db(db) for db in rank1_dbs]
-    for t, r in _VALIDATE_RANK1:
-        ests = mc._sample_ctr_rows(t, r, rhos, next_cfg(cfg.samples // 10, skip=len(rhos) - 1))
+    for (t, r), stream in _RANK1_STREAMS.items():
+        ests = mc._sample_ctr_rows(t, r, rhos, sub(stream, cfg.samples // 10))
         for db, rho, est in zip(rank1_dbs, rhos, ests):
             closed = mimo.capacity_ctr(t, r, rho).mean
             add_two_sided(f"ctr_rank1[t={t},r={r},rho_db={db:g}]", closed, est)
@@ -256,7 +245,6 @@ def validate_all(cfg: McConfig) -> ValidationReport:
         snr = SnrValue.from_db(db)
         p = MimoParams(n_t=1, n_r=1, T=10, tau=2, snr=snr)
         sp = SisoParams(T=10, tau=2, snr=snr)
-        stream += 1  # a stream per SNR, unused: the Gram cell keeps its draws
         for label, mimo_fn, siso_fn in (
             ("j1", mimo.mimo_joint_j1, siso.joint_bound_j1),
             ("j2", mimo.mimo_joint_j2, siso.joint_bound_j2),
@@ -265,7 +253,7 @@ def validate_all(cfg: McConfig) -> ValidationReport:
             reduced = mimo_fn(p)
             add_two_sided(f"reduction_{label}[T=10,tau=2,snr_db={db:g}]", siso_fn(sp), reduced)
 
-    gram_cfg = next_cfg(cfg.samples // 10)
+    gram_cfg = sub(_GRAM_STREAM, cfg.samples // 10)
     report = mimo.pilot_gram_optimality_check(_VALIDATE_GRAM, _VALIDATE_PERTURBATIONS, gram_cfg)
     for row in report.rows:
         # One-sided: only the uniform Gram exceeding the perturbation

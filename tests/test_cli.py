@@ -192,6 +192,10 @@ def test_bad_arguments_exit_code(capsys):
         ("offset", "--kind", "single-pilot", "--T", "10", "--nt", "3"),
         ("offset", "--kind", "true-capacity-gap", "--T", "10", "--nt", "3"),
         ("optimize-pilots", "--T", "10", "--snr-db", "10", "--nt", "2", "--which", "j2"),
+        ("optimize-pilots", "--T", "10", "--snr-db", "10", "--nt", "1", "--which", "j2"),
+        ("offset", "--kind", "advantage-at-snr", "--T", "10", "--snr-db", "10", "--nt", "1"),
+        ("offset", "--kind", "single-pilot", "--T", "10", "--nt", "1"),
+        ("offset", "--kind", "true-capacity-gap", "--T", "10", "--nt", "1"),
         ("sweep", "--kind", "fig1", "--snr-db", "10"),
         ("sweep", "--kind", "fig2", "--snr-db", "10"),
         ("sweep", "--kind", "convergence", "--snr-db-list", "10"),
@@ -208,6 +212,8 @@ def test_bad_arguments_exit_code(capsys):
         rc, out, err = run_cli(capsys, *argv)
         assert rc == 2 and out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        # the message names the flag at fault, not the antenna count
+        assert ("--nt" in err) == ("--nt" in argv and "--nr" not in argv), (argv, err)
     # bound and optimize-pilots sample nothing and take no sampling flags
     for argv in (
         ("bound", "--kind", "c", "--snr-db", "10"),

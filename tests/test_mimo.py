@@ -2,12 +2,12 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from pilotbounds import mimo, montecarlo, siso
 from pilotbounds.expint import LOG2E, expint_scaled_sum
 from pilotbounds.mimo import (
-    _ctr_decimal,
     _ctr_value,
     _laguerre_weights,
     MimoPilotSearch,
@@ -115,6 +115,23 @@ def test_joint_bound_ordering_two_by_two():
         assert j2.mean <= j1.mean + margin
 
 
+def test_joint_bound_ordering_down_to_minus_110_db():
+    # Jensen gives j2 <= j1 exactly; the float bounds keep that order from
+    # -110 dB up.  Below, both subtract an O(snr) penalty from an O(snr)
+    # capacity term, and over T up to 1000 j2 exceeds j1 at some points
+    # from -117.5 dB down at n_t = 4 (mimo's module docstring).
+    for n_t in range(1, 5):
+        for n_r in range(1, 5):
+            if n_t == n_r == 1:
+                continue
+            for T in sorted({n_t + 1, 2 * n_t + 2, 10, 50}):
+                for tau in sorted({0, n_t, n_t + 1, T - 1} & set(range(n_t, T)) | {0}):
+                    for db in range(-110, 41, 10):
+                        p = MimoParams(n_t=n_t, n_r=n_r, T=T, tau=tau, snr=SnrValue.from_db(db))
+                        j1, j2 = mimo_joint_j1(p).mean, mimo_joint_j2(p).mean
+                        assert j2 <= j1, (n_t, n_r, T, tau, db, j1, j2)
+
+
 def test_low_snr_capacity_expansion():
     # E[log det] ~ r log2(e) (rho - (t+r)/(2t) rho^2) for small rho
     rho = 1e-3
@@ -211,7 +228,7 @@ def test_separate_search_resolves_exact_ties_toward_fewer_pilots(monkeypatch, pa
     # 1 - tau/16 of tau = 4, 8, 12 are exact, so the products tie exactly
     s, T = 10.0, 16
     taus = range(2, T)
-    effs = mimo._effective_snr(s, taus, 2).tolist()
+    effs = mimo._eff(s, np.asarray(taus) / 2).tolist()
     by_argument = {2 / eff: patched.get(tau, 0.0) for tau, eff in zip(taus, effs)}
     monkeypatch.setattr(mimo, "_ctr_value", lambda t, r, x: by_argument[x])
     res = mimo_separate(2, 2, T, SnrValue(s))
@@ -361,14 +378,13 @@ def test_exact_capacity_matches_quadrature(t, r, no_sampling):
 def test_decimal_digits_match_thirty_more(t, r):
     # 20 + ceil(log10 sum |W_k|) digits round to the float that 30 more
     # digits give; at 4 x 4 and 8 x 8 the float sum serves the public calls
-    m, d = min(t, r), abs(t - r)
-    digits = _laguerre_weights(m, d)[3]
+    sets = [_laguerre_weights(min(t, r), abs(t - r))]
+    if t == r:  # and the numerator of the square search's continuous relaxation
+        sets.append(mimo._continuous_weights(t))
     for db in (-30.0, 0.0, 30.0):
         x = t / SnrValue.from_db(db).linear
-        assert _ctr_decimal(m, d, x, digits) == _ctr_decimal(m, d, x, digits + 30)
-        if d == 0:  # and the numerator of the square search's continuous relaxation
-            num, den, _, top = mimo._continuous_weights(m)
-            assert mimo._decimal_sum(num, den, x, top) == mimo._decimal_sum(num, den, x, top + 30)
+        for num, den, _, digits in sets:
+            assert mimo._decimal_sum(num, den, x, digits) == mimo._decimal_sum(num, den, x, digits + 30)
 
 
 def _fraction_weights(m, d):
@@ -424,12 +440,13 @@ _ADMITTED = {1: 20, 2: 20, 3: 20, 4: 20, 5: 20, 6: 20, 7: 13, 8: 11, 9: 9}
 def _record_decimal(monkeypatch):
     """Route mimo's decimal sum through a recorder of its arguments."""
     calls = []
+    real = mimo._decimal_sum
 
-    def recording(m, d, x, digits):
-        calls.append((m, d, x, digits))
-        return _ctr_decimal(m, d, x, digits)
+    def recording(num, den, x, digits):
+        calls.append((num, den, x, digits))
+        return real(num, den, x, digits)
 
-    monkeypatch.setattr(mimo, "_ctr_decimal", recording)
+    monkeypatch.setattr(mimo, "_decimal_sum", recording)
     return calls
 
 
@@ -450,7 +467,8 @@ def test_guard_sends_large_sizes_to_the_decimal_sum(n, monkeypatch, no_sampling)
     calls = _record_decimal(monkeypatch)
     for s in (1.0, 100.0):
         est = capacity_ctr(n, n, SnrValue(s), McConfig(samples=2000, seed=3), workers=2)
-        assert calls[-1] == (n, 0, n / s, _laguerre_weights(n, 0)[3])
+        num, den, _, digits = _laguerre_weights(n, 0)
+        assert calls[-1] == (num, den, n / s, digits)
         assert _exact(est) == pytest.approx(telatar_refs.telatar_quad(n, n, s), rel=1e-13, abs=0.0)
 
 

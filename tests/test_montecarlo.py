@@ -93,7 +93,7 @@ def test_penalty_rows_match_single_calls(T, tau, blocks):
     # one Gamma draw per block serves every SNR; each row keeps the
     # bits of its own one-row call
     cfg = McConfig(samples=_BLOCK_SAMPLES[blocks], seed=17)
-    rows = _sample_penalty_terms(T, tau, _ROW_SNRS, cfg)
+    rows = _sample_penalty_terms(T, (tau,), _ROW_SNRS, cfg)
     assert rows == [sample_penalty_term(T, tau, snr, cfg) for snr in _ROW_SNRS]
 
 
@@ -202,6 +202,36 @@ def test_penalty_sampler_pinned_bits(T, tau, db, seed, mean, se):
 )
 def test_delta_sampler_pinned_bits(diagonal, seed, mean, se):
     p = MimoParams(n_t=2, n_r=2, T=6, tau=2, snr=SnrValue(10.0))
+    est = sample_delta_mimo(p, diagonal, McConfig(samples=20_000, seed=seed))
+    assert (est.mean.hex(), est.std_error.hex()) == (mean, se)
+
+
+# The Cholesky side (Gram side 3 and up): sample_ctr in both Gram
+# orientations (Z† Z at t <= r, Z Z† above) and sample_delta_mimo at
+# n_t = 3, two blocks each.  The bits rest on numpy's Cholesky too.
+@pytest.mark.parametrize(
+    "t,r,seed,mean,se",
+    [
+        pytest.param(3, 4, 1, "0x1.3b7010142a8e9p+3", "0x1.1ef9b78158b8ep-7", id="3x4-seed1"),
+        pytest.param(4, 3, 2, "0x1.1aea670a28a26p+3", "0x1.0fedd9f35d69cp-7", id="4x3-seed2"),
+        pytest.param(4, 4, 3, "0x1.5e3b6041700e4p+3", "0x1.28483a42e3e50p-7", id="4x4-seed3"),
+    ],
+)
+def test_ctr_sampler_pinned_bits_at_the_cholesky_side(t, r, seed, mean, se):
+    est = sample_ctr(t, r, SnrValue(10.0), McConfig(samples=20_000, seed=seed))
+    assert (est.mean.hex(), est.std_error.hex()) == (mean, se)
+
+
+@pytest.mark.parametrize(
+    "diagonal,seed,mean,se",
+    [
+        pytest.param((3.0, 3.0, 3.0), 1, "0x1.036a42ffec040p+3", "0x1.1684dbf88430ep-7", id="uniform-seed1"),
+        pytest.param((4.0, 3.0, 2.0), 2, "0x1.0acbba23efcf1p+3", "0x1.1d9172e656f72p-7", id="skewed-seed2"),
+        pytest.param((9.0, 0.0, 0.0), 3, "0x1.1adeeef713834p+4", "0x1.90b2b06caf065p-7", id="rank1-seed3"),
+    ],
+)
+def test_delta_sampler_pinned_bits_at_the_cholesky_side(diagonal, seed, mean, se):
+    p = MimoParams(n_t=3, n_r=2, T=9, tau=3, snr=SnrValue(10.0))
     est = sample_delta_mimo(p, diagonal, McConfig(samples=20_000, seed=seed))
     assert (est.mean.hex(), est.std_error.hex()) == (mean, se)
 
@@ -325,7 +355,7 @@ def test_scalar_samplers_draw_in_the_calling_thread(monkeypatch, cpus):
     snrs = (SnrValue(0.5), SnrValue(10.0))
     sample_capacity_siso(SnrValue(1.0), cfg)
     sample_penalty_term(10, 1, SnrValue(1.0), cfg)
-    _sample_penalty_terms(20, 2, snrs, cfg)
+    _sample_penalty_terms(20, (2,), snrs, cfg)
 
 
 @pytest.mark.parametrize("cpus", [2, 8])

@@ -241,13 +241,28 @@ def test_penalty_falls_by_less_than_eps1_from_one_pilot(T):
     # eps_1, lies at x = 10^6
     mpmath = pytest.importorskip("mpmath")
     for x in [*(10.0**e for e in range(-4, 7)), 0.37, 3.7]:
+        with mpmath.workdps(80):
+            S = [_mp_scaled_sum(mpmath, T - tau, tau + mpmath.mpf(x)) for tau in range(T)]
         with mpmath.workdps(40):
-            S = [sum(_mp_scaled_expint(mpmath, k, tau + mpmath.mpf(x), 40) for k in range(1, T - tau + 1))
-                 for tau in range(T)]
             e1 = _mp_scaled_expint(mpmath, 1, x, 40)
             for tau in range(1, T - 1):
                 step = mpmath.log1p(1 / (tau + mpmath.mpf(x)))
                 assert S[tau] - S[tau + 1] <= step < e1, (x, tau)
+
+
+def _mp_scaled_sum(mpmath, n, x):
+    """sum_{k=1}^{n} eps_k(x) at the working precision from one 40-digit
+    seed eps_{k0}(x), k0 = min(n, ceil(x)), and the recurrence
+    k eps_{k+1} = 1 - x eps_k run from it in its stable directions: down
+    to k = 1, where each step scales the error by k/x <= 1, and up to
+    k = n, by x/k <= 1."""
+    k0 = min(n, int(mpmath.ceil(x)))
+    eps = {k0: _mp_scaled_expint(mpmath, k0, x, 40)}
+    for k in range(k0 - 1, 0, -1):
+        eps[k] = (1 - k * eps[k + 1]) / x
+    for k in range(k0, n):
+        eps[k + 1] = (1 - x * eps[k]) / k
+    return mpmath.fsum(eps.values())
 
 
 def _mp_scaled_expint(mpmath, k, x, digits=50):
